@@ -16,17 +16,12 @@ from .hypergraph import (
     parse_hypergraph,
 )
 from .dependency import (
-    ClusterDisjoint,
     DependencyGraph,
-    Polymer,
-    build_dependency_graph,
-    clusters_disjoint,
     dependency_graph_for,
     polymers_up_to,
 )
 from .errors import CapExceededError, LinhypError, ValidationError
 from .expansion import (
-    TruncatedSeries,
     cumulant_sum,
     expansion_term,
     hard_core_polynomial,
@@ -44,21 +39,16 @@ from .polynomial import Polynomial, SeriesTerm
 __all__ = [
     "AsymptoticEstimate",
     "CapExceededError",
-    "ClusterDisjoint",
     "DependencyGraph",
     "ForbiddenCopy",
     "Hypergraph",
     "LinhypError",
     "McReport",
-    "Polymer",
     "Polynomial",
     "SeriesTerm",
     "SimpleGraph",
-    "TruncatedSeries",
     "ValidationError",
-    "build_dependency_graph",
     "chromatic_polynomial",
-    "clusters_disjoint",
     "cumulant_sum",
     "dependency_graph_for",
     "enumerate_forbidden_copies",

@@ -6,6 +6,10 @@ full configuration, and the wall-clock duration; a reproducibility hash is
 computed over the payload with the duration excluded, so repeated runs
 with the same configuration agree on everything the hash covers.
 
+Option types check their values while the arguments are parsed, and the
+parser reports its errors as ValidationError, so a bad argument exits 2
+with a JSON error object instead of a usage message.
+
 Exit codes: 0 success, 2 validation error, 3 cap exceeded, 4 identity
 suite failure.
 """
@@ -16,7 +20,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -27,7 +30,7 @@ from .dependency import dependency_graph_for
 from .errors import CapExceededError, LinhypError, ValidationError
 from .expansion import (
     cumulant_sum,
-    expansion_term,
+    expansion_terms,
     hard_core_polynomial,
     inclusion_exclusion_polynomial,
     independent_truncated_series,
@@ -48,10 +51,8 @@ from .graphcalc import (
     ursell_direct,
 )
 from .hypergraph import enumerate_forbidden_copies
-from .oracle import exact_linearity_polynomial, monte_carlo
+from .oracle import EXACT_STATE_CAP_BITS, exact_linearity_polynomial, monte_carlo
 from .polynomial import Polynomial, log_fraction
-
-DEFAULT_WORKERS = int(os.environ.get("LINHYP_WORKERS", "1"))
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -73,6 +74,14 @@ def _parse_rational(text: str) -> Fraction:
         raise ValidationError(f"bad rational {text!r}: {exc}") from None
 
 
+def _exact_p(text: str) -> Fraction:
+    """Exact rational p strictly between 0 and 1."""
+    p = _parse_rational(text)
+    if not 0 < p < 1:
+        raise ValidationError(f"p must be in (0,1), got {p}")
+    return p
+
+
 def _parse_decimal(text: str) -> Fraction:
     """Decimal string; used on the Monte Carlo / asymptotic paths."""
     if "/" in text:
@@ -86,13 +95,69 @@ def _parse_decimal(text: str) -> Fraction:
         raise ValidationError(f"bad decimal {text!r}: {exc}") from None
 
 
+def _sweep_points(text: str) -> list[Fraction]:
+    """`lo,hi,count`: count geometrically spaced decimals from lo to hi."""
+    fields = text.split(",")
+    if len(fields) != 3:
+        raise ValidationError(f"sweep needs lo,hi,count, got {text!r}")
+    lo, hi = _parse_decimal(fields[0]), _parse_decimal(fields[1])
+    try:
+        count = int(fields[2])
+    except ValueError:
+        raise ValidationError(f"sweep count must be an integer, got {fields[2]!r}") from None
+    if count < 2 or not (0 < lo < hi < 1):
+        raise ValidationError("sweep needs 0 < lo < hi < 1 and count >= 2")
+    # geometric spacing, snapped to exact decimals of the float grid
+    ratio = (float(hi) / float(lo)) ** (1.0 / (count - 1))
+    return [Fraction(str(round(float(lo) * ratio**i, 12))) for i in range(count)]
+
+
+def _checked_text(parse):
+    """argparse type that validates with `parse` but keeps the text, so the
+    payload's config records the argument as it was given."""
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return check
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argument as a ValidationError instead of exiting."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _emit(payload: dict, args, started: float) -> None:
     payload = dict(payload)
     payload["tool_version"] = __version__
     payload["config"] = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func",)
     }
-    canonical = json.dumps(payload, sort_keys=True, default=str)
+    # the worker count is configuration that no result depends on
+    hashed = dict(payload)
+    hashed["config"] = {k: v for k, v in payload["config"].items() if k != "workers"}
+    canonical = json.dumps(hashed, sort_keys=True, default=str)
     payload["repro_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
     payload["duration_seconds"] = round(time.monotonic() - started, 6)
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
@@ -130,8 +195,8 @@ def _cmd_expand(args) -> int:
             fh.write(d.dump_adjacency())
     terms = {}
     try:
-        for i in range(1, args.k):
-            terms[i] = expansion_term(d, i, cap=args.cap, workers=args.workers)
+        for order, term in expansion_terms(d, args.k, cap=args.cap):
+            terms[order] = term
     except CapExceededError as exc:
         if not args.allow_partial:
             raise
@@ -142,9 +207,7 @@ def _cmd_expand(args) -> int:
         }
         _emit(payload, args, started)
         return EXIT_CAP
-    total = Polynomial.zero()
-    for poly in terms.values():
-        total = total + poly
+    total = sum(terms.values(), Polynomial.zero())
     payload = {
         "orders": {str(i): poly.to_json() for i, poly in terms.items()},
         "truncated_sum": total.to_json(),
@@ -166,7 +229,7 @@ def _cmd_series(args) -> int:
 def _cmd_delta(args) -> int:
     started = time.monotonic()
     d = dependency_graph_for(args.n, args.r)
-    poly = moment_sum(d, args.i, cap=args.cap, workers=args.workers)
+    poly = moment_sum(d, args.i, cap=args.cap)
     _emit({"moment_sum": poly.to_json()}, args, started)
     return EXIT_OK
 
@@ -184,7 +247,7 @@ def _cmd_oracle(args) -> int:
     poly = exact_linearity_polynomial(args.n, args.r)
     payload: dict = {"polynomial": poly.to_json()}
     if args.p is not None:
-        p = _parse_rational(args.p)
+        p = _exact_p(args.p)
         value = poly(p)
         payload["p"] = {"num": p.numerator, "den": p.denominator}
         payload["value"] = {"num": value.numerator, "den": value.denominator}
@@ -196,9 +259,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_montecarlo(args) -> int:
     started = time.monotonic()
     p = _parse_decimal(args.p)
-    report = monte_carlo(
-        args.n, args.r, p, trials=args.trials, seed=args.seed, workers=args.workers
-    )
+    report = monte_carlo(args.n, args.r, p, trials=args.trials, seed=args.seed)
     _emit({"report": report.to_json()}, args, started)
     return EXIT_OK
 
@@ -219,17 +280,17 @@ def _sci(x: float) -> str:
     return repr(x)
 
 
-def _compare_row(n: int, r: int, p: Fraction, trials: int, seed: int, workers: int) -> dict:
+def _compare_row(n: int, r: int, p: Fraction, trials: int, seed: int) -> dict:
     row: dict = {"p": float(p)}
     edge_count = math.comb(n, r)
-    if edge_count <= 24:
+    if edge_count <= EXACT_STATE_CAP_BITS:
         exact = exact_linearity_polynomial(n, r)(p)
         row["log_exact"] = log_fraction(exact) if exact > 0 else None
     else:
         row["log_exact"] = None
     d = dependency_graph_for(n, r)
     for k in (2, 3, 4):
-        row[f"log_T{k}"] = float(truncated_expansion(d, k, workers=workers)(p))
+        row[f"log_T{k}"] = float(truncated_expansion(d, k)(p))
     row["cumulant_k3"] = float(cumulant_sum(d, 3)(p))
     if r == 3:
         row["log_closed_r3"] = log_linearity_r3(n, p).log_prob
@@ -237,7 +298,7 @@ def _compare_row(n: int, r: int, p: Fraction, trials: int, seed: int, workers: i
         row["log_closed_r3"] = None
     row["log_closed_general"] = log_linearity_general(n, r, p).log_prob
     if trials > 0:
-        rep = monte_carlo(n, r, p, trials=trials, seed=seed, workers=workers)
+        rep = monte_carlo(n, r, p, trials=trials, seed=seed)
         row["mc_estimate"] = rep.estimate
         row["mc_stderr"] = rep.std_error
     else:
@@ -254,23 +315,13 @@ CSV_HEADER = (
 
 def _cmd_compare(args) -> int:
     started = time.monotonic()
-    rows = []
     if args.sweep:
-        lo_s, hi_s, count_s = args.sweep.split(",")
-        lo, hi, count = Fraction(lo_s), Fraction(hi_s), int(count_s)
-        if count < 2 or not (0 < lo < hi < 1):
-            raise ValidationError("sweep needs 0 < lo < hi < 1 and count >= 2")
-        # geometric spacing, snapped to exact decimals of the float grid
-        ratio = (float(hi) / float(lo)) ** (1.0 / (count - 1))
-        ps = [Fraction(str(round(float(lo) * ratio**i, 12))) for i in range(count)]
+        ps = _sweep_points(args.sweep)
+    elif args.p is not None:
+        ps = [_exact_p(args.p)]
     else:
-        if args.p is None:
-            raise ValidationError("compare needs --p or --sweep")
-        ps = [_parse_rational(args.p)]
-    for p in ps:
-        rows.append(
-            _compare_row(args.n, args.r, p, args.trials, args.seed, args.workers)
-        )
+        raise ValidationError("compare needs --p or --sweep")
+    rows = [_compare_row(args.n, args.r, p, args.trials, args.seed) for p in ps]
     if args.csv:
         lines = [CSV_HEADER]
         for row in rows:
@@ -344,7 +395,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="linhyp",
         description="Probability of linearity of binomial random r-uniform "
         "hypergraphs: exact truncated expansions, oracles, and asymptotics.",
@@ -358,9 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("r", type=int)
         sp.add_argument("--output", help="write the JSON payload to this path")
         sp.add_argument(
-            "--workers", type=int, default=DEFAULT_WORKERS, help="worker pool size"
+            "--workers",
+            type=_int_at_least(1),
+            default=1,
+            help="accepted for compatibility; every path runs serially, so "
+            "results never depend on it",
         )
-        sp.add_argument("--cap", type=int, default=None, help="enumeration cap")
+        sp.add_argument(
+            "--cap", type=_int_at_least(0), default=None, help="enumeration cap"
+        )
         sp.add_argument(
             "--allow-partial",
             action="store_true",
@@ -374,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("expand", help="expansion terms and truncated sum")
     add_common(sp)
-    sp.add_argument("--k", type=int, required=True, help="truncation index")
+    sp.add_argument("--k", type=_int_at_least(2), required=True, help="truncation index")
     sp.add_argument(
         "--dump-adjacency", help="also write the dependency adjacency list here"
     )
@@ -403,26 +460,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="exact linearity polynomial")
     add_common(sp)
-    sp.add_argument("--p", help="exact rational num/den to evaluate at")
+    sp.add_argument(
+        "--p", type=_checked_text(_exact_p), help="exact rational num/den to evaluate at"
+    )
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("montecarlo", help="seeded Monte Carlo estimate")
     add_common(sp)
-    sp.add_argument("--p", required=True, help="decimal probability")
+    sp.add_argument(
+        "--p", type=_checked_text(_parse_decimal), required=True, help="decimal probability"
+    )
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.set_defaults(func=_cmd_montecarlo)
 
     sp = sub.add_parser("asymptotic", help="closed-form asymptotic evaluators")
     add_common(sp)
-    sp.add_argument("--p", required=True, help="decimal probability")
+    sp.add_argument(
+        "--p", type=_checked_text(_parse_decimal), required=True, help="decimal probability"
+    )
     sp.set_defaults(func=_cmd_asymptotic)
 
     sp = sub.add_parser("compare", help="side-by-side table and CSV sweep")
     add_common(sp)
-    sp.add_argument("--p", help="exact rational num/den")
-    sp.add_argument("--sweep", help="lo,hi,count decimal sweep for the CSV")
-    sp.add_argument("--trials", type=int, default=0)
+    sp.add_argument("--p", type=_checked_text(_exact_p), help="exact rational num/den")
+    sp.add_argument(
+        "--sweep",
+        type=_checked_text(_sweep_points),
+        help="lo,hi,count decimal sweep for the CSV",
+    )
+    sp.add_argument("--trials", type=_int_at_least(0), default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--csv", help="write the sweep table to this CSV path")
     sp.set_defaults(func=_cmd_compare)
@@ -436,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         return _emit_error("validation", str(exc), EXIT_VALIDATION)

@@ -38,7 +38,3 @@ def set_partitions(items: Sequence[T]) -> Iterator[list[tuple[T, ...]]]:
         for j in range(i + 1, n):
             rgs[j] = 0
             maxes[j] = maxes[i]
-
-
-def popcount(x: int) -> int:
-    return x.bit_count()

@@ -1,4 +1,4 @@
-"""Dependency graph over forbidden copies, polymers, and disjoint clusters.
+"""Dependency graph over forbidden copies, and the polymer stream.
 
 Two copies are adjacent exactly when they share a hyperedge; indicators of
 non-adjacent copy sets are independent.  A *polymer* is a vertex set of a
@@ -14,9 +14,8 @@ hard cap guarding against runaway instance sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .combinat import set_partitions
 from .errors import CapExceededError, ValidationError
 from .hypergraph import ForbiddenCopy
 
@@ -32,21 +31,6 @@ class Polymer:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-@dataclass(frozen=True)
-class ClusterDisjoint:
-    """Pairwise-disjoint polymers with a connected closeness graph.
-
-    `adjacency` holds the edges of that graph as (i, j) index pairs into
-    `polymers`, i < j.
-    """
-
-    polymers: tuple[Polymer, ...]
-    adjacency: frozenset[tuple[int, int]]
-
-    def total_size(self) -> int:
-        return sum(len(p) for p in self.polymers)
 
 
 class DependencyGraph:
@@ -76,22 +60,9 @@ class DependencyGraph:
                     if i != j:
                         masks[i] |= 1 << j
         self.adj_masks: list[int] = masks
-        self.adjacency: list[tuple[int, ...]] = [
-            tuple(j for j in range(m) if masks[i] >> j & 1) for i in range(m)
-        ]
 
     def __len__(self) -> int:
         return len(self.copies)
-
-    def edge_mask(self, members: Sequence[int]) -> int:
-        mask = 0
-        for i in members:
-            mask |= self.copy_edge_masks[i]
-        return mask
-
-    def moment_exponent(self, members: Sequence[int]) -> int:
-        """Number of distinct hyperedges across the given copies."""
-        return self.edge_mask(members).bit_count()
 
     def is_connected(self, members: Sequence[int]) -> bool:
         if not members:
@@ -119,13 +90,10 @@ class DependencyGraph:
     def dump_adjacency(self) -> str:
         """Adjacency-list text dump, one line per copy index."""
         lines = []
-        for i, nbrs in enumerate(self.adjacency):
-            lines.append(f"{i}: {' '.join(str(j) for j in nbrs)}")
+        for i, nbrs in enumerate(self.adj_masks):
+            members = _mask_to_members(nbrs)
+            lines.append(f"{i}: {' '.join(str(j) for j in members)}")
         return "\n".join(lines) + "\n"
-
-
-def build_dependency_graph(copies: Sequence[ForbiddenCopy]) -> DependencyGraph:
-    return DependencyGraph(copies)
 
 
 def _connected_set_masks(
@@ -133,7 +101,6 @@ def _connected_set_masks(
     max_size: int,
     edge_masks: Sequence[int] | None = None,
     edge_budget: int | None = None,
-    roots: Iterable[int] | None = None,
 ) -> Iterator[tuple[int, int, int]]:
     """Stream (member_mask, size, union_edge_mask) of every connected set.
 
@@ -142,14 +109,13 @@ def _connected_set_masks(
     exactly one branch, so every connected set of size <= max_size appears
     exactly once and no visited table is needed.  When `edge_budget` is
     given, branches whose hyperedge union already exceeds the budget are
-    pruned (the union only grows along a branch).  `roots` restricts which
-    minimum elements are expanded, which is how work is split across
-    workers.
+    pruned (the union only grows along a branch).  This is the one
+    connected-set walk: every polymer stream in the package runs on it.
     """
     n = len(adj_masks)
     if edge_masks is None:
         edge_masks = [0] * n
-    for root in range(n) if roots is None else roots:
+    for root in range(n):
         allowed = -1 << (root + 1)
         root_edges = edge_masks[root]
         if edge_budget is not None and root_edges.bit_count() > edge_budget:
@@ -176,39 +142,6 @@ def _connected_set_masks(
                     stack.append((new_sub, size + 1, ext_w, new_closed, new_emask))
 
 
-def _connected_set_masks_reference(
-    adj_masks: Sequence[int], max_size: int
-) -> set[tuple[int, int]]:
-    """Frontier growth with a visited-set guard; test oracle for the stream."""
-    out: set[tuple[int, int]] = set()
-    n = len(adj_masks)
-    for v in range(n):
-        out.add((1 << v, 1))
-    current = set(1 << v for v in range(n))
-    size = 1
-    while size < max_size and current:
-        nxt = set()
-        for mask in current:
-            nbrs = 0
-            m = mask
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                nbrs |= adj_masks[v]
-            nbrs &= ~mask
-            while nbrs:
-                bit = nbrs & -nbrs
-                nbrs &= nbrs - 1
-                grown = mask | bit
-                if grown not in nxt:
-                    nxt.add(grown)
-        size += 1
-        for mask in nxt:
-            out.add((mask, size))
-        current = nxt
-    return out
-
-
 def _mask_to_members(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -232,90 +165,6 @@ def polymers_up_to(
                 f"polymer enumeration exceeded cap {cap}", cap=cap, max_size=k
             )
         yield Polymer(members=_mask_to_members(mask))
-
-
-def connected_partitions(
-    d: DependencyGraph, members: Sequence[int]
-) -> Iterator[list[tuple[int, ...]]]:
-    """Partitions of a copy set into blocks each connected in the graph."""
-    members = tuple(members)
-    for part in set_partitions(members):
-        if all(d.is_connected(block) for block in part):
-            yield part
-
-
-def _closeness_edges(
-    d: DependencyGraph, blocks: Sequence[tuple[int, ...]]
-) -> frozenset[tuple[int, int]]:
-    """Edges between disjoint blocks that are within distance one."""
-    masks = []
-    nbrs = []
-    for b in blocks:
-        m = 0
-        a = 0
-        for i in b:
-            m |= 1 << i
-            a |= d.adj_masks[i]
-        masks.append(m)
-        nbrs.append(a)
-    edges = set()
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if nbrs[i] & masks[j]:
-                edges.add((i, j))
-    return frozenset(edges)
-
-
-def _edges_connected(n_blocks: int, edges: frozenset[tuple[int, int]]) -> bool:
-    if n_blocks <= 1:
-        return True
-    adj = [0] * n_blocks
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    reach = 1
-    full = (1 << n_blocks) - 1
-    while True:
-        new = reach
-        m = reach
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            new |= adj[v]
-        if new == reach:
-            return reach == full
-        reach = new
-
-
-def clusters_disjoint(
-    d: DependencyGraph, k: int, cap: int | None = DEFAULT_ENUM_CAP
-) -> Iterator[ClusterDisjoint]:
-    """Stream every disjoint-polymer cluster with total size <= k exactly once.
-
-    Implemented as: every polymer of size <= k, partitioned into connected
-    blocks.  Because the union of the blocks is itself connected, the
-    closeness graph on blocks is always connected; this is asserted.
-    """
-    if k < 1:
-        raise ValidationError(f"max cluster size must be >= 1, got {k}")
-    count = 0
-    for mask, _size, _em in _connected_set_masks(d.adj_masks, k):
-        members = _mask_to_members(mask)
-        for part in connected_partitions(d, members):
-            count += 1
-            if cap is not None and count > cap:
-                raise CapExceededError(
-                    f"cluster enumeration exceeded cap {cap}", cap=cap, max_size=k
-                )
-            blocks = sorted(tuple(sorted(b)) for b in part)
-            edges = _closeness_edges(d, blocks)
-            assert _edges_connected(len(blocks), edges), (
-                "closeness graph of a connected-union partition must be connected"
-            )
-            yield ClusterDisjoint(
-                polymers=tuple(Polymer(members=b) for b in blocks),
-                adjacency=edges,
-            )
 
 
 def dependency_graph_for(n: int, r: int) -> DependencyGraph:

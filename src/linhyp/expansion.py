@@ -23,11 +23,9 @@ The symbolic-in-n series is produced two independent ways that must agree:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .combinat import set_partitions
 from .dependency import (
@@ -133,18 +131,19 @@ def _partition_contributions(
         yield (power, _phi_of_blocks(d, part))
 
 
-def _term_for_order(
-    d: DependencyGraph,
-    order: int,
-    cap: int | None,
-    roots: range | None = None,
-) -> Polynomial:
-    """Sum of cluster weights over clusters of total size exactly `order`."""
+def expansion_term(d: DependencyGraph, order: int, cap: int | None = None) -> Polynomial:
+    """Order-`order` term of the disjoint-cluster expansion, exact in p.
+
+    Unordered cluster enumeration absorbs the 1/|cluster|! of the ordered
+    formulation, because disjoint polymers are pairwise distinct.
+    """
+    if order < 1:
+        raise ValidationError(f"order must be >= 1, got {order}")
     acc: dict[int, Fraction] = {}
     sign = -1 if order & 1 else 1
     count = 0
     for mask, size, emask in _connected_set_masks(
-        d.adj_masks, order, edge_masks=d.copy_edge_masks, roots=roots
+        d.adj_masks, order, edge_masks=d.copy_edge_masks
     ):
         if size != order:
             continue
@@ -162,146 +161,55 @@ def _term_for_order(
     return Polynomial(acc)
 
 
-def expansion_term(
-    d: DependencyGraph, order: int, cap: int | None = None, workers: int = 1
-) -> Polynomial:
-    """Order-`order` term of the disjoint-cluster expansion, exact in p.
+def expansion_terms(
+    d: DependencyGraph, k: int, cap: int | None = None
+) -> Iterator[tuple[int, Polynomial]]:
+    """(order, term) for the orders 1 .. k-1, lowest first.
 
-    Unordered cluster enumeration absorbs the 1/|cluster|! of the ordered
-    formulation, because disjoint polymers are pairwise distinct.
-    """
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
-    if workers <= 1 or len(d) == 0:
-        return _term_for_order(d, order, cap)
-    n = len(d)
-    chunk = math.ceil(n / workers)
-    ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-    per_worker_cap = cap  # each worker honours the global cap conservatively
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(lambda r: _term_for_order(d, order, per_worker_cap, r), ranges)
-        )
-    total = Polynomial.zero()
-    for p in parts:
-        total = total + p
-    return total
-
-
-def truncated_expansion(
-    d: DependencyGraph, k: int, cap: int | None = None, workers: int = 1
-) -> Polynomial:
-    """Sum of the expansion terms for orders 1 .. k-1.
-
-    On a cap hit the error reports the last order that completed.
+    On a cap hit the error reports the orders that completed and the order
+    that was cut short.
     """
     if k < 2:
         raise ValidationError(f"truncation index must be >= 2, got {k}")
-    total = Polynomial.zero()
-    done: dict[int, Polynomial] = {}
     for i in range(1, k):
         try:
-            term = expansion_term(d, i, cap=cap, workers=workers)
+            term = expansion_term(d, i, cap=cap)
         except CapExceededError as exc:
             raise CapExceededError(
-                f"truncated expansion stopped inside order {i}",
-                completed_orders=sorted(done),
+                f"truncated expansion stopped inside order {i}: {exc}",
+                completed_orders=list(range(1, i)),
                 partial_order=i,
                 cap=cap,
             ) from exc
-        done[i] = term
-        total = total + term
-    return total
+        yield i, term
 
 
-@dataclass
-class TruncatedSeries:
-    """Per-order polynomials of the expansion, plus an optional symbolic form.
-
-    When both forms are present they agree on every p-power the symbolic
-    truncation covers, at any concrete n; `check_consistency` verifies it.
-    """
-
-    per_order: dict[int, Polynomial]
-    symbolic: dict[int, list[SeriesTerm]] | None = None
-    symbolic_max_p_power: int | None = None
-
-    def total(self) -> Polynomial:
-        out = Polynomial.zero()
-        for poly in self.per_order.values():
-            out = out + poly
-        return out
-
-    def check_consistency(self, n: int) -> bool:
-        if self.symbolic is None:
-            return True
-        assert self.symbolic_max_p_power is not None
-        for order, terms in self.symbolic.items():
-            exact = self.per_order.get(order)
-            if exact is None:
-                continue
-            symbolic_at_n = Polynomial(
-                {
-                    b: sum(
-                        (t.coeff * falling_factorial(n, t.n_falling) for t in terms if t.p_power == b),
-                        Fraction(0),
-                    )
-                    for b in range(self.symbolic_max_p_power + 1)
-                }
-            )
-            truncated_exact = Polynomial(
-                {e: c for e, c in exact.coeffs.items() if e <= self.symbolic_max_p_power}
-            )
-            if symbolic_at_n != truncated_exact:
-                return False
-        return True
+def truncated_expansion(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomial:
+    """Sum of the expansion terms for orders 1 .. k-1."""
+    return sum((term for _order, term in expansion_terms(d, k, cap)), Polynomial.zero())
 
 
-def truncated_series(
-    d: DependencyGraph, k: int, cap: int | None = None, workers: int = 1
-) -> TruncatedSeries:
-    per_order = {i: expansion_term(d, i, cap=cap, workers=workers) for i in range(1, k)}
-    return TruncatedSeries(per_order=per_order)
-
-
-def moment_sum(
-    d: DependencyGraph, size: int, cap: int | None = None, workers: int = 1
-) -> Polynomial:
+def moment_sum(d: DependencyGraph, size: int, cap: int | None = None) -> Polynomial:
     """Sum of joint moments over polymers of exactly the given size."""
     if size < 1:
         raise ValidationError(f"size must be >= 1, got {size}")
-
-    def run(roots: range | None) -> dict[int, int]:
-        acc: dict[int, int] = {}
-        count = 0
-        for _mask, s, emask in _connected_set_masks(
-            d.adj_masks, size, edge_masks=d.copy_edge_masks, roots=roots
-        ):
-            if s != size:
-                continue
-            count += 1
-            if cap is not None and count > cap:
-                raise CapExceededError(
-                    f"polymer enumeration for size {size} exceeded cap {cap}",
-                    cap=cap,
-                    size=size,
-                )
-            power = emask.bit_count()
-            acc[power] = acc.get(power, 0) + 1
-        return acc
-
-    if workers <= 1 or len(d) == 0:
-        return Polynomial(run(None))
-    n = len(d)
-    chunk = math.ceil(n / workers)
-    ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, ranges))
-    total: dict[int, int] = {}
-    for part in parts:
-        for power, c in part.items():
-            total[power] = total.get(power, 0) + c
-    return Polynomial(total)
+    acc: dict[int, int] = {}
+    count = 0
+    for _mask, s, emask in _connected_set_masks(
+        d.adj_masks, size, edge_masks=d.copy_edge_masks
+    ):
+        if s != size:
+            continue
+        count += 1
+        if cap is not None and count > cap:
+            raise CapExceededError(
+                f"polymer enumeration for size {size} exceeded cap {cap}",
+                cap=cap,
+                size=size,
+            )
+        power = emask.bit_count()
+        acc[power] = acc.get(power, 0) + 1
+    return Polynomial(acc)
 
 
 def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomial:
@@ -432,82 +340,44 @@ def per_n_power_sums(n: int, max_p_power: int, r: int = 3) -> dict[tuple[int, in
     """{(p_power, cluster_size): coefficient} of all cluster contributions
     with p-power at most max_p_power, at a concrete n.
 
-    The enumeration loop is fused with the accumulation: branch pruning on
-    the hyperedge budget keeps the polymer stream polynomial in n, and a
-    finer-than-trivial partition can only fit the power budget when the
-    polymer union is at least one hyperedge under it, which restricts the
-    partition machinery to a sliver of the stream.
+    The polymer stream is pruned on the hyperedge budget, which keeps it
+    polynomial in n.  Trivial partitions and the two-singleton split are
+    tallied as integers; a finer partition can only fit the power budget
+    when the polymer union is at least one hyperedge under it, so only
+    that sliver of the stream reaches the partition machinery.
     """
     if n < r:
         return {}
     d = dependency_graph_for(n, r)
     max_size = max(max_p_power * (max_p_power - 1) // 2, 1)
-    adj_masks = d.adj_masks
-    edge_masks = d.copy_edge_masks
-    ncopies = len(adj_masks)
-    # counts[power][size]: integer tallies for trivial partitions and the
-    # two-singleton split; rare finer partitions with fractional phi go to
-    # `extras`
-    counts = [[0] * (max_size + 2) for _ in range(max_p_power + 1)]
+    # counts[power][size]: signed integer tallies; rare finer partitions
+    # with fractional phi go to `extras`
+    counts = [[0] * (max_size + 1) for _ in range(max_p_power + 1)]
     extras: dict[tuple[int, int], Fraction] = {}
     split_two = max_p_power >= 4  # two singleton blocks cost p^4
-    singletons = 0
-    two_splits = 0
     partition_floor = max_p_power - 1  # unions under this admit finer partitions
-    for root in range(ncopies):
-        singletons += 1
-        if max_size == 1:
-            continue
-        allowed = -1 << (root + 1)
-        stack = [
-            (
-                1 << root,
-                1,
-                adj_masks[root] & allowed,
-                (1 << root) | adj_masks[root],
-                edge_masks[root],
-            )
-        ]
-        while stack:
-            sub, size, ext, closed, emask = stack.pop()
-            new_size = size + 1
-            sign = 1 if new_size & 1 == 0 else -1
-            while ext:
-                wbit = ext & -ext
-                ext &= ext - 1
-                w = wbit.bit_length() - 1
-                new_emask = emask | edge_masks[w]
-                m_u = new_emask.bit_count()
-                if m_u > max_p_power:
-                    continue
-                counts[m_u][new_size] += sign
-                if new_size == 2:
-                    if split_two:
-                        two_splits += 1
-                elif m_u <= partition_floor:
-                    members = _mask_to_members(sub | wbit)
-                    for power, phi in _partition_contributions(
-                        d, members, m_u, max_p_power
-                    ):
-                        if power == m_u:
-                            continue  # trivial partition already counted
-                        k2 = (power, new_size)
-                        extras[k2] = extras.get(k2, Fraction(0)) + sign * phi
-                if new_size < max_size:
-                    new_closed = closed | wbit | adj_masks[w]
-                    ext_w = ext | (adj_masks[w] & allowed & ~closed)
-                    stack.append((sub | wbit, new_size, ext_w, new_closed, new_emask))
-    out: dict[tuple[int, int], Fraction] = {}
-    if singletons:
-        out[(2, 1)] = Fraction(-singletons)
-    if two_splits:
-        out[(4, 2)] = out.get((4, 2), Fraction(0)) - two_splits
-    for power in range(max_p_power + 1):
-        row = counts[power]
-        for size in range(2, max_size + 1):
-            if row[size]:
+    for mask, size, emask in _connected_set_masks(
+        d.adj_masks, max_size, edge_masks=d.copy_edge_masks, edge_budget=max_p_power
+    ):
+        m_u = emask.bit_count()
+        sign = -1 if size & 1 else 1
+        counts[m_u][size] += sign
+        if size == 2:
+            if split_two:
+                counts[4][2] -= 1
+        elif size > 2 and m_u <= partition_floor:
+            for power, phi in _partition_contributions(
+                d, _mask_to_members(mask), m_u, max_p_power
+            ):
+                if power == m_u:
+                    continue  # trivial partition already counted
                 key = (power, size)
-                out[key] = out.get(key, Fraction(0)) + row[size]
+                extras[key] = extras.get(key, Fraction(0)) + sign * phi
+    out: dict[tuple[int, int], Fraction] = {}
+    for power, row in enumerate(counts):
+        for size, c in enumerate(row):
+            if c:
+                out[(power, size)] = Fraction(c)
     for k, v in extras.items():
         out[k] = out.get(k, Fraction(0)) + v
     return {k: c for k, c in out.items() if c != 0}
@@ -550,7 +420,7 @@ def _solve_falling_basis(samples: list[tuple[int, Fraction]], degree: int) -> li
 
 
 def interpolated_series_grouped(
-    max_p_power: int = 4, r: int = 3, parallel: bool = True
+    max_p_power: int = 4, r: int = 3
 ) -> dict[tuple[int, int, int], Fraction]:
     """Strategy B: same grouping as strategy A, from per-n interpolation.
 
@@ -571,7 +441,7 @@ def interpolated_series_grouped(
         return dict(cached)
     degree = max_p_power * (r - 1) + 1
     ns = list(range(r, r + degree + 1))
-    sampled = _sample_power_sums(ns, max_p_power, r, parallel)
+    sampled = _sample_power_sums(ns, max_p_power, r)
     keys = sorted({k for s in sampled.values() for k in s})
     out: dict[tuple[int, int, int], Fraction] = {}
     for power, size in keys:
@@ -585,13 +455,13 @@ def interpolated_series_grouped(
 
 
 def _sample_power_sums(
-    ns: list[int], max_p_power: int, r: int, parallel: bool
+    ns: list[int], max_p_power: int, r: int
 ) -> dict[int, dict[tuple[int, int], Fraction]]:
     import os
 
     workers = min(os.cpu_count() or 1, 4)
     heavy = sorted(ns, reverse=True)
-    if not parallel or workers < 2 or len(ns) < 2:
+    if workers < 2 or len(ns) < 2:
         return {n: per_n_power_sums(n, max_p_power, r) for n in heavy}
     from concurrent.futures import ProcessPoolExecutor
 

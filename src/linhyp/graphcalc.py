@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from threading import Lock
 
 from .combinat import set_partitions
 from .errors import ValidationError
@@ -101,7 +100,6 @@ def canonical_key(v: int, edges: frozenset[tuple[int, int]]) -> tuple:
 # racy insert is harmless.
 _chromatic_memo: dict[tuple[int, frozenset], Polynomial] = {}
 _ursell_cache: dict[tuple[int, frozenset], Fraction] = {}
-_ursell_lock = Lock()
 
 
 def _pick_edge(v: int, edges: frozenset[tuple[int, int]]) -> tuple[int, int]:
@@ -126,7 +124,7 @@ def _chromatic(v: int, edges: frozenset[tuple[int, int]]) -> Polynomial:
         return cached
     a, b = _pick_edge(v, edges)
     deleted = edges - {(a, b)}
-    # contract b into a, drop parallels, relabel down to {1..v-1}
+    # contract b into a, merge multi-edges, relabel down to {1..v-1}
     relabel = {}
     nxt = 1
     for u in range(1, v + 1):
@@ -230,13 +228,11 @@ def ursell(g: SimpleGraph) -> Fraction:
     if not g.is_connected():
         raise ValidationError("Ursell weight is only used on connected graphs")
     key = (g.v, g.edges)
-    with _ursell_lock:
-        cached = _ursell_cache.get(key)
+    cached = _ursell_cache.get(key)
     if cached is not None:
         return cached
     value = chromatic_polynomial(g).coeff(1)
-    with _ursell_lock:
-        _ursell_cache[key] = value
+    _ursell_cache[key] = value
     return value
 
 

@@ -2,16 +2,14 @@
 
 The exact oracle walks every edge subset of the complete host with an
 incremental pair-conflict mask; feasible up to 2^24 states.  The Monte
-Carlo estimator uses the philox4x64 counter-based generator with one
-substream per trial (key = seed, counter = trial << 64), so results are
-reproducible bit for bit and independent of how trials are partitioned
-across workers.
+Carlo estimator runs its trials serially, each on its own substream of the
+philox4x64 counter-based generator (key = seed, counter = trial << 64), so
+a report is reproducible bit for bit from the seed and the parameters.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -112,10 +110,8 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=trial << 64))
 
 
-def _run_trials(
-    pair_ids: np.ndarray, ne: int, p: float, seed: int, lo: int, hi: int
-) -> int:
-    """Count linear samples among trials [lo, hi).
+def _run_trials(pair_ids: np.ndarray, ne: int, p: float, seed: int, trials: int) -> int:
+    """Count linear samples among trials 0 .. trials-1.
 
     Per trial: draw the binomial edge count, then that many distinct edges
     without replacement (sparse-regime sampling).  A sample is linear iff
@@ -124,7 +120,7 @@ def _run_trials(
     """
     hits = 0
     width = pair_ids.shape[1]
-    for t in range(lo, hi):
+    for t in range(trials):
         rng = _trial_rng(seed, t)
         m = rng.binomial(ne, p)
         if m <= 1:
@@ -142,8 +138,10 @@ def monte_carlo(
 ) -> McReport:
     """Seeded Monte Carlo estimate of the linearity probability.
 
-    Identical (seed, parameters) give an identical report at any worker
-    count, because every trial owns its own counter-based substream.
+    Identical (seed, parameters) give an identical report, because every
+    trial owns its own counter-based substream.  `workers` has no effect:
+    the trials run serially, and it is accepted so that existing callers
+    keep working.
     """
     if r < 3:
         raise ValidationError(f"uniformity must be >= 3, got {r}")
@@ -151,6 +149,8 @@ def monte_carlo(
         raise ValidationError(f"need n >= r, got n={n}, r={r}")
     if trials < 1:
         raise ValidationError("need at least one trial")
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed must be in 0 .. 2^128 - 1, got {seed}")
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValidationError(f"p must be in (0,1), got {p}")
@@ -167,18 +167,7 @@ def monte_carlo(
             row.append(pair_index.setdefault(key, len(pair_index)))
         rows.append(row)
     pair_ids = np.array(rows, dtype=np.int32)
-    p_float = float(p)
-    if workers <= 1:
-        hits = _run_trials(pair_ids, ne, p_float, seed, 0, trials)
-    else:
-        chunk = math.ceil(trials / workers)
-        spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(
-                pool.map(
-                    lambda span: _run_trials(pair_ids, ne, p_float, seed, *span), spans
-                )
-            )
+    hits = _run_trials(pair_ids, ne, float(p), seed, trials)
     estimate = hits / trials
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
     return McReport(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from linhyp.cli import main
 
 
@@ -147,6 +149,12 @@ class TestDeterminism:
         _, b = run(tmp_path, "copies", "5", "3")
         assert a["repro_sha256"] == b["repro_sha256"]
 
+    def test_repro_hash_ignores_workers(self, tmp_path):
+        _, a = run(tmp_path, "expand", "5", "3", "--k", "3", "--workers", "1")
+        _, b = run(tmp_path, "expand", "5", "3", "--k", "3", "--workers", "2")
+        assert a["config"]["workers"] == 1 and b["config"]["workers"] == 2
+        assert a["repro_sha256"] == b["repro_sha256"]
+
 
 class TestErrors:
     def test_validation_exit_code(self, tmp_path, capsys):
@@ -177,6 +185,51 @@ class TestErrors:
         assert code == 3
         data = json.loads(out.read_text())
         assert data["partial"] is True and "1" in data["orders"]
+
+    def test_expand_cap_does_not_depend_on_workers(self, capsys):
+        errors = []
+        for workers in ("1", "2"):
+            code = main(
+                ["expand", "6", "3", "--k", "4", "--cap", "6000", "--workers", workers]
+            )
+            assert code == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert json.loads(errors[0])["error"]["type"] == "cap_exceeded"
+
+    def test_expand_cap_context_names_completed_orders(self, tmp_path, capsys):
+        code, data = run(
+            tmp_path, "expand", "6", "3", "--k", "4", "--cap", "6000", "--allow-partial"
+        )
+        assert code == 3
+        assert data["cap_context"] == {
+            "cap": 6000, "completed_orders": [1, 2], "partial_order": 3
+        }
+        assert sorted(data["orders"]) == ["1", "2"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "6", "3", "--sweep", "0.1,0.2"],
+            ["compare", "6", "3", "--sweep", "0.1,0.2,x"],
+            ["montecarlo", "4", "3", "--p", "0.5", "--trials", "10", "--seed", "-1"],
+            ["oracle", "4", "3", "--p", "3/2"],
+            ["oracle", "4", "3", "--p", "0/1"],
+            ["compare", "4", "3", "--p", "1/1"],
+            ["expand", "5", "3", "--k", "3", "--cap", "-1"],
+            ["copies", "5", "3", "--workers", "0"],
+            ["copies", "5", "3", "--workers", "-3"],
+            ["compare", "4", "3", "--p", "1/100", "--trials", "-5"],
+            ["expand", "6", "3", "--k", "1"],
+            ["expand", "6", "3"],
+        ],
+    )
+    def test_bad_input_is_a_json_validation_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["type"] == "validation"
 
     def test_p_format_mixing_rejected(self, tmp_path, capsys):
         assert main(["oracle", "4", "3", "--p", "0.5"]) == 2

@@ -1,13 +1,22 @@
-"""Dependency graph construction and polymer/cluster enumeration."""
+"""Dependency graph construction and polymer/cluster enumeration.
+
+The brute-force enumerators at the end of this file (a visited-set
+frontier growth and a disjoint-cluster stream) are independent oracles for
+the package's one connected-set walk.
+"""
+
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import pytest
 
 from linhyp.combinat import set_partitions
 from linhyp.dependency import (
+    DEFAULT_ENUM_CAP,
+    DependencyGraph,
+    Polymer,
     _connected_set_masks,
-    _connected_set_masks_reference,
-    build_dependency_graph,
-    clusters_disjoint,
+    _mask_to_members,
     dependency_graph_for,
     polymers_up_to,
 )
@@ -25,7 +34,7 @@ def path_graph(k):
         ForbiddenCopy.from_edges((i, i + 1, i + 2), (i + 1, i + 2, i + 3))
         for i in range(1, k + 1)
     ]
-    d = build_dependency_graph(copies)
+    d = DependencyGraph(copies)
     expect = [
         ((1 << (i - 1)) if i > 0 else 0) | ((1 << (i + 1)) if i + 1 < k else 0)
         for i in range(k)
@@ -41,7 +50,7 @@ def triangle_graph():
         ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 5)),
         ForbiddenCopy.from_edges((2, 3, 4), (2, 3, 5)),
     ]
-    d = build_dependency_graph(copies)
+    d = DependencyGraph(copies)
     assert d.adj_masks == [0b110, 0b101, 0b011]
     return d
 
@@ -50,35 +59,50 @@ class TestBuild:
     def test_shared_edge_adjacency_matches_bruteforce(self):
         for n in (4, 5, 6):
             copies = enumerate_forbidden_copies(n, 3)
-            d = build_dependency_graph(copies)
+            d = DependencyGraph(copies)
             for i in range(len(copies)):
                 for j in range(i + 1, len(copies)):
                     shared = bool(
                         set(copies[i].edge_pair) & set(copies[j].edge_pair)
                     )
-                    assert (j in d.adjacency[i]) == shared
-                    assert (i in d.adjacency[j]) == shared
+                    assert bool(d.adj_masks[i] >> j & 1) == shared
+                    assert bool(d.adj_masks[j] >> i & 1) == shared
 
     def test_n4_degrees(self):
         d = dependency_graph_for(4, 3)
-        assert [len(a) for a in d.adjacency] == [4] * 6
+        assert [m.bit_count() for m in d.adj_masks] == [4] * 6
 
     def test_single_copy(self):
-        d = build_dependency_graph([ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 4))])
-        assert len(d) == 1 and d.adjacency == [()]
+        d = DependencyGraph([ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 4))])
+        assert len(d) == 1 and d.adj_masks == [0]
+        assert d.dump_adjacency() == "0: \n"
 
     def test_disjoint_edge_sets_not_adjacent(self):
         a = ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 4))
         b = ForbiddenCopy.from_edges((1, 5, 6), (5, 6, 7))
-        d = build_dependency_graph([a, b])
-        assert d.adjacency == [(), ()]
+        d = DependencyGraph([a, b])
+        assert d.adj_masks == [0, 0]
+        assert d.dump_adjacency() == "0: \n1: \n"
 
     def test_symmetric_irreflexive(self):
         d = dependency_graph_for(5, 3)
-        for i, nbrs in enumerate(d.adjacency):
+        adjacency = _parse_dump(d.dump_adjacency())
+        assert len(adjacency) == len(d)
+        for i, nbrs in enumerate(adjacency):
+            assert nbrs == [j for j in range(len(d)) if d.adj_masks[i] >> j & 1]
             assert i not in nbrs
             for j in nbrs:
-                assert i in d.adjacency[j]
+                assert i in adjacency[j]
+
+
+def _parse_dump(text):
+    """Neighbour lists from the `index: j k ...` lines of dump_adjacency."""
+    out = []
+    for line in text.splitlines():
+        index, _, rest = line.partition(":")
+        assert int(index) == len(out)
+        out.append([int(j) for j in rest.split()])
+    return out
 
 
 class TestPolymers:
@@ -105,7 +129,7 @@ class TestPolymers:
         for d in (dependency_graph_for(4, 3), path_graph(6)):
             for k in (1, 2, 3, 4):
                 fast = {(m, s) for m, s, _ in _connected_set_masks(d.adj_masks, k)}
-                ref = _connected_set_masks_reference(d.adj_masks, k)
+                ref = connected_sets_reference(d.adj_masks, k)
                 assert fast == ref
 
     def test_stream_is_duplicate_free(self):
@@ -132,7 +156,7 @@ def _as_polymers(d, k):
 
 class TestClusters:
     def test_single_vertex(self):
-        d = build_dependency_graph(
+        d = DependencyGraph(
             [ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 4))]
         )
         got = list(clusters_disjoint(d, 1))
@@ -203,3 +227,134 @@ def _is_conn(d, members):
                 reach.add(u)
                 frontier.append(u)
     return reach == mset
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles
+# ---------------------------------------------------------------------------
+
+
+def connected_sets_reference(adj_masks: Sequence[int], max_size: int) -> set[tuple[int, int]]:
+    """Frontier growth with a visited-set guard; oracle for the stream."""
+    out: set[tuple[int, int]] = set()
+    n = len(adj_masks)
+    for v in range(n):
+        out.add((1 << v, 1))
+    current = set(1 << v for v in range(n))
+    size = 1
+    while size < max_size and current:
+        nxt = set()
+        for mask in current:
+            nbrs = 0
+            m = mask
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                nbrs |= adj_masks[v]
+            nbrs &= ~mask
+            while nbrs:
+                bit = nbrs & -nbrs
+                nbrs &= nbrs - 1
+                nxt.add(mask | bit)
+        size += 1
+        for mask in nxt:
+            out.add((mask, size))
+        current = nxt
+    return out
+
+
+@dataclass(frozen=True)
+class ClusterDisjoint:
+    """Pairwise-disjoint polymers with a connected closeness graph.
+
+    `adjacency` holds the edges of that graph as (i, j) index pairs into
+    `polymers`, i < j.
+    """
+
+    polymers: tuple[Polymer, ...]
+    adjacency: frozenset[tuple[int, int]]
+
+    def total_size(self) -> int:
+        return sum(len(p) for p in self.polymers)
+
+
+def connected_partitions(
+    d: DependencyGraph, members: Sequence[int]
+) -> Iterator[list[tuple[int, ...]]]:
+    """Partitions of a copy set into blocks each connected in the graph."""
+    for part in set_partitions(tuple(members)):
+        if all(d.is_connected(block) for block in part):
+            yield part
+
+
+def closeness_edges(
+    d: DependencyGraph, blocks: Sequence[tuple[int, ...]]
+) -> frozenset[tuple[int, int]]:
+    """Edges between disjoint blocks that are within distance one."""
+    masks = []
+    nbrs = []
+    for b in blocks:
+        m = 0
+        a = 0
+        for i in b:
+            m |= 1 << i
+            a |= d.adj_masks[i]
+        masks.append(m)
+        nbrs.append(a)
+    edges = set()
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            if nbrs[i] & masks[j]:
+                edges.add((i, j))
+    return frozenset(edges)
+
+
+def edges_connected(n_blocks: int, edges: frozenset[tuple[int, int]]) -> bool:
+    if n_blocks <= 1:
+        return True
+    adj = [0] * n_blocks
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    reach = 1
+    full = (1 << n_blocks) - 1
+    while True:
+        new = reach
+        m = reach
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            new |= adj[v]
+        if new == reach:
+            return reach == full
+        reach = new
+
+
+def clusters_disjoint(
+    d: DependencyGraph, k: int, cap: int | None = DEFAULT_ENUM_CAP
+) -> Iterator[ClusterDisjoint]:
+    """Stream every disjoint-polymer cluster with total size <= k exactly once.
+
+    Every polymer of size <= k, partitioned into connected blocks.  Because
+    the union of the blocks is itself connected, the closeness graph on
+    blocks is always connected; this is asserted.
+    """
+    if k < 1:
+        raise ValidationError(f"max cluster size must be >= 1, got {k}")
+    count = 0
+    for mask, _size, _em in _connected_set_masks(d.adj_masks, k):
+        for part in connected_partitions(d, _mask_to_members(mask)):
+            count += 1
+            if cap is not None and count > cap:
+                raise CapExceededError(
+                    f"cluster enumeration exceeded cap {cap}", cap=cap, max_size=k
+                )
+            blocks = sorted(tuple(sorted(b)) for b in part)
+            edges = closeness_edges(d, blocks)
+            assert edges_connected(len(blocks), edges), (
+                "closeness graph of a connected-union partition must be connected"
+            )
+            yield ClusterDisjoint(
+                polymers=tuple(Polymer(members=b) for b in blocks),
+                adjacency=edges,
+            )

@@ -15,7 +15,6 @@ from linhyp.combinat import set_partitions
 from linhyp.dependency import dependency_graph_for, polymers_up_to
 from linhyp.errors import CapExceededError, ValidationError
 from linhyp.expansion import (
-    TruncatedSeries,
     cumulant_sum,
     expansion_term,
     hard_core_polynomial,
@@ -32,7 +31,7 @@ from linhyp.expansion import (
 from linhyp.graphcalc import SimpleGraph, ursell
 from linhyp.moments import joint_moment
 from linhyp.oracle import exact_linearity_polynomial
-from linhyp.polynomial import Polynomial, SeriesTerm, evaluate_series
+from linhyp.polynomial import Polynomial, SeriesTerm, evaluate_series, falling_factorial
 
 
 def brute_force_term(d, order):
@@ -100,12 +99,6 @@ class TestExpansionTerms:
         assert truncated_expansion(d, 4) == (
             expansion_term(d, 1) + expansion_term(d, 2) + expansion_term(d, 3)
         )
-
-    def test_worker_counts_agree(self):
-        d = dependency_graph_for(6, 3)
-        base = truncated_expansion(d, 4, workers=1)
-        assert truncated_expansion(d, 4, workers=4) == base
-        assert truncated_expansion(d, 4, workers=8) == base
 
     def test_cap_reports_partial_order(self):
         d = dependency_graph_for(6, 3)
@@ -177,8 +170,6 @@ class TestSymbolicSeries:
         grouped = structural_series_grouped(3)
         for n in (5, 6, 7):
             per_n = per_n_power_sums(n, 3)
-            from linhyp.polynomial import falling_factorial
-
             expect: dict = {}
             for (a, b, s), c in grouped.items():
                 v = c * falling_factorial(n, a)
@@ -190,21 +181,28 @@ class TestSymbolicSeries:
     def test_symbolic_consistent_with_exact_orders(self):
         # the series restricted to one cluster size, evaluated at n=6,
         # agrees with the exact order term up to the power truncation
-        d = dependency_graph_for(6, 3)
-        grouped = structural_series_grouped(4)
-        series = TruncatedSeries(
-            per_order={i: expansion_term(d, i) for i in (1, 2, 3)},
-            symbolic={
-                s: [
-                    SeriesTerm(coeff=c, n_falling=a, p_power=b)
-                    for (a, b, ss), c in sorted(grouped.items())
-                    if ss == s
-                ]
-                for s in (1, 2, 3)
-            },
-            symbolic_max_p_power=4,
-        )
-        assert series.check_consistency(6)
+        n, max_p_power = 6, 4
+        d = dependency_graph_for(n, 3)
+        grouped = structural_series_grouped(max_p_power)
+        for order in (1, 2, 3):
+            symbolic_at_n = Polynomial(
+                {
+                    b: sum(
+                        (
+                            c * falling_factorial(n, a)
+                            for (a, bb, size), c in grouped.items()
+                            if bb == b and size == order
+                        ),
+                        Fraction(0),
+                    )
+                    for b in range(max_p_power + 1)
+                }
+            )
+            exact = expansion_term(d, order)
+            truncated_exact = Polynomial(
+                {e: c for e, c in exact.coeffs.items() if e <= max_p_power}
+            )
+            assert symbolic_at_n == truncated_exact
 
     def test_validation(self):
         with pytest.raises(ValidationError):
