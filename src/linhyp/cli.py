@@ -23,6 +23,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 from . import __version__
 from .asymptotics import log_linearity_general, log_linearity_r3
@@ -109,7 +110,10 @@ def _sweep_points(text: str) -> list[Fraction]:
         raise ValidationError("sweep needs 0 < lo < hi < 1 and count >= 2")
     # geometric spacing, snapped to exact decimals of the float grid
     ratio = (float(hi) / float(lo)) ** (1.0 / (count - 1))
-    return [Fraction(str(round(float(lo) * ratio**i, 12))) for i in range(count)]
+    points = [Fraction(str(round(float(lo) * ratio**i, 12))) for i in range(count)]
+    if not (0 < points[0] and points[-1] < 1 and sorted(set(points)) == points):
+        raise ValidationError(f"sweep {text!r} does not round to increasing points in (0,1)")
+    return points
 
 
 def _checked_text(parse):
@@ -280,18 +284,26 @@ def _sci(x: float) -> str:
     return repr(x)
 
 
-def _compare_row(n: int, r: int, p: Fraction, trials: int, seed: int) -> dict:
-    row: dict = {"p": float(p)}
-    edge_count = math.comb(n, r)
-    if edge_count <= EXACT_STATE_CAP_BITS:
-        exact = exact_linearity_polynomial(n, r)(p)
-        row["log_exact"] = log_fraction(exact) if exact > 0 else None
-    else:
-        row["log_exact"] = None
+def _compare_polynomials(n: int, r: int) -> dict:
+    """The p-independent polynomials of a compare row, built once per run:
+    the exact oracle (when its state space fits), the truncations T2, T3
+    and T4 as running sums of one pass over orders 1-3, and cumulant k3."""
+    polys: dict = {"exact": None}
+    if math.comb(n, r) <= EXACT_STATE_CAP_BITS:
+        polys["exact"] = exact_linearity_polynomial(n, r)
     d = dependency_graph_for(n, r)
-    for k in (2, 3, 4):
-        row[f"log_T{k}"] = float(truncated_expansion(d, k)(p))
-    row["cumulant_k3"] = float(cumulant_sum(d, 3)(p))
+    orders = (term for _order, term in expansion_terms(d, 4))
+    polys.update(zip(("log_T2", "log_T3", "log_T4"), accumulate(orders)))
+    polys["cumulant_k3"] = cumulant_sum(d, 3)
+    return polys
+
+
+def _compare_row(polys: dict, n: int, r: int, p: Fraction, trials: int, seed: int) -> dict:
+    row: dict = {"p": float(p)}
+    exact = polys["exact"](p) if polys["exact"] is not None else 0
+    row["log_exact"] = log_fraction(exact) if exact > 0 else None
+    for key in ("log_T2", "log_T3", "log_T4", "cumulant_k3"):
+        row[key] = float(polys[key](p))
     if r == 3:
         row["log_closed_r3"] = log_linearity_r3(n, p).log_prob
     else:
@@ -315,13 +327,9 @@ CSV_HEADER = (
 
 def _cmd_compare(args) -> int:
     started = time.monotonic()
-    if args.sweep:
-        ps = _sweep_points(args.sweep)
-    elif args.p is not None:
-        ps = [_exact_p(args.p)]
-    else:
-        raise ValidationError("compare needs --p or --sweep")
-    rows = [_compare_row(args.n, args.r, p, args.trials, args.seed) for p in ps]
+    ps = _sweep_points(args.sweep) if args.sweep else [_exact_p(args.p)]
+    polys = _compare_polynomials(args.n, args.r)
+    rows = [_compare_row(polys, args.n, args.r, p, args.trials, args.seed) for p in ps]
     if args.csv:
         lines = [CSV_HEADER]
         for row in rows:
@@ -483,8 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="side-by-side table and CSV sweep")
     add_common(sp)
-    sp.add_argument("--p", type=_checked_text(_exact_p), help="exact rational num/den")
-    sp.add_argument(
+    at = sp.add_mutually_exclusive_group(required=True)
+    at.add_argument("--p", type=_checked_text(_exact_p), help="exact rational num/den")
+    at.add_argument(
         "--sweep",
         type=_checked_text(_sweep_points),
         help="lo,hi,count decimal sweep for the CSV",

@@ -17,7 +17,8 @@ The symbolic-in-n series is produced two independent ways that must agree:
   never need to be computed.
 * Strategy B, interpolation: the per-n sums are evaluated exactly at
   enough consecutive n and the coefficients are solved for in the
-  falling-factorial basis under a safe degree over-bound.
+  falling-factorial basis, with the degree set by the proven vertex-span
+  bound r + (b - 1)(r - 2) and one extra sample checked against the fit.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ HARD_CORE_EDGE_CAP = 12
 
 #: Symbolic-series budget.  Vertex spans reach max_p_power + 2, the
 #: structural edge-set enumeration costs C(C(v,3), E), and the
-#: interpolation needs 2*max_p_power + 2 exact sample instances whose
-#: enumeration cost grows like [n]_(max_p_power+2); 4 keeps both
-#: strategies comfortably inside the cross-check contract.
+#: interpolation needs max_p_power + 4 exact samples, up to n =
+#: max_p_power + 6, whose cost grows like [n]_(max_p_power+2); 4 keeps
+#: both strategies comfortably inside the cross-check contract.
 MAX_SYMBOLIC_P_POWER = 4
 
 _phi_cache: dict[tuple[int, int], Fraction] = {}
@@ -384,7 +385,8 @@ def per_n_power_sums(n: int, max_p_power: int, r: int = 3) -> dict[tuple[int, in
 
 
 def _solve_falling_basis(samples: list[tuple[int, Fraction]], degree: int) -> list[Fraction]:
-    """Solve f(n) = sum_a c_a [n]_a from degree+1 exact samples."""
+    """Solve f(n) = sum_a c_a [n]_a from the first degree+1 exact samples;
+    every further sample must agree with the fit."""
     size = degree + 1
     if len(samples) < size:
         raise ValidationError("not enough interpolation points")
@@ -424,11 +426,16 @@ def interpolated_series_grouped(
 ) -> dict[tuple[int, int, int], Fraction]:
     """Strategy B: same grouping as strategy A, from per-n interpolation.
 
-    The degree over-bound is max_p_power * (r - 1) + 1; one exact sample is
-    taken at each of that many consecutive n starting at the smallest
-    feasible value n = r.  Sample points are independent, so they are
-    spread over processes (largest first); the merge is by n, hence
-    deterministic.
+    Each (p_power, cluster_size) group is sum_v a_v [n]_v over the vertex
+    spans v of its clusters.  A cluster with p-power b has a hyperedge
+    union of at most b hyperedges (every partition block pays for its own
+    union), and that union is connected through its copies, each a pair of
+    hyperedges sharing at least 2 vertices.  Adding the hyperedges in
+    an order where each one meets an earlier one in 2 or more vertices,
+    the first brings r vertices and every further one at most r - 2, so
+    v <= r + (b - 1)(r - 2), which is b + 2 for r = 3.  That span bound is
+    the degree: the coefficients are fitted on the consecutive samples
+    from n = r, and one more sample is checked against the fit.
     """
     if r != 3:
         raise ValidationError("symbolic closed forms are implemented for r = 3 only")
@@ -439,8 +446,8 @@ def interpolated_series_grouped(
     cached = _interpolated_memo.get((max_p_power, r))
     if cached is not None:
         return dict(cached)
-    degree = max_p_power * (r - 1) + 1
-    ns = list(range(r, r + degree + 1))
+    degree = r + (max_p_power - 1) * (r - 2)
+    ns = list(range(r, r + degree + 2))  # degree + 1 fitted, the last checked
     sampled = _sample_power_sums(ns, max_p_power, r)
     keys = sorted({k for s in sampled.values() for k in s})
     out: dict[tuple[int, int, int], Fraction] = {}
@@ -457,25 +464,7 @@ def interpolated_series_grouped(
 def _sample_power_sums(
     ns: list[int], max_p_power: int, r: int
 ) -> dict[int, dict[tuple[int, int], Fraction]]:
-    import os
-
-    workers = min(os.cpu_count() or 1, 4)
-    heavy = sorted(ns, reverse=True)
-    if workers < 2 or len(ns) < 2:
-        return {n: per_n_power_sums(n, max_p_power, r) for n in heavy}
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_per_n_job, [(n, max_p_power, r) for n in heavy])
-            return dict(zip(heavy, results))
-    except (OSError, RuntimeError):  # no fork / restricted environment
-        return {n: per_n_power_sums(n, max_p_power, r) for n in heavy}
-
-
-def _per_n_job(args: tuple[int, int, int]) -> dict[tuple[int, int], Fraction]:
-    n, max_p_power, r = args
-    return per_n_power_sums(n, max_p_power, r)
+    return {n: per_n_power_sums(n, max_p_power, r) for n in ns}
 
 
 def symbolic_series(

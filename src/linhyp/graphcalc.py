@@ -96,8 +96,7 @@ def canonical_key(v: int, edges: frozenset[tuple[int, int]]) -> tuple:
 # Memo tables are keyed on the labelled minor (v, edge set).  The labelled
 # key space for the graphs this package meets (<= 8 vertices) is tiny, and
 # avoiding permutation canonicalisation keeps the exhaustive test suites
-# and the expansion hot loops fast.  Values for equal keys are equal, so a
-# racy insert is harmless.
+# and the expansion hot loops fast.
 _chromatic_memo: dict[tuple[int, frozenset], Polynomial] = {}
 _ursell_cache: dict[tuple[int, frozenset], Fraction] = {}
 

@@ -100,6 +100,15 @@ class TestSubcommands:
         # Monte Carlo columns were not requested: empty, never zero
         assert lines[1].endswith(",,")
 
+    def test_compare_sweep_row_equals_single_point(self, tmp_path):
+        # the sweep evaluates polynomials built once per run; its row at
+        # p = 0.0005 must be the row a single-point run computes
+        code, sweep = run(tmp_path, "compare", "6", "3", "--sweep", "0.0005,0.02,2")
+        assert code == 0
+        code, single = run(tmp_path, "compare", "6", "3", "--p", "1/2000")
+        assert code == 0
+        assert sweep["rows"][0] == single["rows"][0]
+
     def test_verify(self, tmp_path, capsys):
         code, data = run(tmp_path, "verify")
         assert code == 0
@@ -222,6 +231,9 @@ class TestErrors:
             ["compare", "4", "3", "--p", "1/100", "--trials", "-5"],
             ["expand", "6", "3", "--k", "1"],
             ["expand", "6", "3"],
+            ["compare", "5", "3", "--p", "1/2", "--sweep", "0.1,0.2,2"],
+            ["compare", "5", "3"],
+            ["compare", "5", "3", "--sweep", "1e-13,3e-13,3"],
         ],
     )
     def test_bad_input_is_a_json_validation_error(self, argv, capsys):

@@ -13,8 +13,11 @@ import pytest
 
 from linhyp.combinat import set_partitions
 from linhyp.dependency import dependency_graph_for, polymers_up_to
-from linhyp.errors import CapExceededError, ValidationError
+from linhyp import expansion
+from linhyp.errors import CapExceededError, LinhypError, ValidationError
 from linhyp.expansion import (
+    _sample_power_sums,
+    _solve_falling_basis,
     cumulant_sum,
     expansion_term,
     hard_core_polynomial,
@@ -203,6 +206,40 @@ class TestSymbolicSeries:
                 {e: c for e, c in exact.coeffs.items() if e <= max_p_power}
             )
             assert symbolic_at_n == truncated_exact
+
+    def test_undersized_degree_is_caught(self):
+        # b = 3 spans up to 5 vertices; a degree-4 fit on n = 3..7 must be
+        # contradicted by the check samples at n = 8, 9 for some group
+        ns = list(range(3, 10))
+        sampled = _sample_power_sums(ns, 3, 3)
+        keys = sorted({k for s in sampled.values() for k in s})
+        caught = 0
+        for key in keys:
+            samples = [(n, sampled[n].get(key, Fraction(0))) for n in ns]
+            try:
+                _solve_falling_basis(samples, 4)
+            except LinhypError as exc:
+                assert "inconsistent with extra sample" in str(exc)
+                caught += 1
+        assert caught >= 1
+
+    def test_interpolation_checks_one_sample_past_the_fit(self, monkeypatch):
+        # strategy B samples n = 3..b+6 and a wrong last sample is rejected
+        seen = []
+
+        def corrupt_last(ns, max_p_power, r):
+            seen.append(list(ns))
+            sampled = _sample_power_sums(ns, max_p_power, r)
+            last = sampled[ns[-1]]
+            key = next(iter(last))
+            last[key] += 1
+            return sampled
+
+        monkeypatch.setattr(expansion, "_interpolated_memo", {})
+        monkeypatch.setattr(expansion, "_sample_power_sums", corrupt_last)
+        with pytest.raises(LinhypError, match="inconsistent with extra sample"):
+            interpolated_series_grouped(3)
+        assert seen == [list(range(3, 10))]
 
     def test_validation(self):
         with pytest.raises(ValidationError):
