@@ -284,17 +284,18 @@ def _sci(x: float) -> str:
     return repr(x)
 
 
-def _compare_polynomials(n: int, r: int) -> dict:
+def _compare_polynomials(n: int, r: int, cap: int | None) -> dict:
     """The p-independent polynomials of a compare row, built once per run:
     the exact oracle (when its state space fits), the truncations T2, T3
-    and T4 as running sums of one pass over orders 1-3, and cumulant k3."""
+    and T4 as running sums of one pass over orders 1-3, and cumulant k3.
+    The enumeration cap applies to both cluster passes."""
     polys: dict = {"exact": None}
     if math.comb(n, r) <= EXACT_STATE_CAP_BITS:
         polys["exact"] = exact_linearity_polynomial(n, r)
     d = dependency_graph_for(n, r)
-    orders = (term for _order, term in expansion_terms(d, 4))
+    orders = (term for _order, term in expansion_terms(d, 4, cap=cap))
     polys.update(zip(("log_T2", "log_T3", "log_T4"), accumulate(orders)))
-    polys["cumulant_k3"] = cumulant_sum(d, 3)
+    polys["cumulant_k3"] = cumulant_sum(d, 3, cap=cap)
     return polys
 
 
@@ -328,7 +329,7 @@ CSV_HEADER = (
 def _cmd_compare(args) -> int:
     started = time.monotonic()
     ps = _sweep_points(args.sweep) if args.sweep else [_exact_p(args.p)]
-    polys = _compare_polynomials(args.n, args.r)
+    polys = _compare_polynomials(args.n, args.r, args.cap)
     rows = [_compare_row(polys, args.n, args.r, p, args.trials, args.seed) for p in ps]
     if args.csv:
         lines = [CSV_HEADER]

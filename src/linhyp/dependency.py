@@ -70,22 +70,7 @@ class DependencyGraph:
         target = 0
         for i in members:
             target |= 1 << i
-        return self._mask_connected(target)
-
-    def _mask_connected(self, mask: int) -> bool:
-        start = mask & -mask
-        reach = start
-        while True:
-            frontier = 0
-            m = reach
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                frontier |= self.adj_masks[v]
-            new = (reach | frontier) & mask
-            if new == reach:
-                return new == mask
-            reach = new
+        return _mask_connected(self.adj_masks, target)
 
     def dump_adjacency(self) -> str:
         """Adjacency-list text dump, one line per copy index."""
@@ -94,6 +79,22 @@ class DependencyGraph:
             members = _mask_to_members(nbrs)
             lines.append(f"{i}: {' '.join(str(j) for j in members)}")
         return "\n".join(lines) + "\n"
+
+
+def _mask_connected(adj_masks: Sequence[int], mask: int) -> bool:
+    """Whether the nonempty vertex set `mask` induces a connected subgraph."""
+    reach = mask & -mask
+    while True:
+        frontier = 0
+        m = reach
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            frontier |= adj_masks[v]
+        new = (reach | frontier) & mask
+        if new == reach:
+            return new == mask
+        reach = new
 
 
 def _connected_set_masks(

@@ -9,6 +9,16 @@ grouped either by cluster size (the truncation axis of the log-probability
 approximation) or by the p-power of the contribution (what the symbolic
 series is organised around).
 
+A polymer's contribution is a function of its *shape*, the list of its
+copies' hyperedge masks with the hyperedges relabelled.  Two copies are
+adjacent exactly when their masks intersect, a block's moment is p to the
+popcount of its members' mask union, and two disjoint blocks are close
+exactly when their unions intersect.  So the admissible partitions, their
+p-powers and their phi weights are all read off the masks, and none of
+them changes when hyperedges are renamed.  `expansion_term` therefore
+counts polymers by shape and evaluates each distinct shape once (47
+shapes for the 79,380 order-4 polymers at n = 6, r = 3).
+
 The symbolic-in-n series is produced two independent ways that must agree:
 
 * Strategy A, structural enumeration: labelled spanning structures on a
@@ -32,6 +42,7 @@ from .combinat import set_partitions
 from .dependency import (
     DependencyGraph,
     _connected_set_masks,
+    _mask_connected,
     _mask_to_members,
     dependency_graph_for,
 )
@@ -54,28 +65,17 @@ MAX_SYMBOLIC_P_POWER = 4
 _phi_cache: dict[tuple[int, int], Fraction] = {}
 
 
-def _phi_of_blocks(d: DependencyGraph, blocks: Sequence[tuple[int, ...]]) -> Fraction:
-    """Ursell weight of the closeness graph of disjoint connected blocks.
+def _phi_of_blocks(unions: Sequence[int]) -> Fraction:
+    """Ursell weight of the closeness graph of disjoint connected blocks,
+    given each block's hyperedge union.
 
-    For disjoint polymers, closeness is exactly a dependency edge across,
-    so the graph is built from crossing adjacency.  One- and two-block
-    clusters dominate; they short-circuit to +1 / -1.
+    Disjoint blocks are close exactly when some copy of one shares a
+    hyperedge with some copy of the other, i.e. when their unions
+    intersect.  Two-block clusters dominate; they short-circuit to -1.
     """
-    m = len(blocks)
-    if m == 1:
-        return Fraction(1)
-    masks = []
-    nbrs = []
-    for b in blocks:
-        bm = 0
-        am = 0
-        for i in b:
-            bm |= 1 << i
-            am |= d.adj_masks[i]
-        masks.append(bm)
-        nbrs.append(am)
+    m = len(unions)
     if m == 2:
-        if not (nbrs[0] & masks[1]):
+        if not unions[0] & unions[1]:
             raise LinhypError("two-block partition of a connected set must be close")
         return Fraction(-1)
     key_mask = 0
@@ -83,7 +83,7 @@ def _phi_of_blocks(d: DependencyGraph, blocks: Sequence[tuple[int, ...]]) -> Fra
     edges = []
     for i in range(m):
         for j in range(i + 1, m):
-            if nbrs[i] & masks[j]:
+            if unions[i] & unions[j]:
                 key_mask |= 1 << bit
                 edges.append((i + 1, j + 1))
             bit += 1
@@ -96,40 +96,48 @@ def _phi_of_blocks(d: DependencyGraph, blocks: Sequence[tuple[int, ...]]) -> Fra
 
 
 def _partition_contributions(
-    d: DependencyGraph,
-    members: tuple[int, ...],
+    masks: Sequence[int],
     union_power: int,
     max_power: int | None,
 ) -> Iterable[tuple[int, Fraction]]:
-    """(p-power, phi) for every admissible partition of one polymer.
+    """(p-power, phi) for every admissible partition of one polymer, given
+    the hyperedge masks of its copies.
 
-    The trivial partition always qualifies.  Any finer partition repeats at
-    least one shared hyperedge across blocks, so its power is at least
-    union_power + 1; when a power ceiling is given this prunes almost all
-    partition enumeration.
+    Two copies are adjacent exactly when their masks intersect, so the
+    masks alone decide which blocks are connected.  The trivial partition
+    always qualifies.  Any finer partition repeats at least one shared
+    hyperedge across blocks, so its power is at least union_power + 1;
+    when a power ceiling is given this prunes almost all partition
+    enumeration.
     """
-    size = len(members)
+    size = len(masks)
     yield (union_power, Fraction(1))
     if size == 1:
         return
     if max_power is not None and union_power + 1 > max_power:
         return
-    edge_masks = d.copy_edge_masks
-    for part in set_partitions(members):
-        nblocks = len(part)
-        if nblocks == 1:
+    adj = [0] * size
+    for i in range(size):
+        for j in range(i + 1, size):
+            if masks[i] & masks[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    for part in set_partitions(range(size)):
+        if len(part) == 1:
             continue
+        unions = []
         power = 0
         for block in part:
             bm = 0
             for i in block:
-                bm |= edge_masks[i]
+                bm |= masks[i]
+            unions.append(bm)
             power += bm.bit_count()
         if max_power is not None and power > max_power:
             continue
-        if not all(d.is_connected(block) for block in part):
+        if not all(_mask_connected(adj, sum(1 << i for i in block)) for block in part):
             continue
-        yield (power, _phi_of_blocks(d, part))
+        yield (power, _phi_of_blocks(unions))
 
 
 def expansion_term(d: DependencyGraph, order: int, cap: int | None = None) -> Polynomial:
@@ -137,15 +145,25 @@ def expansion_term(d: DependencyGraph, order: int, cap: int | None = None) -> Po
 
     Unordered cluster enumeration absorbs the 1/|cluster|! of the ordered
     formulation, because disjoint polymers are pairwise distinct.
+
+    Polymers are counted by shape: the tuple of their members' hyperedge
+    masks, in member-index order, with hyperedge ids relabelled by first
+    appearance.  A polymer's contribution is a function of its shape,
+    because everything it is computed from is read off the masks and is
+    unchanged by renaming hyperedges: copy adjacency (masks intersect),
+    each block's p-power (popcount of the union of its members' masks) and
+    the closeness of two blocks (their unions intersect), hence phi.  So
+    each distinct shape's partition sum is evaluated once and scaled by the
+    number of polymers of that shape.  The cap counts polymers, not shapes.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    acc: dict[int, Fraction] = {}
-    sign = -1 if order & 1 else 1
+    copy_edges = [
+        tuple(1 << e for e in _mask_to_members(em)) for em in d.copy_edge_masks
+    ]
+    shapes: dict[tuple[int, ...], int] = {}
     count = 0
-    for mask, size, emask in _connected_set_masks(
-        d.adj_masks, order, edge_masks=d.copy_edge_masks
-    ):
+    for mask, size, _emask in _connected_set_masks(d.adj_masks, order):
         if size != order:
             continue
         count += 1
@@ -155,10 +173,25 @@ def expansion_term(d: DependencyGraph, order: int, cap: int | None = None) -> Po
                 cap=cap,
                 order=order,
             )
-        members = _mask_to_members(mask)
-        for power, phi in _partition_contributions(d, members, emask.bit_count(), None):
-            val = acc.get(power)
-            acc[power] = (val if val is not None else Fraction(0)) + sign * phi
+        labels: dict[int, int] = {}
+        shape = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            relabelled = 0
+            for e in copy_edges[low.bit_length() - 1]:
+                relabelled |= labels.setdefault(e, 1 << len(labels))
+            shape.append(relabelled)
+        key = tuple(shape)
+        shapes[key] = shapes.get(key, 0) + 1
+    sign = -1 if order & 1 else 1
+    acc: dict[int, Fraction] = {}
+    for shape, multiplicity in shapes.items():
+        union = 0
+        for em in shape:
+            union |= em
+        for power, phi in _partition_contributions(shape, union.bit_count(), None):
+            acc[power] = acc.get(power, Fraction(0)) + sign * multiplicity * phi
     return Polynomial(acc)
 
 
@@ -322,8 +355,9 @@ def structural_series_grouped(
                         continue
                     members = _mask_to_members(mask)
                     sign = -1 if size & 1 else 1
+                    masks = [local.copy_edge_masks[i] for i in members]
                     for power, phi in _partition_contributions(
-                        local, members, n_edges, max_p_power
+                        masks, n_edges, max_p_power
                     ):
                         key = (v, power, size)
                         out[key] = out.get(key, Fraction(0)) + Fraction(sign) * phi / vfact
@@ -367,9 +401,8 @@ def per_n_power_sums(n: int, max_p_power: int, r: int = 3) -> dict[tuple[int, in
             if split_two:
                 counts[4][2] -= 1
         elif size > 2 and m_u <= partition_floor:
-            for power, phi in _partition_contributions(
-                d, _mask_to_members(mask), m_u, max_p_power
-            ):
+            masks = [d.copy_edge_masks[i] for i in _mask_to_members(mask)]
+            for power, phi in _partition_contributions(masks, m_u, max_p_power):
                 if power == m_u:
                     continue  # trivial partition already counted
                 key = (power, size)

@@ -178,6 +178,13 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "cap_exceeded"
 
+    def test_compare_cap_is_the_expand_cap_error(self, capsys):
+        assert main(["compare", "6", "3", "--p", "1/100", "--cap", "10"]) == 3
+        compare_err = capsys.readouterr().err
+        assert main(["expand", "6", "3", "--k", "4", "--cap", "10"]) == 3
+        assert compare_err == capsys.readouterr().err
+        assert json.loads(compare_err)["error"]["type"] == "cap_exceeded"
+
     def test_expand_cap_partial_opt_in(self, tmp_path, capsys):
         out = tmp_path / "p.json"
         code = main(

@@ -86,6 +86,17 @@ class TestExpansionTerms:
         d = dependency_graph_for(6, 3)
         assert expansion_term(d, 2) == Polynomial({3: 720, 4: -720})
 
+    def test_order4_n6_and_cap_counts_polymers(self):
+        # frozen from cumulant_sum(d6, 4) - cumulant_sum(d6, 3), the
+        # independent per-polymer engine over all set partitions; 79380
+        # polymers of size 4 share 47 shapes, and the cap counts polymers
+        d = dependency_graph_for(6, 3)
+        expect = Polynomial({4: 3060, 5: 73800, 6: -290160, 7: 349200, 8: -135900})
+        with pytest.raises(CapExceededError) as err:
+            expansion_term(d, 4, cap=79379)
+        assert err.value.context["order"] == 4
+        assert expansion_term(d, 4, cap=79380) == expect
+
     def test_orders_match_bruteforce_n4(self):
         d = dependency_graph_for(4, 3)
         for order in (1, 2, 3, 4):
@@ -93,7 +104,7 @@ class TestExpansionTerms:
 
     def test_orders_match_bruteforce_n5(self):
         d = dependency_graph_for(5, 3)
-        for order in (1, 2):
+        for order in (1, 2, 3, 4):
             assert expansion_term(d, order) == brute_force_term(d, order)
 
     def test_truncation_sums_orders(self):
@@ -120,7 +131,7 @@ class TestExpansionTerms:
 
 class TestCumulantClusterIdentity:
     @pytest.mark.parametrize("n", [4, 5])
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_identity(self, n, k):
         d = dependency_graph_for(n, 3)
         assert truncated_expansion(d, k + 1) == cumulant_sum(d, k)
