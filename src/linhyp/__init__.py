@@ -15,11 +15,7 @@ from .hypergraph import (
     is_linear,
     parse_hypergraph,
 )
-from .dependency import (
-    DependencyGraph,
-    dependency_graph_for,
-    polymers_up_to,
-)
+from .dependency import DependencyGraph, dependency_graph_for
 from .errors import CapExceededError, LinhypError, ValidationError
 from .expansion import (
     cumulant_sum,
@@ -66,7 +62,6 @@ __all__ = [
     "moment_sum",
     "monte_carlo",
     "parse_hypergraph",
-    "polymers_up_to",
     "symbolic_series",
     "truncated_expansion",
     "ursell",

@@ -280,10 +280,6 @@ def _cmd_asymptotic(args) -> int:
     return EXIT_OK
 
 
-def _sci(x: float) -> str:
-    return repr(x)
-
-
 def _compare_polynomials(n: int, r: int, cap: int | None) -> dict:
     """The p-independent polynomials of a compare row, built once per run:
     the exact oracle (when its state space fits), the truncations T2, T3
@@ -320,10 +316,18 @@ def _compare_row(polys: dict, n: int, r: int, p: Fraction, trials: int, seed: in
     return row
 
 
-CSV_HEADER = (
-    "p,log_exact,log_T2,log_T3,log_T4,log_closed_r3,log_closed_general,"
-    "mc_estimate,mc_stderr"
+CSV_COLUMNS = (
+    "p",
+    "log_exact",
+    "log_T2",
+    "log_T3",
+    "log_T4",
+    "log_closed_r3",
+    "log_closed_general",
+    "mc_estimate",
+    "mc_stderr",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def _cmd_compare(args) -> int:
@@ -334,22 +338,7 @@ def _cmd_compare(args) -> int:
     if args.csv:
         lines = [CSV_HEADER]
         for row in rows:
-            cells = [
-                _sci(row["p"]),
-                *(
-                    "" if row[key] is None else _sci(row[key])
-                    for key in (
-                        "log_exact",
-                        "log_T2",
-                        "log_T3",
-                        "log_T4",
-                        "log_closed_r3",
-                        "log_closed_general",
-                        "mc_estimate",
-                        "mc_stderr",
-                    )
-                ),
-            ]
+            cells = ("" if row[key] is None else repr(row[key]) for key in CSV_COLUMNS)
             lines.append(",".join(cells))
         with open(args.csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -412,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, n_r=True):
+    def add_common(sp, n_r=True, cap=False):
         if n_r:
             sp.add_argument("n", type=int)
             sp.add_argument("r", type=int)
@@ -424,14 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="accepted for compatibility; every path runs serially, so "
             "results never depend on it",
         )
-        sp.add_argument(
-            "--cap", type=_int_at_least(0), default=None, help="enumeration cap"
-        )
-        sp.add_argument(
-            "--allow-partial",
-            action="store_true",
-            help="write partial results when a cap is hit",
-        )
+        if cap:
+            sp.add_argument(
+                "--cap", type=_int_at_least(0), default=None, help="enumeration cap"
+            )
 
     sp = sub.add_parser("copies", help="count (and list) forbidden copies")
     add_common(sp)
@@ -439,7 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_copies)
 
     sp = sub.add_parser("expand", help="expansion terms and truncated sum")
-    add_common(sp)
+    add_common(sp, cap=True)
+    sp.add_argument(
+        "--allow-partial",
+        action="store_true",
+        help="write partial results when the cap is hit",
+    )
     sp.add_argument("--k", type=_int_at_least(2), required=True, help="truncation index")
     sp.add_argument(
         "--dump-adjacency", help="also write the dependency adjacency list here"
@@ -458,12 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_series)
 
     sp = sub.add_parser("delta", help="sum of moments over polymers of size i")
-    add_common(sp)
+    add_common(sp, cap=True)
     sp.add_argument("--i", type=int, required=True)
     sp.set_defaults(func=_cmd_delta)
 
     sp = sub.add_parser("cumulants", help="alternating cumulant sum up to size k")
-    add_common(sp)
+    add_common(sp, cap=True)
     sp.add_argument("--k", type=int, required=True)
     sp.set_defaults(func=_cmd_cumulants)
 
@@ -491,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_asymptotic)
 
     sp = sub.add_parser("compare", help="side-by-side table and CSV sweep")
-    add_common(sp)
+    add_common(sp, cap=True)
     at = sp.add_mutually_exclusive_group(required=True)
     at.add_argument("--p", type=_checked_text(_exact_p), help="exact rational num/den")
     at.add_argument(

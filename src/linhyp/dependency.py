@@ -7,30 +7,15 @@ pairwise disjoint polymers whose mutual-closeness graph is connected, which
 is the same thing as a partition of some polymer into connected blocks.
 
 Enumeration is streaming: polymers are produced one at a time by a rooted
-exclusion-list growth that emits every connected set exactly once, with a
-hard cap guarding against runaway instance sizes.
+exclusion-list growth that emits every connected set exactly once.  The
+engines that consume the stream take an opt-in cap on what they count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import CapExceededError, ValidationError
 from .hypergraph import ForbiddenCopy
-
-#: Default ceiling on the number of enumerated polymers/clusters per call.
-DEFAULT_ENUM_CAP = 50_000_000
-
-
-@dataclass(frozen=True)
-class Polymer:
-    """Sorted tuple of copy indices inducing a connected subgraph."""
-
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 class DependencyGraph:
@@ -150,22 +135,6 @@ def _mask_to_members(mask: int) -> tuple[int, ...]:
         out.append(bit.bit_length() - 1)
         mask &= mask - 1
     return tuple(out)
-
-
-def polymers_up_to(
-    d: DependencyGraph, k: int, cap: int | None = DEFAULT_ENUM_CAP
-) -> Iterator[Polymer]:
-    """Stream every polymer of size <= k exactly once."""
-    if k < 1:
-        raise ValidationError(f"max polymer size must be >= 1, got {k}")
-    count = 0
-    for mask, _size, _em in _connected_set_masks(d.adj_masks, k):
-        count += 1
-        if cap is not None and count > cap:
-            raise CapExceededError(
-                f"polymer enumeration exceeded cap {cap}", cap=cap, max_size=k
-            )
-        yield Polymer(members=_mask_to_members(mask))
 
 
 def dependency_graph_for(n: int, r: int) -> DependencyGraph:

@@ -9,20 +9,16 @@ grouped either by cluster size (the truncation axis of the log-probability
 approximation) or by the p-power of the contribution (what the symbolic
 series is organised around).
 
-A polymer's contribution is a function of its *shape*, the list of its
-copies' hyperedge masks with the hyperedges relabelled.  Two copies are
-adjacent exactly when their masks intersect, a block's moment is p to the
-popcount of its members' mask union, and two disjoint blocks are close
-exactly when their unions intersect.  So the admissible partitions, their
-p-powers and their phi weights are all read off the masks, and none of
-them changes when hyperedges are renamed.  `expansion_term` therefore
-counts polymers by shape and evaluates each distinct shape once (47
-shapes for the 79,380 order-4 polymers at n = 6, r = 3).
+A polymer's contribution is a function of its *shape* (see `_shape`).
+`expansion_term` and both symbolic-series strategies count polymers by
+shape, and `_shape_sums` evaluates each distinct shape's partition sum
+once (47 shapes for the 79,380 order-4 polymers at n = 6, r = 3).
 
 The symbolic-in-n series is produced two independent ways that must agree:
 
 * Strategy A, structural enumeration: labelled spanning structures on a
-  canonical vertex set [v] are counted directly, so a structure class
+  canonical vertex set [v], grown on the connected-set walk over the
+  conflict graph of the triples on [v], are counted directly, so a class
   contributes (labelled count / v!) * [n]_v, and automorphism factors
   never need to be computed.
 * Strategy B, interpolation: the per-n sums are evaluated exactly at
@@ -48,7 +44,7 @@ from .dependency import (
 )
 from .errors import CapExceededError, LinhypError, ValidationError
 from .graphcalc import SimpleGraph, ursell
-from .hypergraph import ForbiddenCopy, enumerate_forbidden_copies
+from .hypergraph import enumerate_forbidden_copies
 from .polynomial import Polynomial, SeriesTerm, falling_factorial
 
 #: Hyperedge-count cap for the alternating-sum and polymer-model forms.
@@ -56,10 +52,11 @@ INCLUSION_EXCLUSION_EDGE_CAP = 20
 HARD_CORE_EDGE_CAP = 12
 
 #: Symbolic-series budget.  Vertex spans reach max_p_power + 2, the
-#: structural edge-set enumeration costs C(C(v,3), E), and the
-#: interpolation needs max_p_power + 4 exact samples, up to n =
-#: max_p_power + 6, whose cost grows like [n]_(max_p_power+2); 4 keeps
-#: both strategies comfortably inside the cross-check contract.
+#: structural strategy walks the conflict-connected sets of at most
+#: max_p_power triples on [v], and the interpolation needs max_p_power + 4
+#: exact samples, up to n = max_p_power + 6, whose cost grows like
+#: [n]_(max_p_power+2); 4 keeps both strategies comfortably inside the
+#: cross-check contract.
 MAX_SYMBOLIC_P_POWER = 4
 
 _phi_cache: dict[tuple[int, int], Fraction] = {}
@@ -140,27 +137,65 @@ def _partition_contributions(
         yield (power, _phi_of_blocks(unions))
 
 
+def _shape(mask: int, copy_edges: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """Shape of the copy set `mask`: its members' hyperedge masks, in
+    member-index order, with hyperedge ids relabelled by first appearance.
+    `copy_edges[i]` holds copy i's hyperedges as one-bit masks.
+
+    A polymer's contribution is a function of its shape, because everything
+    it is computed from is read off the masks and is unchanged by renaming
+    hyperedges: copy adjacency (masks intersect), each block's p-power
+    (popcount of the union of its members' masks) and the closeness of two
+    blocks (their unions intersect), hence phi.
+    """
+    labels: dict[int, int] = {}
+    shape = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        relabelled = 0
+        for e in copy_edges[low.bit_length() - 1]:
+            relabelled |= labels.setdefault(e, 1 << len(labels))
+        shape.append(relabelled)
+    return tuple(shape)
+
+
+def _edge_bits(edge_masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """Each copy's hyperedges as one-bit masks, the `copy_edges` of `_shape`."""
+    return [tuple(1 << e for e in _mask_to_members(em)) for em in edge_masks]
+
+
+def _shape_sums(
+    shapes: dict[tuple[int, ...], int], max_power: int | None
+) -> dict[tuple[int, int], Fraction]:
+    """{(p-power, size): coefficient} of polymers counted by shape.
+
+    Each distinct shape's admissible partitions are evaluated once, signed
+    by (-1)^size and scaled by the number of polymers of that shape.
+    """
+    out: dict[tuple[int, int], Fraction] = {}
+    for shape, multiplicity in shapes.items():
+        union = 0
+        for em in shape:
+            union |= em
+        size = len(shape)
+        weight = -multiplicity if size & 1 else multiplicity
+        for power, phi in _partition_contributions(shape, union.bit_count(), max_power):
+            key = (power, size)
+            out[key] = out.get(key, 0) + weight * phi
+    return out
+
+
 def expansion_term(d: DependencyGraph, order: int, cap: int | None = None) -> Polynomial:
     """Order-`order` term of the disjoint-cluster expansion, exact in p.
 
     Unordered cluster enumeration absorbs the 1/|cluster|! of the ordered
-    formulation, because disjoint polymers are pairwise distinct.
-
-    Polymers are counted by shape: the tuple of their members' hyperedge
-    masks, in member-index order, with hyperedge ids relabelled by first
-    appearance.  A polymer's contribution is a function of its shape,
-    because everything it is computed from is read off the masks and is
-    unchanged by renaming hyperedges: copy adjacency (masks intersect),
-    each block's p-power (popcount of the union of its members' masks) and
-    the closeness of two blocks (their unions intersect), hence phi.  So
-    each distinct shape's partition sum is evaluated once and scaled by the
-    number of polymers of that shape.  The cap counts polymers, not shapes.
+    formulation, because disjoint polymers are pairwise distinct.  Polymers
+    are counted by shape; the cap counts polymers, not shapes.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    copy_edges = [
-        tuple(1 << e for e in _mask_to_members(em)) for em in d.copy_edge_masks
-    ]
+    copy_edges = _edge_bits(d.copy_edge_masks)
     shapes: dict[tuple[int, ...], int] = {}
     count = 0
     for mask, size, _emask in _connected_set_masks(d.adj_masks, order):
@@ -173,26 +208,10 @@ def expansion_term(d: DependencyGraph, order: int, cap: int | None = None) -> Po
                 cap=cap,
                 order=order,
             )
-        labels: dict[int, int] = {}
-        shape = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            relabelled = 0
-            for e in copy_edges[low.bit_length() - 1]:
-                relabelled |= labels.setdefault(e, 1 << len(labels))
-            shape.append(relabelled)
-        key = tuple(shape)
+        key = _shape(mask, copy_edges)
         shapes[key] = shapes.get(key, 0) + 1
-    sign = -1 if order & 1 else 1
-    acc: dict[int, Fraction] = {}
-    for shape, multiplicity in shapes.items():
-        union = 0
-        for em in shape:
-            union |= em
-        for power, phi in _partition_contributions(shape, union.bit_count(), None):
-            acc[power] = acc.get(power, Fraction(0)) + sign * multiplicity * phi
-    return Polynomial(acc)
+    sums = _shape_sums(shapes, None)
+    return Polynomial({power: c for (power, _size), c in sums.items()})
 
 
 def expansion_terms(
@@ -281,26 +300,23 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
 # ---------------------------------------------------------------------------
 
 
-def _conflict_connected(edge_sets: Sequence[frozenset[int]]) -> bool:
-    m = len(edge_sets)
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if len(edge_sets[i] & edge_sets[j]) >= 2:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    reach = 1
-    full = (1 << m) - 1
-    while True:
-        new = reach
-        mm = reach
-        while mm:
-            v = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            new |= adj[v]
-        if new == reach:
-            return reach == full
-        reach = new
+def _spanning_triple_sets(v: int, max_edges: int) -> Iterator[tuple[int, ...]]:
+    """Vertex masks of every set of 2..max_edges triples on [v] that spans
+    [v] and is connected under conflict (two triples sharing 2 vertices).
+
+    The sets are the connected sets of the conflict graph on the triples,
+    walked with each triple's vertex mask as its edge mask, so the union
+    the walk reports is the set's vertex span.
+    """
+    triples = [sum(1 << u for u in t) for t in combinations(range(v), 3)]
+    conflict = [
+        sum(1 << j for j, b in enumerate(triples) if j != i and (a & b).bit_count() >= 2)
+        for i, a in enumerate(triples)
+    ]
+    full = (1 << v) - 1
+    for mask, size, span in _connected_set_masks(conflict, max_edges, edge_masks=triples):
+        if size >= 2 and span == full:
+            yield tuple(triples[i] for i in _mask_to_members(mask))
 
 
 _structural_memo: dict[tuple[int, int], dict] = {}
@@ -314,7 +330,9 @@ def structural_series_grouped(
 
     Every labelled spanning structure on [v] is counted exactly once under
     its exact hyperedge union, so the coefficient of [n]_v is the weighted
-    labelled count divided by v!.
+    labelled count divided by v!.  The unions are the sets from
+    `_spanning_triple_sets`, and the structures over one union are its
+    copy sets (conflicting pairs of its triples) that cover every triple.
     """
     if r != 3:
         raise ValidationError("symbolic closed forms are implemented for r = 3 only")
@@ -327,40 +345,29 @@ def structural_series_grouped(
         return dict(cached)
     out: dict[tuple[int, int, int], Fraction] = {}
     for v in range(4, max_p_power + 3):
+        shapes: dict[tuple[int, ...], int] = {}
+        for edge_set in _spanning_triple_sets(v, max_p_power):
+            # the copies of the structure: conflicting pairs of its triples
+            copy_edges = [
+                (1 << i, 1 << j)
+                for i, j in combinations(range(len(edge_set)), 2)
+                if (edge_set[i] & edge_set[j]).bit_count() >= 2
+            ]
+            copy_masks = [a | b for a, b in copy_edges]
+            adj = [
+                sum(1 << j for j, b in enumerate(copy_masks) if j != i and a & b)
+                for i, a in enumerate(copy_masks)
+            ]
+            full_edges = (1 << len(edge_set)) - 1
+            for mask, _size, emask in _connected_set_masks(
+                adj, len(copy_masks), edge_masks=copy_masks
+            ):
+                if emask == full_edges:
+                    key = _shape(mask, copy_edges)
+                    shapes[key] = shapes.get(key, 0) + 1
         vfact = math.factorial(v)
-        triples = list(combinations(range(1, v + 1), 3))
-        for n_edges in range(2, max_p_power + 1):
-            for edge_set in combinations(triples, n_edges):
-                union = set()
-                for e in edge_set:
-                    union.update(e)
-                if len(union) != v:
-                    continue
-                sets = [frozenset(e) for e in edge_set]
-                if not _conflict_connected(sets):
-                    continue
-                copies = [
-                    ForbiddenCopy.from_edges(edge_set[i], edge_set[j])
-                    for i in range(n_edges)
-                    for j in range(i + 1, n_edges)
-                    if len(sets[i] & sets[j]) >= 2
-                ]
-                local = DependencyGraph(copies)
-                full_edges = (1 << n_edges) - 1
-                assert len(local.edge_ids) == n_edges
-                for mask, size, emask in _connected_set_masks(
-                    local.adj_masks, len(copies), edge_masks=local.copy_edge_masks
-                ):
-                    if emask != full_edges:
-                        continue
-                    members = _mask_to_members(mask)
-                    sign = -1 if size & 1 else 1
-                    masks = [local.copy_edge_masks[i] for i in members]
-                    for power, phi in _partition_contributions(
-                        masks, n_edges, max_p_power
-                    ):
-                        key = (v, power, size)
-                        out[key] = out.get(key, Fraction(0)) + Fraction(sign) * phi / vfact
+        for (power, size), c in _shape_sums(shapes, max_p_power).items():
+            out[(v, power, size)] = c / vfact
     result = {k: c for k, c in out.items() if c != 0}
     _structural_memo[(max_p_power, r)] = dict(result)
     return result
@@ -376,45 +383,31 @@ def per_n_power_sums(n: int, max_p_power: int, r: int = 3) -> dict[tuple[int, in
     with p-power at most max_p_power, at a concrete n.
 
     The polymer stream is pruned on the hyperedge budget, which keeps it
-    polynomial in n.  Trivial partitions and the two-singleton split are
-    tallied as integers; a finer partition can only fit the power budget
-    when the polymer union is at least one hyperedge under it, so only
-    that sliver of the stream reaches the partition machinery.
+    polynomial in n.  A finer partition costs at least one hyperedge more
+    than the polymer's union, so only polymers of size > 1 whose union is
+    under the budget can have one; those are counted by shape, and every
+    other polymer adds its trivial partition to a signed integer tally.
     """
     if n < r:
         return {}
     d = dependency_graph_for(n, r)
     max_size = max(max_p_power * (max_p_power - 1) // 2, 1)
-    # counts[power][size]: signed integer tallies; rare finer partitions
-    # with fractional phi go to `extras`
-    counts = [[0] * (max_size + 1) for _ in range(max_p_power + 1)]
-    extras: dict[tuple[int, int], Fraction] = {}
-    split_two = max_p_power >= 4  # two singleton blocks cost p^4
-    partition_floor = max_p_power - 1  # unions under this admit finer partitions
+    copy_edges = _edge_bits(d.copy_edge_masks)
+    out: dict[tuple[int, int], int | Fraction] = {}
+    shapes: dict[tuple[int, ...], int] = {}
     for mask, size, emask in _connected_set_masks(
         d.adj_masks, max_size, edge_masks=d.copy_edge_masks, edge_budget=max_p_power
     ):
         m_u = emask.bit_count()
-        sign = -1 if size & 1 else 1
-        counts[m_u][size] += sign
-        if size == 2:
-            if split_two:
-                counts[4][2] -= 1
-        elif size > 2 and m_u <= partition_floor:
-            masks = [d.copy_edge_masks[i] for i in _mask_to_members(mask)]
-            for power, phi in _partition_contributions(masks, m_u, max_p_power):
-                if power == m_u:
-                    continue  # trivial partition already counted
-                key = (power, size)
-                extras[key] = extras.get(key, Fraction(0)) + sign * phi
-    out: dict[tuple[int, int], Fraction] = {}
-    for power, row in enumerate(counts):
-        for size, c in enumerate(row):
-            if c:
-                out[(power, size)] = Fraction(c)
-    for k, v in extras.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return {k: c for k, c in out.items() if c != 0}
+        if size > 1 and m_u < max_p_power:
+            key = _shape(mask, copy_edges)
+            shapes[key] = shapes.get(key, 0) + 1
+        else:
+            key = (m_u, size)
+            out[key] = out.get(key, 0) + (-1 if size & 1 else 1)
+    for key, c in _shape_sums(shapes, max_p_power).items():
+        out[key] = out.get(key, 0) + c
+    return {k: Fraction(c) for k, c in out.items() if c != 0}
 
 
 def _solve_falling_basis(samples: list[tuple[int, Fraction]], degree: int) -> list[Fraction]:

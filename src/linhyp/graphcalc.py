@@ -93,12 +93,11 @@ def canonical_key(v: int, edges: frozenset[tuple[int, int]]) -> tuple:
     return (v, best)
 
 
-# Memo tables are keyed on the labelled minor (v, edge set).  The labelled
+# The memo table is keyed on the labelled minor (v, edge set).  The labelled
 # key space for the graphs this package meets (<= 8 vertices) is tiny, and
 # avoiding permutation canonicalisation keeps the exhaustive test suites
 # and the expansion hot loops fast.
 _chromatic_memo: dict[tuple[int, frozenset], Polynomial] = {}
-_ursell_cache: dict[tuple[int, frozenset], Fraction] = {}
 
 
 def _pick_edge(v: int, edges: frozenset[tuple[int, int]]) -> tuple[int, int]:
@@ -226,13 +225,7 @@ def ursell(g: SimpleGraph) -> Fraction:
     """
     if not g.is_connected():
         raise ValidationError("Ursell weight is only used on connected graphs")
-    key = (g.v, g.edges)
-    cached = _ursell_cache.get(key)
-    if cached is not None:
-        return cached
-    value = chromatic_polynomial(g).coeff(1)
-    _ursell_cache[key] = value
-    return value
+    return chromatic_polynomial(g).coeff(1)
 
 
 def ursell_direct(g: SimpleGraph) -> Fraction:

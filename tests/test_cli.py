@@ -241,6 +241,11 @@ class TestErrors:
             ["compare", "5", "3", "--p", "1/2", "--sweep", "0.1,0.2,2"],
             ["compare", "5", "3"],
             ["compare", "5", "3", "--sweep", "1e-13,3e-13,3"],
+            # --cap only where a cap is honoured, --allow-partial only on expand
+            ["series", "--max-p-power", "2", "--cap", "1"],
+            ["oracle", "4", "3", "--cap", "1"],
+            ["copies", "5", "3", "--allow-partial"],
+            ["compare", "6", "3", "--p", "1/100", "--cap", "10", "--allow-partial"],
         ],
     )
     def test_bad_input_is_a_json_validation_error(self, argv, capsys):

@@ -2,7 +2,8 @@
 
 The brute-force enumerators at the end of this file (a visited-set
 frontier growth and a disjoint-cluster stream) are independent oracles for
-the package's one connected-set walk.
+the package's one connected-set walk.  `polymers_up_to` there is the
+capped polymer stream that only the tests consume.
 """
 
 from dataclasses import dataclass
@@ -12,13 +13,10 @@ import pytest
 
 from linhyp.combinat import set_partitions
 from linhyp.dependency import (
-    DEFAULT_ENUM_CAP,
     DependencyGraph,
-    Polymer,
     _connected_set_masks,
     _mask_to_members,
     dependency_graph_for,
-    polymers_up_to,
 )
 from linhyp.errors import CapExceededError, ValidationError
 from linhyp.hypergraph import ForbiddenCopy, enumerate_forbidden_copies
@@ -230,8 +228,37 @@ def _is_conn(d, members):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# test-only polymer stream and brute-force oracles
 # ---------------------------------------------------------------------------
+
+#: Default ceiling on the number of enumerated polymers/clusters per call.
+DEFAULT_ENUM_CAP = 50_000_000
+
+
+@dataclass(frozen=True)
+class Polymer:
+    """Sorted tuple of copy indices inducing a connected subgraph."""
+
+    members: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+def polymers_up_to(
+    d: DependencyGraph, k: int, cap: int | None = DEFAULT_ENUM_CAP
+) -> Iterator[Polymer]:
+    """Stream every polymer of size <= k exactly once."""
+    if k < 1:
+        raise ValidationError(f"max polymer size must be >= 1, got {k}")
+    count = 0
+    for mask, _size, _em in _connected_set_masks(d.adj_masks, k):
+        count += 1
+        if cap is not None and count > cap:
+            raise CapExceededError(
+                f"polymer enumeration exceeded cap {cap}", cap=cap, max_size=k
+            )
+        yield Polymer(members=_mask_to_members(mask))
 
 
 def connected_sets_reference(adj_masks: Sequence[int], max_size: int) -> set[tuple[int, int]]:

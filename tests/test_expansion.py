@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from linhyp.combinat import set_partitions
-from linhyp.dependency import dependency_graph_for, polymers_up_to
+from linhyp.dependency import dependency_graph_for
 from linhyp import expansion
 from linhyp.errors import CapExceededError, LinhypError, ValidationError
 from linhyp.expansion import (
@@ -156,11 +156,14 @@ class TestMomentSum:
         assert moment_sum(d, 2) == expect
 
     def test_matches_polymer_stream(self):
+        # every connected 3-set of copies, found by brute force
+        from itertools import combinations
+
         d = dependency_graph_for(5, 3)
         expect = Polynomial.zero()
-        for p in polymers_up_to(d, 3):
-            if len(p) == 3:
-                expect = expect + joint_moment(p.members, d.copies)
+        for members in combinations(range(len(d)), 3):
+            if d.is_connected(members):
+                expect = expect + joint_moment(members, d.copies)
         assert moment_sum(d, 3) == expect
 
 
@@ -178,12 +181,14 @@ class TestSymbolicSeries:
         for b in (2, 3):
             assert structural_series_grouped(b) == interpolated_series_grouped(b)
 
-    def test_grouped_matches_per_n_evaluation(self):
+    @pytest.mark.parametrize("max_p_power", [3, 4])
+    def test_grouped_matches_per_n_evaluation(self, max_p_power):
         # evaluating the structural series at a concrete n reproduces the
-        # exact per-n power sums, for every (power, size) group
-        grouped = structural_series_grouped(3)
+        # exact per-n power sums, for every (power, size) group; at b = 4
+        # polymers with a union under the budget take the shape path
+        grouped = structural_series_grouped(max_p_power)
         for n in (5, 6, 7):
-            per_n = per_n_power_sums(n, 3)
+            per_n = per_n_power_sums(n, max_p_power)
             expect: dict = {}
             for (a, b, s), c in grouped.items():
                 v = c * falling_factorial(n, a)
@@ -191,6 +196,45 @@ class TestSymbolicSeries:
                     expect[(b, s)] = expect.get((b, s), Fraction(0)) + v
             expect = {k: v for k, v in expect.items() if v != 0}
             assert per_n == expect
+
+    def test_spanning_triple_sets_match_combination_filter(self):
+        # reference: every combination of E triples on [v], kept when the
+        # triples cover [v] and are connected under sharing 2 vertices
+        from itertools import combinations
+
+        def conflict_connected(edge_sets):
+            m = len(edge_sets)
+            adj = [0] * m
+            for i in range(m):
+                for j in range(i + 1, m):
+                    if len(edge_sets[i] & edge_sets[j]) >= 2:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+            reach = 1
+            while True:
+                new = reach
+                mm = reach
+                while mm:
+                    v = (mm & -mm).bit_length() - 1
+                    mm &= mm - 1
+                    new |= adj[v]
+                if new == reach:
+                    return reach == (1 << m) - 1
+                reach = new
+
+        for v in (4, 5, 6):
+            triples = list(combinations(range(v), 3))
+            expect = set()
+            for n_edges in range(2, 5):
+                for edge_set in combinations(triples, n_edges):
+                    sets = [frozenset(e) for e in edge_set]
+                    if frozenset().union(*sets) == frozenset(range(v)) and (
+                        conflict_connected(sets)
+                    ):
+                        expect.add(frozenset(sum(1 << u for u in e) for e in edge_set))
+            walked = list(expansion._spanning_triple_sets(v, 4))
+            assert len(walked) == len(expect) > 0
+            assert {frozenset(s) for s in walked} == expect
 
     def test_symbolic_consistent_with_exact_orders(self):
         # the series restricted to one cluster size, evaluated at n=6,
