@@ -27,7 +27,6 @@ from .expansion import (
     truncated_expansion,
 )
 from .graphcalc import SimpleGraph, chromatic_polynomial, ursell
-from .moments import factorisation_check, joint_cumulant, joint_moment
 from .oracle import McReport, exact_linearity_polynomial, monte_carlo
 from .asymptotics import AsymptoticEstimate, log_linearity_general, log_linearity_r3
 from .polynomial import Polynomial, SeriesTerm
@@ -50,13 +49,10 @@ __all__ = [
     "enumerate_forbidden_copies",
     "exact_linearity_polynomial",
     "expansion_term",
-    "factorisation_check",
     "family_densities",
     "hard_core_polynomial",
     "inclusion_exclusion_polynomial",
     "is_linear",
-    "joint_cumulant",
-    "joint_moment",
     "log_linearity_general",
     "log_linearity_r3",
     "moment_sum",

@@ -8,7 +8,12 @@ is the same thing as a partition of some polymer into connected blocks.
 
 Enumeration is streaming: polymers are produced one at a time by a rooted
 exclusion-list growth that emits every connected set exactly once.  The
-engines that consume the stream take an opt-in cap on what they count.
+same walk has a pinned-root mode that lists every connected set through
+each given root exactly once.  The complete host's graph records its copy
+orbits under the symmetric group on the vertices (one per overlap size),
+and the engines that sum a relabelling-invariant quantity walk from one
+root per orbit instead of from every copy (see `expansion.expansion_term`).
+The engines that consume the stream take an opt-in cap on what they count.
 """
 
 from __future__ import annotations
@@ -19,10 +24,16 @@ from .hypergraph import ForbiddenCopy
 
 
 class DependencyGraph:
-    """Indexed copies plus shared-hyperedge adjacency and fast bitmask views."""
+    """Indexed copies plus shared-hyperedge adjacency and fast bitmask views.
+
+    `orbits` is None unless `dependency_graph_for` built the graph over the
+    complete host; there it holds one (representative index, orbit size)
+    pair per copy orbit.  It is never inferred from the copies.
+    """
 
     def __init__(self, copies: Sequence[ForbiddenCopy]):
         self.copies: list[ForbiddenCopy] = list(copies)
+        self.orbits: tuple[tuple[int, int], ...] | None = None
         m = len(self.copies)
         # hyperedge -> integer id, used for moment exponents
         self.edge_ids: dict[tuple[int, ...], int] = {}
@@ -87,6 +98,7 @@ def _connected_set_masks(
     max_size: int,
     edge_masks: Sequence[int] | None = None,
     edge_budget: int | None = None,
+    roots: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, int, int]]:
     """Stream (member_mask, size, union_edge_mask) of every connected set.
 
@@ -97,12 +109,17 @@ def _connected_set_masks(
     given, branches whose hyperedge union already exceeds the budget are
     pruned (the union only grows along a branch).  This is the one
     connected-set walk: every polymer stream in the package runs on it.
+
+    Pinned mode: with `roots`, the same growth runs from each given root
+    with every other index allowed, so each connected set of size
+    <= max_size that contains the root appears exactly once per root.
     """
     n = len(adj_masks)
     if edge_masks is None:
         edge_masks = [0] * n
-    for root in range(n):
-        allowed = -1 << (root + 1)
+    pinned = roots is not None
+    for root in roots if pinned else range(n):
+        allowed = -1 if pinned else -1 << (root + 1)
         root_edges = edge_masks[root]
         if edge_budget is not None and root_edges.bit_count() > edge_budget:
             continue
@@ -138,7 +155,38 @@ def _mask_to_members(mask: int) -> tuple[int, ...]:
 
 
 def dependency_graph_for(n: int, r: int) -> DependencyGraph:
-    """Convenience: dependency graph of the full copy list for (n, r)."""
+    """Dependency graph of the full copy list for (n, r), with its orbits.
+
+    The symmetric group on [n] maps copies to copies and keeps adjacency
+    and hyperedge masks intact, and it is transitive on the copies of each
+    overlap size |e1 & e2|, so those are the orbits.  The representative of
+    an orbit is its first copy in the canonical order.
+    """
     from .hypergraph import enumerate_forbidden_copies
 
-    return DependencyGraph(enumerate_forbidden_copies(n, r))
+    d = DependencyGraph(enumerate_forbidden_copies(n, r))
+    reps: dict[int, int] = {}
+    sizes: dict[int, int] = {}
+    for i, c in enumerate(d.copies):
+        reps.setdefault(c.t, i)
+        sizes[c.t] = sizes.get(c.t, 0) + 1
+    d.orbits = tuple((reps[t], sizes[t]) for t in sorted(reps))
+    return d
+
+
+def _root_groups(d: DependencyGraph) -> list[tuple[tuple[int, ...] | None, int]]:
+    """(roots, weight) pairs whose walks together cover every polymer of `d`.
+
+    Without orbits: one all-roots walk, each polymer listed once with
+    weight 1.  With orbits: one pinned walk per orbit representative,
+    weighted by the orbit size.  Either way a walked set of size k stands
+    for weight / `_walk_scale(d, k)` polymers.
+    """
+    if d.orbits is None:
+        return [(None, 1)]
+    return [((rep,), size) for rep, size in d.orbits]
+
+
+def _walk_scale(d: DependencyGraph, size: int) -> int:
+    """Walked weight that one polymer of the given size accounts for."""
+    return 1 if d.orbits is None else size

@@ -20,7 +20,3 @@ class CapExceededError(LinhypError):
         super().__init__(message)
         self.context = dict(context)
 
-
-class FactorisationPreconditionError(ValidationError):
-    """The polymer family handed to the factorisation check is not pairwise
-    separated in the dependency graph (distance <= 1 somewhere)."""

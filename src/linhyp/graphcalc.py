@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .combinat import set_partitions
 from .errors import ValidationError
@@ -68,29 +68,6 @@ class SimpleGraph:
             if new == reach:
                 return reach == full
             reach = new
-
-
-def canonical_key(v: int, edges: frozenset[tuple[int, int]]) -> tuple:
-    """Lexicographically-least relabelling of the edge set; exact for v <= 8.
-
-    Used by tests to group labelled graphs into isomorphism classes and to
-    check that the polynomial routines are label-invariant.
-    """
-    if v > 8:
-        raise ValidationError("canonical labelling by permutations is capped at 8 vertices")
-    if not edges:
-        return (v, ())
-    best = None
-    for perm in permutations(range(1, v + 1)):
-        relabeled = tuple(
-            sorted(
-                (min(perm[a - 1], perm[b - 1]), max(perm[a - 1], perm[b - 1]))
-                for a, b in edges
-            )
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    return (v, best)
 
 
 # The memo table is keyed on the labelled minor (v, edge set).  The labelled

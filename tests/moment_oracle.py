@@ -1,9 +1,11 @@
 """Exact joint moments and joint cumulants of forbidden-copy indicators.
 
-Each hyperedge of the host is present independently with probability p, so
-the joint moment of a set of copy indicators is p raised to the number of
-distinct hyperedges those copies use.  Joint cumulants follow from the
-partition-lattice alternating sum over moments.
+A test oracle: the package's engines inline their moments, and these
+per-copy-set forms check them independently.  Each hyperedge of the host
+is present independently with probability p, so the joint moment of a set
+of copy indicators is p raised to the number of distinct hyperedges those
+copies use.  Joint cumulants follow from the partition-lattice
+alternating sum over moments.
 """
 
 from __future__ import annotations
@@ -11,10 +13,15 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .combinat import set_partitions
-from .errors import FactorisationPreconditionError, ValidationError
-from .hypergraph import ForbiddenCopy
-from .polynomial import Polynomial
+from linhyp.combinat import set_partitions
+from linhyp.errors import ValidationError
+from linhyp.hypergraph import ForbiddenCopy
+from linhyp.polynomial import Polynomial
+
+class FactorisationPreconditionError(ValidationError):
+    """The polymer family handed to the factorisation check is not pairwise
+    separated in the dependency graph (distance <= 1 somewhere)."""
+
 
 #: Cumulants enumerate all set partitions, which grows like the Bell numbers.
 CUMULANT_SIZE_CAP = 10

@@ -142,6 +142,54 @@ class TestPolymers:
         with pytest.raises(CapExceededError):
             list(polymers_up_to(d, 3, cap=10))
 
+    @pytest.mark.parametrize(
+        "graph", ["host-5-3", "host-6-3", "host-6-4", "irregular-6-3"]
+    )
+    def test_pinned_walk_lists_each_set_through_its_root_once(self, graph):
+        # the pinned mode, against the visited-set frontier growth, for
+        # every root; the irregular graph keeps every third n = 6 copy
+        kind, n, r = graph.split("-")
+        copies = enumerate_forbidden_copies(int(n), int(r))
+        d = DependencyGraph(copies[::3] if kind == "irregular" else copies)
+        ref = connected_sets_reference(d.adj_masks, 3)
+        for root in range(len(d)):
+            walked = [
+                (m, s) for m, s, _ in _connected_set_masks(d.adj_masks, 3, roots=[root])
+            ]
+            assert len(walked) == len(set(walked))
+            assert set(walked) == {(m, s) for m, s in ref if m >> root & 1}
+
+    def test_pinned_walk_prunes_on_the_edge_budget(self):
+        d = dependency_graph_for(6, 3)
+        em = d.copy_edge_masks
+        ref = connected_sets_reference(d.adj_masks, 3)
+        for root in (0, 17, 89):
+            walked = {
+                (m, s, u)
+                for m, s, u in _connected_set_masks(
+                    d.adj_masks, 3, edge_masks=em, edge_budget=4, roots=[root]
+                )
+            }
+            expect = set()
+            for m, s in ref:
+                union = 0
+                for i in _mask_to_members(m):
+                    union |= em[i]
+                if m >> root & 1 and union.bit_count() <= 4:
+                    expect.add((m, s, union))
+            assert walked == expect
+
+    def test_orbits_only_on_the_complete_host(self):
+        # one orbit per overlap size, representative first in the copy order
+        for n, r in ((5, 3), (7, 4), (8, 5)):
+            d = dependency_graph_for(n, r)
+            assert [d.copies[rep].t for rep, _size in d.orbits] == list(range(2, r))
+            for rep, size in d.orbits:
+                same = [i for i, c in enumerate(d.copies) if c.t == d.copies[rep].t]
+                assert (rep, size) == (same[0], len(same))
+            assert DependencyGraph(d.copies).orbits is None
+        assert dependency_graph_for(3, 3).orbits == ()
+
     def test_bad_k(self):
         d = dependency_graph_for(4, 3)
         with pytest.raises(ValidationError):

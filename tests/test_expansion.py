@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from linhyp.combinat import set_partitions
-from linhyp.dependency import dependency_graph_for
+from linhyp.dependency import DependencyGraph, dependency_graph_for
 from linhyp import expansion
 from linhyp.errors import CapExceededError, LinhypError, ValidationError
 from linhyp.expansion import (
@@ -32,9 +32,10 @@ from linhyp.expansion import (
     truncated_expansion,
 )
 from linhyp.graphcalc import SimpleGraph, ursell
-from linhyp.moments import joint_moment
+from linhyp.hypergraph import enumerate_forbidden_copies
 from linhyp.oracle import exact_linearity_polynomial
 from linhyp.polynomial import Polynomial, SeriesTerm, evaluate_series, falling_factorial
+from moment_oracle import joint_moment
 
 
 def brute_force_term(d, order):
@@ -165,6 +166,57 @@ class TestMomentSum:
             if d.is_connected(members):
                 expect = expect + joint_moment(members, d.copies)
         assert moment_sum(d, 3) == expect
+
+
+def all_roots_graph(n, r):
+    """The complete host's graph without its orbits: walked from every root."""
+    return DependencyGraph(enumerate_forbidden_copies(n, r))
+
+
+#: (n, r, highest order): (3, 3) has no copies, r = 4 has two copy orbits
+#: and r = 5 three.  The all-roots side bounds the order: at (7, 4) order 4
+#: and (8, 5) order 3 it takes minutes.
+ORBIT_CASES = [(3, 3, 4), (5, 3, 4), (6, 3, 4), (7, 3, 4), (6, 4, 4), (7, 4, 3), (8, 5, 2)]
+
+
+class TestOrbitWalk:
+    """One root per copy orbit against the all-roots walk, on equal inputs."""
+
+    @pytest.mark.parametrize("n, r, top", ORBIT_CASES)
+    def test_expansion_term(self, n, r, top):
+        orbit, every = dependency_graph_for(n, r), all_roots_graph(n, r)
+        assert every.orbits is None
+        for order in range(1, top + 1):
+            assert expansion_term(orbit, order) == expansion_term(every, order)
+
+    def test_expansion_term_order5_n6(self):
+        got = expansion_term(dependency_graph_for(6, 3), 5)
+        assert got == expansion_term(all_roots_graph(6, 3), 5)
+
+    @pytest.mark.parametrize("n, r, top", ORBIT_CASES)
+    def test_moment_sum(self, n, r, top):
+        orbit, every = dependency_graph_for(n, r), all_roots_graph(n, r)
+        for size in range(1, top + 1):
+            assert moment_sum(orbit, size) == moment_sum(every, size)
+
+    @pytest.mark.parametrize(
+        "n, r, b",
+        [(n, r, b) for n, r, _top in ORBIT_CASES[:5] for b in (3, 4)] + [(7, 4, 3)],
+    )
+    def test_per_n_power_sums(self, monkeypatch, n, r, b):
+        orbit = per_n_power_sums(n, b, r)
+        monkeypatch.setattr(expansion, "dependency_graph_for", all_roots_graph)
+        assert orbit == per_n_power_sums(n, b, r)
+
+    def test_cap_counts_polymers_across_orbits(self):
+        # two orbits at (7, 4); the polymer count comes from the all-roots walk
+        d = dependency_graph_for(7, 4)
+        count = int(sum(moment_sum(all_roots_graph(7, 4), 3).coeffs.values()))
+        for engine, key in ((expansion_term, "order"), (moment_sum, "size")):
+            with pytest.raises(CapExceededError) as err:
+                engine(d, 3, cap=count - 1)
+            assert err.value.context == {"cap": count - 1, key: 3}
+            assert engine(d, 3, cap=count) == engine(d, 3)
 
 
 class TestSymbolicSeries:

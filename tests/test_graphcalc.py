@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -10,7 +10,6 @@ from linhyp.errors import ValidationError
 from linhyp.graphcalc import (
     SimpleGraph,
     all_graphs,
-    canonical_key,
     chromatic_polynomial,
     chromatic_via_partitions,
     chromatic_via_whitney,
@@ -21,6 +20,14 @@ from linhyp.graphcalc import (
     ursell_direct,
 )
 from linhyp.polynomial import Polynomial
+
+
+def canonical_key(v, edges):
+    """Lexicographically-least relabelling of the edge set of a graph on [v]."""
+    return min(
+        tuple(sorted(tuple(sorted((perm[a - 1], perm[b - 1]))) for a, b in edges))
+        for perm in permutations(range(1, v + 1))
+    )
 
 
 def poly(d):

@@ -6,10 +6,15 @@ import pytest
 
 from linhyp.combinat import set_partitions
 from linhyp.dependency import _connected_set_masks, _mask_to_members, dependency_graph_for
-from linhyp.errors import FactorisationPreconditionError, ValidationError
+from linhyp.errors import ValidationError
 from linhyp.hypergraph import ForbiddenCopy, enumerate_forbidden_copies
-from linhyp.moments import factorisation_check, joint_cumulant, joint_moment
 from linhyp.polynomial import Polynomial
+from moment_oracle import (
+    FactorisationPreconditionError,
+    factorisation_check,
+    joint_cumulant,
+    joint_moment,
+)
 
 
 def copy(a, b):
