@@ -13,7 +13,6 @@ from .hypergraph import (
     enumerate_forbidden_copies,
     family_densities,
     is_linear,
-    parse_hypergraph,
 )
 from .dependency import DependencyGraph, dependency_graph_for
 from .errors import CapExceededError, LinhypError, ValidationError
@@ -57,7 +56,6 @@ __all__ = [
     "log_linearity_r3",
     "moment_sum",
     "monte_carlo",
-    "parse_hypergraph",
     "symbolic_series",
     "truncated_expansion",
     "ursell",

@@ -210,7 +210,7 @@ def _cmd_expand(args) -> int:
             "cap_context": exc.context,
         }
         _emit(payload, args, started)
-        return EXIT_CAP
+        return _emit_error("cap_exceeded", str(exc), EXIT_CAP, exc.context)
     total = sum(terms.values(), Polynomial.zero())
     payload = {
         "orders": {str(i): poly.to_json() for i, poly in terms.items()},

@@ -2,9 +2,10 @@
 
 The exact oracle walks every edge subset of the complete host with an
 incremental pair-conflict mask; feasible up to 2^24 states.  The Monte
-Carlo estimator runs its trials serially, each on its own substream of the
-philox4x64 counter-based generator (key = seed, counter = trial << 64), so
-a report is reproducible bit for bit from the seed and the parameters.
+Carlo estimator runs its trials serially in blocks of BLOCK trials.  Block
+b owns one substream of the philox4x64 counter-based generator (key =
+seed, counter = b << 64) and checks its trials with vectorised sorts, so a
+report is reproducible bit for bit from the seed and the parameters.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -22,7 +23,11 @@ from .polynomial import Polynomial
 #: 2^24 subset states is the documented ceiling for the exact scan.
 EXACT_STATE_CAP_BITS = 24
 
-RNG_NAME = "philox4x64"
+#: Monte Carlo trials per block; each block owns one Philox substream.
+#: 512 keeps the peak RSS of an n = 50 run below the per-trial layout's.
+BLOCK = 512
+
+RNG_NAME = f"philox4x64-block{BLOCK}"
 
 
 def exact_linearity_polynomial(n: int, r: int) -> Polynomial:
@@ -106,30 +111,46 @@ class McReport:
         }
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=trial << 64))
+def _pair_table(n: int, r: int, dtype) -> np.ndarray:
+    """Pair ids a*n + b (a < b) of each host edge, one row per edge in
+    lexicographic order, shape (C(n,r), C(r,2))."""
+    ne = math.comb(n, r)
+    flat = chain.from_iterable(combinations(range(n), r))
+    verts = np.fromiter(flat, dtype=dtype, count=ne * r).reshape(ne, r)
+    return np.stack([verts[:, a] * n + verts[:, b] for a, b in combinations(range(r), 2)], axis=1)
 
 
-def _run_trials(pair_ids: np.ndarray, ne: int, p: float, seed: int, trials: int) -> int:
-    """Count linear samples among trials 0 .. trials-1.
+def _repeated_owners(keys: np.ndarray, stride: int, owners: int) -> np.ndarray:
+    """Mask of the owners whose keys (owner*stride + value) repeat a value."""
+    keys = np.sort(keys, axis=None)
+    bad = np.zeros(owners, dtype=bool)
+    bad[keys[1:][keys[1:] == keys[:-1]] // stride] = True
+    return bad
 
-    Per trial: draw the binomial edge count, then that many distinct edges
-    without replacement (sparse-regime sampling).  A sample is linear iff
-    no vertex pair is covered by two chosen edges, i.e. the pair ids of
-    the chosen edges are all distinct.
-    """
+
+def _run_trials(pair_ids: np.ndarray, n: int, p: float, seed: int, trials: int) -> int:
+    """Count linear samples among trials 0 .. trials-1, block by block
+    (see monte_carlo)."""
+    ne, width = pair_ids.shape
+    m_max = math.comb(n, 2) // width  # more edges cannot be linear (pigeonhole)
+    dtype = pair_ids.dtype
     hits = 0
-    width = pair_ids.shape[1]
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        m = rng.binomial(ne, p)
-        if m <= 1:
-            hits += 1
+    for block in range(-(-trials // BLOCK)):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=block << 64))
+        m = rng.binomial(ne, p, size=min(BLOCK, trials - block * BLOCK))
+        hits += int(np.count_nonzero(m <= 1))
+        drawn = m[(m > 1) & (m <= m_max)]
+        if drawn.size == 0:
             continue
-        idx = rng.choice(ne, size=m, replace=False, shuffle=False)
-        ids = pair_ids[idx].ravel()
-        if np.unique(ids).size == m * width:
-            hits += 1
+        idx = rng.integers(0, ne, size=int(drawn.sum())).astype(dtype, copy=False)
+        owner = np.repeat(np.arange(drawn.size, dtype=dtype), drawn)
+        repeated = _repeated_owners(owner * ne + idx, ne, drawn.size)
+        conflict = _repeated_owners(owner[:, None] * (n * n) + pair_ids[idx], n * n, drawn.size)
+        hits += int(np.count_nonzero(~repeated & ~conflict))
+        for k in drawn[repeated]:
+            ids = pair_ids.take(rng.choice(ne, size=k, replace=False, shuffle=False), axis=0)
+            if len(set(ids.ravel().tolist())) == ids.size:
+                hits += 1
     return hits
 
 
@@ -138,10 +159,30 @@ def monte_carlo(
 ) -> McReport:
     """Seeded Monte Carlo estimate of the linearity probability.
 
-    Identical (seed, parameters) give an identical report, because every
-    trial owns its own counter-based substream.  `workers` has no effect:
-    the trials run serially, and it is accepted so that existing callers
-    keep working.
+    A trial draws m ~ Bin(N, p), N = C(n, r), and then a uniform m-subset
+    of the host edges; it is a hit when the subset is linear, i.e. no
+    vertex pair lies in two of its edges.  Trials run in blocks of BLOCK,
+    block b on the substream Philox(key=seed, counter=b << 64).  A block
+    draws its m values, then the edge indices of all its trials with
+    replacement in one call, and settles them with two sorted-key checks:
+    a repeated edge within a trial, and a repeated vertex pair (pair id
+    a*n + b) within a trial, which is a linearity violation.
+
+    * Trials with m <= 1 are hits.  A linear m-edge set covers m * C(r,2)
+      distinct vertex pairs, so by pigeonhole a trial with
+      m > C(n,2) // C(r,2) is a miss; it draws no edges, and a block's
+      key array holds at most BLOCK * C(n,2) entries at any p.
+    * A trial that drew some edge twice is redrawn with
+      `choice(N, m, replace=False)` from the block's generator, after the
+      vectorised pass, in trial order.  The sampler stays exact: given
+      that the m draws with replacement are distinct, their set is a
+      uniform m-subset (every ordered draw of m distinct edges has the
+      same probability), and the redraw is a uniform m-subset as well, so
+      the mixture of the two cases is one too.
+
+    Identical (seed, parameters) give an identical report.  `workers` has
+    no effect: the blocks run serially and their layout does not depend
+    on it; it is accepted so that existing callers keep working.
     """
     if r < 3:
         raise ValidationError(f"uniformity must be >= 3, got {r}")
@@ -154,20 +195,10 @@ def monte_carlo(
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValidationError(f"p must be in (0,1), got {p}")
-    edges = list(combinations(range(n), r))
-    ne = len(edges)
-    # pair ids: each edge covers C(r,2) vertex pairs; duplicates across
-    # chosen edges are exactly the linearity violations
-    pair_index = {}
-    rows = []
-    for e in edges:
-        row = []
-        for a, b in combinations(e, 2):
-            key = a * n + b
-            row.append(pair_index.setdefault(key, len(pair_index)))
-        rows.append(row)
-    pair_ids = np.array(rows, dtype=np.int32)
-    hits = _run_trials(pair_ids, ne, float(p), seed, trials)
+    ne = math.comb(n, r)
+    # block keys are below BLOCK * ne (edges) and BLOCK * n^2 (pairs)
+    dtype = np.int32 if BLOCK * max(ne, n * n) < 2**31 else np.int64
+    hits = _run_trials(_pair_table(n, r, dtype), n, float(p), seed, trials)
     estimate = hits / trials
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
     return McReport(

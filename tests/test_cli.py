@@ -63,7 +63,7 @@ class TestSubcommands:
         )
         assert code == 0
         rep = data["report"]
-        assert rep["trials"] == 2000 and rep["rng_name"] == "philox4x64"
+        assert rep["trials"] == 2000 and rep["rng_name"] == "philox4x64-block512"
 
     def test_asymptotic(self, tmp_path):
         code, data = run(tmp_path, "asymptotic", "50", "3", "--p", "0.002")
@@ -222,6 +222,8 @@ class TestErrors:
             "cap": 6000, "completed_orders": [1, 2], "partial_order": 3
         }
         assert sorted(data["orders"]) == ["1", "2"]
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "cap_exceeded" and error["context"] == data["cap_context"]
 
     @pytest.mark.parametrize(
         "argv",

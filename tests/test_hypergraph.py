@@ -11,10 +11,10 @@ from linhyp.hypergraph import (
     Hypergraph,
     enumerate_forbidden_copies,
     family_densities,
-    format_hypergraph,
     is_linear,
-    parse_hypergraph,
 )
+
+from hypergraph_text import format_hypergraph, parse_hypergraph
 
 
 def falling(n, t):

@@ -4,11 +4,18 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from linhyp.errors import CapExceededError, ValidationError
 from linhyp.hypergraph import Hypergraph, is_linear
-from linhyp.oracle import exact_linearity_polynomial, monte_carlo
+from linhyp.oracle import (
+    BLOCK,
+    _pair_table,
+    _run_trials,
+    exact_linearity_polynomial,
+    monte_carlo,
+)
 from linhyp.polynomial import Polynomial
 
 
@@ -99,10 +106,51 @@ class TestMonteCarlo:
         rep = monte_carlo(5, 3, Fraction(1, 10), trials=1_000_000, seed=11)
         assert abs(rep.estimate - exact) <= 5 * rep.std_error
 
+    def test_agrees_with_exact_n5_dense(self):
+        """p = 1/2 at n = 5: m ~ Bin(10, 1/2) and the pigeonhole bound is 3,
+        so 83% of trials are skipped as misses, and among the m = 2 and
+        m = 3 trials that draw edges, 10% and 28% take the redraw path."""
+        exact = float(exact_linearity_polynomial(5, 3)(Fraction(1, 2)))
+        rep = monte_carlo(5, 3, Fraction(1, 2), trials=1_000_000, seed=5)
+        assert abs(rep.estimate - exact) <= 5 * rep.std_error
+
+    def test_agrees_with_exact_n6_pigeonhole(self):
+        """p = 3/10 at n = 6: the pigeonhole bound is 5 and the mean m is 6,
+        so 58% of trials are misses that draw no edges; an m = 5 trial takes
+        the redraw path with probability 0.42."""
+        exact = float(exact_linearity_polynomial(6, 3)(Fraction(3, 10)))
+        rep = monte_carlo(6, 3, Fraction(3, 10), trials=1_000_000, seed=6)
+        assert abs(rep.estimate - exact) <= 5 * rep.std_error
+
+    @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_block_boundaries(self, trials):
+        base = monte_carlo(6, 3, Fraction(3, 10), trials=trials, seed=21)
+        assert monte_carlo(6, 3, Fraction(3, 10), trials=trials, seed=21) == base
+        assert monte_carlo(6, 3, Fraction(3, 10), trials=trials, seed=21, workers=4) == base
+        assert base.trials == trials
+        assert 0 <= base.hits <= trials
+
+    def test_key_dtype_does_not_change_hits(self):
+        """Hosts with BLOCK * max(C(n,r), n^2) >= 2^31 sort int64 keys; the
+        stream and the hits are the same as with int32 keys."""
+        trials = BLOCK + 7
+        hits = {
+            dtype: _run_trials(_pair_table(6, 3, dtype), 6, 0.3, seed=4, trials=trials)
+            for dtype in (np.int32, np.int64)
+        }
+        assert hits[np.int32] == hits[np.int64]
+        assert hits[np.int32] == monte_carlo(6, 3, Fraction(3, 10), trials=trials, seed=4).hits
+
+    def test_pair_table_matches_edge_pairs(self):
+        n, r = 7, 4
+        table = _pair_table(n, r, np.int32)
+        expect = [[a * n + b for a, b in combinations(e, 2)] for e in combinations(range(n), r)]
+        assert table.tolist() == expect
+
     def test_report_fields(self):
         rep = monte_carlo(4, 3, Fraction(1, 4), trials=100, seed=3)
         data = rep.to_json()
-        assert data["rng_name"] == "philox4x64"
+        assert data["rng_name"] == "philox4x64-block512"
         assert data["seed"] == 3
         assert data["p_num"] == 1 and data["p_den"] == 4
         assert 0 <= data["hits"] <= data["trials"]
