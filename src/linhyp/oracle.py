@@ -111,12 +111,12 @@ class McReport:
         }
 
 
-def _pair_table(n: int, r: int, dtype) -> np.ndarray:
+def _pair_table(n: int, r: int) -> np.ndarray:
     """Pair ids a*n + b (a < b) of each host edge, one row per edge in
     lexicographic order, shape (C(n,r), C(r,2))."""
     ne = math.comb(n, r)
     flat = chain.from_iterable(combinations(range(n), r))
-    verts = np.fromiter(flat, dtype=dtype, count=ne * r).reshape(ne, r)
+    verts = np.fromiter(flat, dtype=np.int64, count=ne * r).reshape(ne, r)
     return np.stack([verts[:, a] * n + verts[:, b] for a, b in combinations(range(r), 2)], axis=1)
 
 
@@ -128,12 +128,20 @@ def _repeated_owners(keys: np.ndarray, stride: int, owners: int) -> np.ndarray:
     return bad
 
 
+def _nonlinear(pair_ids: np.ndarray, n: int, idx: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mask of the non-linear trials, i.e. those in which some vertex pair
+    repeats, among trials whose edges idx are laid out trial by trial,
+    sizes[t] edges for trial t."""
+    owner = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    keys = owner[:, None] * (n * n) + pair_ids[idx]
+    return _repeated_owners(keys, n * n, sizes.size)
+
+
 def _run_trials(pair_ids: np.ndarray, n: int, p: float, seed: int, trials: int) -> int:
     """Count linear samples among trials 0 .. trials-1, block by block
     (see monte_carlo)."""
     ne, width = pair_ids.shape
     m_max = math.comb(n, 2) // width  # more edges cannot be linear (pigeonhole)
-    dtype = pair_ids.dtype
     hits = 0
     for block in range(-(-trials // BLOCK)):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=block << 64))
@@ -142,15 +150,17 @@ def _run_trials(pair_ids: np.ndarray, n: int, p: float, seed: int, trials: int) 
         drawn = m[(m > 1) & (m <= m_max)]
         if drawn.size == 0:
             continue
-        idx = rng.integers(0, ne, size=int(drawn.sum())).astype(dtype, copy=False)
-        owner = np.repeat(np.arange(drawn.size, dtype=dtype), drawn)
+        idx = rng.integers(0, ne, size=int(drawn.sum()))
+        owner = np.repeat(np.arange(drawn.size, dtype=np.int64), drawn)
         repeated = _repeated_owners(owner * ne + idx, ne, drawn.size)
-        conflict = _repeated_owners(owner[:, None] * (n * n) + pair_ids[idx], n * n, drawn.size)
+        conflict = _nonlinear(pair_ids, n, idx, drawn)
         hits += int(np.count_nonzero(~repeated & ~conflict))
-        for k in drawn[repeated]:
-            ids = pair_ids.take(rng.choice(ne, size=k, replace=False, shuffle=False), axis=0)
-            if len(set(ids.ravel().tolist())) == ids.size:
-                hits += 1
+        redraw = drawn[repeated]
+        if redraw.size:
+            idx = np.concatenate(
+                [rng.choice(ne, size=k, replace=False, shuffle=False) for k in redraw]
+            )
+            hits += int(np.count_nonzero(~_nonlinear(pair_ids, n, idx, redraw)))
     return hits
 
 
@@ -195,10 +205,7 @@ def monte_carlo(
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValidationError(f"p must be in (0,1), got {p}")
-    ne = math.comb(n, r)
-    # block keys are below BLOCK * ne (edges) and BLOCK * n^2 (pairs)
-    dtype = np.int32 if BLOCK * max(ne, n * n) < 2**31 else np.int64
-    hits = _run_trials(_pair_table(n, r, dtype), n, float(p), seed, trials)
+    hits = _run_trials(_pair_table(n, r), n, float(p), seed, trials)
     estimate = hits / trials
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
     return McReport(

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from linhyp.errors import CapExceededError, ValidationError
@@ -12,7 +11,6 @@ from linhyp.hypergraph import Hypergraph, is_linear
 from linhyp.oracle import (
     BLOCK,
     _pair_table,
-    _run_trials,
     exact_linearity_polynomial,
     monte_carlo,
 )
@@ -130,20 +128,9 @@ class TestMonteCarlo:
         assert base.trials == trials
         assert 0 <= base.hits <= trials
 
-    def test_key_dtype_does_not_change_hits(self):
-        """Hosts with BLOCK * max(C(n,r), n^2) >= 2^31 sort int64 keys; the
-        stream and the hits are the same as with int32 keys."""
-        trials = BLOCK + 7
-        hits = {
-            dtype: _run_trials(_pair_table(6, 3, dtype), 6, 0.3, seed=4, trials=trials)
-            for dtype in (np.int32, np.int64)
-        }
-        assert hits[np.int32] == hits[np.int64]
-        assert hits[np.int32] == monte_carlo(6, 3, Fraction(3, 10), trials=trials, seed=4).hits
-
     def test_pair_table_matches_edge_pairs(self):
         n, r = 7, 4
-        table = _pair_table(n, r, np.int32)
+        table = _pair_table(n, r)
         expect = [[a * n + b for a, b in combinations(e, 2)] for e in combinations(range(n), r)]
         assert table.tolist() == expect
 
