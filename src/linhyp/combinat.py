@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -38,3 +39,18 @@ def set_partitions(items: Sequence[T]) -> Iterator[list[tuple[T, ...]]]:
         for j in range(i + 1, n):
             rgs[j] = 0
             maxes[j] = maxes[i]
+
+
+@cache
+def set_partition_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """The set partitions of range(n) in `set_partitions` order, each as a
+    tuple of block bitmasks (bit i set when item i is in the block).
+
+    Built once per n and kept: a bitmask table lets a caller score every
+    partition of many equal-sized sets by table lookups instead of
+    regenerating the partitions for each set.
+    """
+    return tuple(
+        tuple(sum(1 << i for i in block) for block in part)
+        for part in set_partitions(range(n))
+    )

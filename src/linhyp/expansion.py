@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import set_partitions
+from .combinat import set_partition_masks, set_partitions
 from .dependency import (
     DependencyGraph,
     _connected_set_masks,
@@ -302,13 +302,32 @@ def moment_sum(d: DependencyGraph, size: int, cap: int | None = None) -> Polynom
 def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomial:
     """Alternating sum of joint cumulants over polymers of size <= k.
 
-    The independent check on the cluster engines: per polymer, over all set
-    partitions, on the all-roots walk even when the graph records orbits.
+    The independent check on the cluster engines.  Every polymer is listed
+    by the all-roots walk, even when the graph records orbits, and each
+    one's cumulant
+
+        kappa(C) = sum over all set partitions P of C of
+                   (-1)^(m-1) (m-1)! prod_{B in P} p^|union of B's hyperedges|
+
+    is summed over every set partition of its members, with no
+    connectivity or closeness pruning and no grouping of polymers by shape
+    or orbit; those are what the cluster engines do, and what this checks.
+
+    The set partitions of range(s) are tabled once per size s as tuples of
+    block bitmasks (`set_partition_masks`), and each gets its integer
+    coefficient (-1)^s (-1)^(m-1) (m-1)! once per call.  Per polymer, a table
+    over the 2^s member subsets holds the popcount of each subset's
+    hyperedge union, so a partition's p-power is the sum of its blocks'
+    entries.  Coefficients are tallied as integers and turned into
+    Fractions once, at the end.  The cap counts polymers.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    acc: dict[int, Fraction] = {}
     edge_masks = d.copy_edge_masks
+    # built for a size only when a polymer of that size turns up: a row has
+    # Bell(size) entries, and k may exceed the largest polymer by far
+    signed: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    acc: dict[int, int] = {}
     count = 0
     for mask, size, _emask in _connected_set_masks(d.adj_masks, k):
         count += 1
@@ -316,20 +335,24 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
             raise CapExceededError(
                 f"polymer enumeration exceeded cap {cap}", cap=cap, max_size=k
             )
-        members = _mask_to_members(mask)
-        outer_sign = -1 if size & 1 else 1
-        # kappa(C) = sum over all partitions of (-1)^(m-1) (m-1)! prod mu(P)
-        for part in set_partitions(members):
-            nblocks = len(part)
-            coeff = (-1) ** (nblocks - 1) * math.factorial(nblocks - 1)
+        rows = signed.get(size)
+        if rows is None:
+            sign = -1 if size & 1 else 1
+            rows = signed[size] = [
+                (blocks, sign * (-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1))
+                for blocks in set_partition_masks(size)
+            ]
+        # unions[S] = union of the hyperedge masks of the members in subset S
+        unions = [0]
+        for i in _mask_to_members(mask):
+            em = edge_masks[i]
+            unions += [u | em for u in unions]
+        pops = [u.bit_count() for u in unions]
+        for blocks, coeff in rows:
             power = 0
-            for block in part:
-                bm = 0
-                for i in block:
-                    bm |= edge_masks[i]
-                power += bm.bit_count()
-            val = acc.get(power)
-            acc[power] = (val if val is not None else Fraction(0)) + outer_sign * coeff
+            for b in blocks:
+                power += pops[b]
+            acc[power] = acc.get(power, 0) + coeff
     return Polynomial(acc)
 
 

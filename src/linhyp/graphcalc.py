@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
-from .combinat import set_partitions
+from .combinat import set_partition_masks
 from .errors import ValidationError
-from .polynomial import Polynomial
+from .polynomial import Polynomial, falling_factorial_poly
 
 
 @dataclass(frozen=True)
@@ -167,31 +168,45 @@ def chromatic_via_whitney(g: SimpleGraph) -> Polynomial:
     return Polynomial(out)
 
 
+@cache
+def _falling_coeffs(k: int) -> tuple[tuple[int, int], ...]:
+    """(exponent, coefficient) of each monomial of [lambda]_k."""
+    return tuple((e, int(c)) for e, c in falling_factorial_poly(k).coeffs.items())
+
+
+def _independent_partition_counts(g: SimpleGraph) -> dict[int, int]:
+    """{m: number of partitions of the vertices into m independent sets}.
+
+    The set partitions of the vertices are tabled once per v as tuples of
+    block bitmasks (`set_partition_masks`, bit u - 1 for vertex u).  Per
+    graph, a table over the 2^v vertex masks says which sets are
+    independent, and a partition counts when all of its blocks are.
+    """
+    masks = g.adjacency_masks()
+    # independent[S] iff no edge joins two vertices of S, over the low bit of S
+    independent = [True] * (1 << g.v)
+    for s in range(1, 1 << g.v):
+        low = s & -s
+        independent[s] = independent[s ^ low] and not masks[low.bit_length() - 1] & s
+    counts: dict[int, int] = {}
+    for blocks in set_partition_masks(g.v):
+        for b in blocks:
+            if not independent[b]:
+                break
+        else:
+            counts[len(blocks)] = counts.get(len(blocks), 0) + 1
+    return counts
+
+
 def chromatic_via_partitions(g: SimpleGraph) -> Polynomial:
     """Factorial form: sum over k of (independent k-partitions) * [lambda]_k."""
     if g.v > 10:
         raise ValidationError(f"vertex budget exceeded: {g.v} > 10")
-    masks = g.adjacency_masks()
-
-    def independent(block: tuple[int, ...]) -> bool:
-        bm = 0
-        for u in block:
-            bm |= 1 << (u - 1)
-        return all(not (masks[u - 1] & bm) for u in block)
-
-    alpha: dict[int, int] = {}
-    for part in set_partitions(tuple(range(1, g.v + 1))):
-        if all(independent(b) for b in part):
-            alpha[len(part)] = alpha.get(len(part), 0) + 1
-    out = Polynomial.zero()
-    falling = Polynomial.one()
-    prev_k = 0
-    for k in sorted(alpha):
-        for i in range(prev_k, k):
-            falling = falling * Polynomial({1: 1, 0: -i})
-        prev_k = k
-        out = out + falling * alpha[k]
-    return out
+    out: dict[int, int] = {}
+    for k, count in _independent_partition_counts(g).items():
+        for e, c in _falling_coeffs(k):
+            out[e] = out.get(e, 0) + count * c
+    return Polynomial(out)
 
 
 def ursell(g: SimpleGraph) -> Fraction:
@@ -282,18 +297,10 @@ def independent_partition_identity(g: SimpleGraph) -> bool:
         raise ValidationError("identity check capped at 7 vertices")
     if not g.is_connected():
         raise ValidationError("identity is stated for connected graphs")
-    masks = g.adjacency_masks()
-
-    def independent(block: tuple[int, ...]) -> bool:
-        bm = 0
-        for u in block:
-            bm |= 1 << (u - 1)
-        return all(not (masks[u - 1] & bm) for u in block)
-
-    lhs = Fraction(0)
-    for part in set_partitions(tuple(range(1, g.v + 1))):
-        if all(independent(b) for b in part):
-            lhs += complete_graph_ursell(len(part))
+    lhs = sum(
+        count * complete_graph_ursell(m)
+        for m, count in _independent_partition_counts(g).items()
+    )
     return lhs == ursell(g)
 
 

@@ -35,7 +35,8 @@ from linhyp.graphcalc import SimpleGraph, ursell
 from linhyp.hypergraph import enumerate_forbidden_copies
 from linhyp.oracle import exact_linearity_polynomial
 from linhyp.polynomial import Polynomial, SeriesTerm, evaluate_series, falling_factorial
-from moment_oracle import joint_moment
+from moment_oracle import joint_cumulant, joint_moment
+from test_dependency import polymers_up_to
 
 
 def brute_force_term(d, order):
@@ -87,12 +88,13 @@ class TestExpansionTerms:
         d = dependency_graph_for(6, 3)
         assert expansion_term(d, 2) == Polynomial({3: 720, 4: -720})
 
-    def test_order4_n6_and_cap_counts_polymers(self):
-        # frozen from cumulant_sum(d6, 4) - cumulant_sum(d6, 3), the
+    def test_order4_n6_and_cap_counts_polymers(self, cumulants_d6):
+        # the order-4 term is cumulant_sum(d6, 4) - cumulant_sum(d6, 3), the
         # independent per-polymer engine over all set partitions; 79380
         # polymers of size 4 share 47 shapes, and the cap counts polymers
         d = dependency_graph_for(6, 3)
         expect = Polynomial({4: 3060, 5: 73800, 6: -290160, 7: 349200, 8: -135900})
+        assert cumulants_d6[4] - cumulants_d6[3] == expect
         with pytest.raises(CapExceededError) as err:
             expansion_term(d, 4, cap=79379)
         assert err.value.context["order"] == 4
@@ -130,6 +132,13 @@ class TestExpansionTerms:
             truncated_expansion(d, 1)
 
 
+@pytest.fixture(scope="module")
+def cumulants_d6():
+    """cumulant_sum(d6, k) for k = 3, 4, computed once for the module."""
+    d = dependency_graph_for(6, 3)
+    return {k: cumulant_sum(d, k) for k in (3, 4)}
+
+
 class TestCumulantClusterIdentity:
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -137,9 +146,65 @@ class TestCumulantClusterIdentity:
         d = dependency_graph_for(n, 3)
         assert truncated_expansion(d, k + 1) == cumulant_sum(d, k)
 
+    def test_identity_n6_k4(self, cumulants_d6):
+        d = dependency_graph_for(6, 3)
+        assert truncated_expansion(d, 5) == cumulants_d6[4]
+
     def test_base_case(self):
         d = dependency_graph_for(5, 3)
         assert cumulant_sum(d, 1) == Polynomial({2: -30})
+
+
+def cumulant_oracle(d, k):
+    """Sum over the polymers of size <= k of (-1)^|C| times the joint
+    cumulant of C, each cumulant from the moment oracle's own partition
+    sum."""
+    total = Polynomial.zero()
+    for polymer in polymers_up_to(d, k):
+        sign = -1 if len(polymer) & 1 else 1
+        total = total + joint_cumulant(polymer.members, d.copies) * sign
+    return total
+
+
+class TestCumulantSum:
+    @pytest.mark.parametrize(
+        "n, k", [(4, k) for k in (1, 2, 3, 4)] + [(5, k) for k in (1, 2, 3)]
+    )
+    def test_matches_joint_cumulant_oracle(self, n, k):
+        d = dependency_graph_for(n, 3)
+        assert cumulant_sum(d, k) == cumulant_oracle(d, k)
+
+    def test_cap_counts_polymers(self):
+        d = dependency_graph_for(5, 3)
+        count = sum(1 for _ in polymers_up_to(d, 3))
+        with pytest.raises(CapExceededError) as err:
+            cumulant_sum(d, 3, cap=count - 1)
+        assert err.value.context == {"cap": count - 1, "max_size": 3}
+        assert cumulant_sum(d, 3, cap=count) == cumulant_sum(d, 3)
+
+    def test_reads_no_orbit_shape_or_ursell_helper(self, monkeypatch):
+        # the cross-check must not share the kernel it checks: with every
+        # orbit, shape and Ursell helper broken it still runs, and it gives
+        # the same sum on the complete host with and without its orbits
+        d = dependency_graph_for(5, 3)
+        orbit_free = DependencyGraph(enumerate_forbidden_copies(5, 3))
+        expect = cumulant_sum(orbit_free, 3)
+
+        def broken(*args, **kwargs):
+            raise AssertionError("cumulant_sum reached a cluster-engine helper")
+
+        for name in (
+            "_shape",
+            "_shape_sums",
+            "_partition_contributions",
+            "_phi_of_blocks",
+            "_root_groups",
+            "_walk_scale",
+            "ursell",
+        ):
+            monkeypatch.setattr(expansion, name, broken)
+        monkeypatch.setattr(DependencyGraph, "orbits", property(broken), raising=False)
+        assert cumulant_sum(d, 3) == expect
 
 
 class TestMomentSum:

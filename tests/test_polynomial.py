@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from linhyp.combinat import set_partitions
+from linhyp.combinat import set_partition_masks, set_partitions
 from linhyp.polynomial import (
     Polynomial,
     SeriesTerm,
@@ -102,3 +102,11 @@ class TestSetPartitions:
             key = frozenset(frozenset(b) for b in part)
             assert key not in seen
             seen.add(key)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_block_masks_follow_set_partitions(self, n):
+        expect = [
+            tuple(sum(1 << i for i in block) for block in part)
+            for part in set_partitions(tuple(range(n)))
+        ]
+        assert list(set_partition_masks(n)) == expect
