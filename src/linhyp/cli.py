@@ -167,10 +167,19 @@ def _emit(payload: dict, args, started: float) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
     out_path = getattr(args, "output", None)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(out_path, text + "\n")
     else:
         print(text)
+
+
+def _write_text(path: str, text: str) -> None:
+    """Writes an output file; a path that cannot be written is a
+    validation error, reported like any other bad argument."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit_error(kind: str, message: str, code: int, context: dict | None = None) -> int:
@@ -195,8 +204,7 @@ def _cmd_expand(args) -> int:
     started = time.monotonic()
     d = dependency_graph_for(args.n, args.r)
     if args.dump_adjacency:
-        with open(args.dump_adjacency, "w") as fh:
-            fh.write(d.dump_adjacency())
+        _write_text(args.dump_adjacency, d.dump_adjacency())
     terms = {}
     try:
         for order, term in expansion_terms(d, args.k, cap=args.cap):
@@ -340,8 +348,7 @@ def _cmd_compare(args) -> int:
         for row in rows:
             cells = ("" if row[key] is None else repr(row[key]) for key in CSV_COLUMNS)
             lines.append(",".join(cells))
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_text(args.csv, "\n".join(lines) + "\n")
     _emit({"rows": rows, "csv": args.csv}, args, started)
     return EXIT_OK
 

@@ -6,6 +6,8 @@ Carlo estimator runs its trials serially in blocks of BLOCK trials.  Block
 b owns one substream of the philox4x64 counter-based generator (key =
 seed, counter = b << 64) and checks its trials with vectorised sorts, so a
 report is reproducible bit for bit from the seed and the parameters.
+numpy loads on the first call of the exact scan or the sampler, not on
+import, so the subcommands that use neither start without it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, ValidationError
 from .polynomial import Polynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: 2^24 subset states is the documented ceiling for the exact scan.
 EXACT_STATE_CAP_BITS = 24
@@ -63,6 +67,8 @@ def exact_linearity_polynomial(n: int, r: int) -> Polynomial:
 
 
 def _linear_subset_counts(edges: list[tuple[int, ...]]) -> np.ndarray:
+    import numpy as np
+
     ne = len(edges)
     sets = [frozenset(e) for e in edges]
     conflict = np.zeros(ne, dtype=np.int64)
@@ -114,6 +120,8 @@ class McReport:
 def _pair_table(n: int, r: int) -> np.ndarray:
     """Pair ids a*n + b (a < b) of each host edge, one row per edge in
     lexicographic order, shape (C(n,r), C(r,2))."""
+    import numpy as np
+
     ne = math.comb(n, r)
     flat = chain.from_iterable(combinations(range(n), r))
     verts = np.fromiter(flat, dtype=np.int64, count=ne * r).reshape(ne, r)
@@ -122,6 +130,8 @@ def _pair_table(n: int, r: int) -> np.ndarray:
 
 def _repeated_owners(keys: np.ndarray, stride: int, owners: int) -> np.ndarray:
     """Mask of the owners whose keys (owner*stride + value) repeat a value."""
+    import numpy as np
+
     keys = np.sort(keys, axis=None)
     bad = np.zeros(owners, dtype=bool)
     bad[keys[1:][keys[1:] == keys[:-1]] // stride] = True
@@ -132,6 +142,8 @@ def _nonlinear(pair_ids: np.ndarray, n: int, idx: np.ndarray, sizes: np.ndarray)
     """Mask of the non-linear trials, i.e. those in which some vertex pair
     repeats, among trials whose edges idx are laid out trial by trial,
     sizes[t] edges for trial t."""
+    import numpy as np
+
     owner = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
     keys = owner[:, None] * (n * n) + pair_ids[idx]
     return _repeated_owners(keys, n * n, sizes.size)
@@ -140,6 +152,8 @@ def _nonlinear(pair_ids: np.ndarray, n: int, idx: np.ndarray, sizes: np.ndarray)
 def _run_trials(pair_ids: np.ndarray, n: int, p: float, seed: int, trials: int) -> int:
     """Count linear samples among trials 0 .. trials-1, block by block
     (see monte_carlo)."""
+    import numpy as np
+
     ne, width = pair_ids.shape
     m_max = math.comb(n, 2) // width  # more edges cannot be linear (pigeonhole)
     hits = 0

@@ -1,6 +1,10 @@
 """Command-line behaviour: outputs, determinism, error objects, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -269,3 +273,83 @@ class TestErrors:
     def test_compare_needs_p_or_sweep(self, tmp_path, capsys):
         assert main(["compare", "5", "3"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "5", "3", "--k", "2"],
+            ["expand", "6", "3", "--k", "4", "--cap", "1", "--allow-partial"],
+        ],
+    )
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_output_is_a_validation_error(self, tmp_path, capsys, argv, where):
+        path = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+        assert main([*argv, "--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "validation" and str(path) in err["message"]
+
+    def test_unwritable_csv_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "sweep.csv"
+        argv = ["compare", "5", "3", "--p", "1/100", "--csv", str(path)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation" and str(path) in err["message"]
+
+    def test_unwritable_dump_adjacency_is_a_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        argv = ["expand", "5", "3", "--k", "2", "--dump-adjacency", str(tmp_path)]
+        assert main([*argv, "--output", str(out)]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation" and str(tmp_path) in err["message"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def numpy_loaded(code: str) -> bool:
+    """Whether numpy is in sys.modules after running `code` in a fresh
+    interpreter that imports linhyp from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def main_call(*argv: str) -> str:
+    return f"from linhyp.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+class TestStartupImports:
+    """The subcommands that neither scan nor sample start without numpy."""
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            pytest.param("import linhyp", id="import-linhyp"),
+            pytest.param("import linhyp.cli", id="import-cli"),
+            pytest.param(
+                "from linhyp.cli import main\ntry:\n    main(['--version'])\n"
+                "except SystemExit as exc:\n    assert exc.code == 0",
+                id="version",
+            ),
+            pytest.param(main_call("copies", "5", "3"), id="copies"),
+            pytest.param(main_call("expand", "5", "3", "--k", "3"), id="expand"),
+            pytest.param(main_call("series", "--max-p-power", "2"), id="series"),
+            pytest.param(main_call("delta", "5", "3", "--i", "2"), id="delta"),
+            pytest.param(main_call("cumulants", "5", "3", "--k", "2"), id="cumulants"),
+            pytest.param(
+                main_call("asymptotic", "50", "3", "--p", "0.002"), id="asymptotic"
+            ),
+        ],
+    )
+    def test_numpy_free_paths(self, code):
+        assert not numpy_loaded(code)
+
+    def test_sampler_loads_numpy(self):
+        argv = ("montecarlo", "5", "3", "--p", "0.1", "--trials", "10", "--seed", "1")
+        assert numpy_loaded(main_call(*argv))
