@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -59,6 +60,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_IDENTITY = 4
+
+#: The options that name a file to write; each is checked before any work.
+OUTPUT_PATH_OPTIONS = ("output", "csv", "dump_adjacency")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -179,7 +183,26 @@ def _write_text(path: str, text: str) -> None:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _unwritable(path, exc) from None
+
+
+def _check_writable(path: str) -> None:
+    """Raises _write_text's error now if `path` cannot be opened for
+    writing, so a bad path fails before any work or any other output.  The
+    probe opens for append, which leaves an existing file as it is, and
+    removes a file it had to create."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+    if not existed:
+        os.remove(path)
+
+
+def _unwritable(path: str, exc: OSError) -> ValidationError:
+    return ValidationError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _emit_error(kind: str, message: str, code: int, context: dict | None = None) -> int:
@@ -512,6 +535,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for option in OUTPUT_PATH_OPTIONS:
+            path = getattr(args, option, None)
+            if path:
+                _check_writable(path)
         return args.func(args)
     except ValidationError as exc:
         return _emit_error("validation", str(exc), EXIT_VALIDATION)

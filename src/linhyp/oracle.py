@@ -5,7 +5,9 @@ incremental pair-conflict mask; feasible up to 2^24 states.  The Monte
 Carlo estimator runs its trials serially in blocks of BLOCK trials.  Block
 b owns one substream of the philox4x64 counter-based generator (key =
 seed, counter = b << 64) and checks its trials with vectorised sorts, so a
-report is reproducible bit for bit from the seed and the parameters.
+report is reproducible bit for bit from the seed and the parameters.  The
+vertex-pair keys are int32, so the sampler caps the host (MC_PAIR_TABLE_CAP,
+MC_MAX_N) before it allocates anything; the key dtype changes no report.
 numpy loads on the first call of the exact scan or the sampler, not on
 import, so the subcommands that use neither start without it.
 """
@@ -32,6 +34,14 @@ EXACT_STATE_CAP_BITS = 24
 BLOCK = 512
 
 RNG_NAME = f"philox4x64-block{BLOCK}"
+
+#: Ceiling on the sampler's pair table, C(n,r) * C(r,2) int32 entries
+#: (256 MiB); a larger host is a CapExceededError before any allocation.
+MC_PAIR_TABLE_CAP = 1 << 26
+
+#: The largest n whose pair keys owner * n^2 + pair id (owner < BLOCK) fit
+#: in int32, i.e. BLOCK * n^2 <= 2^31.
+MC_MAX_N = math.isqrt(2**31 // BLOCK)
 
 
 def exact_linearity_polynomial(n: int, r: int) -> Polynomial:
@@ -119,12 +129,13 @@ class McReport:
 
 def _pair_table(n: int, r: int) -> np.ndarray:
     """Pair ids a*n + b (a < b) of each host edge, one row per edge in
-    lexicographic order, shape (C(n,r), C(r,2))."""
+    lexicographic order, shape (C(n,r), C(r,2)), as int32 (monte_carlo
+    caps n so that every pair key fits)."""
     import numpy as np
 
     ne = math.comb(n, r)
     flat = chain.from_iterable(combinations(range(n), r))
-    verts = np.fromiter(flat, dtype=np.int64, count=ne * r).reshape(ne, r)
+    verts = np.fromiter(flat, dtype=np.int32, count=ne * r).reshape(ne, r)
     return np.stack([verts[:, a] * n + verts[:, b] for a, b in combinations(range(r), 2)], axis=1)
 
 
@@ -141,11 +152,13 @@ def _repeated_owners(keys: np.ndarray, stride: int, owners: int) -> np.ndarray:
 def _nonlinear(pair_ids: np.ndarray, n: int, idx: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Mask of the non-linear trials, i.e. those in which some vertex pair
     repeats, among trials whose edges idx are laid out trial by trial,
-    sizes[t] edges for trial t."""
+    sizes[t] edges for trial t.  The keys owner*n^2 + pair id are int32:
+    owner < BLOCK and monte_carlo caps BLOCK * n^2 at 2^31."""
     import numpy as np
 
-    owner = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    keys = owner[:, None] * (n * n) + pair_ids[idx]
+    keys = np.take(pair_ids, idx, axis=0)
+    offsets = np.arange(sizes.size, dtype=np.int32) * np.int32(n * n)
+    keys += np.repeat(offsets, sizes)[:, None]
     return _repeated_owners(keys, n * n, sizes.size)
 
 
@@ -196,6 +209,12 @@ def monte_carlo(
       distinct vertex pairs, so by pigeonhole a trial with
       m > C(n,2) // C(r,2) is a miss; it draws no edges, and a block's
       key array holds at most BLOCK * C(n,2) entries at any p.
+    * The pair keys trial * n^2 + pair id are built with np.take and
+      sorted as int32; the repeated-edge keys trial * N + edge index stay
+      int64, since BLOCK * N can pass 2^31.  A host whose pair table would
+      exceed MC_PAIR_TABLE_CAP entries, or with n > MC_MAX_N (where the
+      int32 pair keys would overflow), raises CapExceededError with
+      context {edges, cap} before any table is built.
     * A trial that drew some edge twice is redrawn with
       `choice(N, m, replace=False)` from the block's generator, after the
       vectorised pass, in trial order.  The sampler stays exact: given
@@ -204,9 +223,10 @@ def monte_carlo(
       same probability), and the redraw is a uniform m-subset as well, so
       the mixture of the two cases is one too.
 
-    Identical (seed, parameters) give an identical report.  `workers` has
-    no effect: the blocks run serially and their layout does not depend
-    on it; it is accepted so that existing callers keep working.
+    Identical (seed, parameters) give an identical report; the key dtypes
+    are not part of RNG_NAME, because no check result depends on them.
+    `workers` has no effect: the blocks run serially and their layout does
+    not depend on it; it is accepted so that existing callers keep working.
     """
     if r < 3:
         raise ValidationError(f"uniformity must be >= 3, got {r}")
@@ -219,6 +239,22 @@ def monte_carlo(
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValidationError(f"p must be in (0,1), got {p}")
+    ne = math.comb(n, r)
+    entries = ne * math.comb(r, 2)
+    if entries > MC_PAIR_TABLE_CAP:
+        raise CapExceededError(
+            f"C({n},{r}) = {ne} edges need {entries} pair-table entries, over the "
+            f"sampler's cap of {MC_PAIR_TABLE_CAP}",
+            edges=ne,
+            cap=MC_PAIR_TABLE_CAP,
+        )
+    if n > MC_MAX_N:
+        raise CapExceededError(
+            f"n = {n} is over the sampler's cap of {MC_MAX_N}: its int32 pair keys "
+            f"need {BLOCK} * n^2 <= 2^31",
+            edges=ne,
+            cap=MC_MAX_N,
+        )
     hits = _run_trials(_pair_table(n, r), n, float(p), seed, trials)
     estimate = hits / trials
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from linhyp import cli
 from linhyp.cli import main
 
 
@@ -304,6 +305,64 @@ class TestErrors:
         assert not out.exists()
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "validation" and str(tmp_path) in err["message"]
+
+    def test_oversized_montecarlo_host_is_a_cap_error(self, capsys):
+        argv = ["montecarlo", "2049", "3", "--p", "0.001", "--trials", "1", "--seed", "0"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "cap_exceeded"
+        assert err["context"] == {"edges": 1431655424, "cap": 2**26}
+
+
+class TestOutputPathsCheckedFirst:
+    """A bad output path exits 2 before any engine runs or any file is
+    written."""
+
+    @pytest.fixture
+    def no_engines(self, monkeypatch):
+        def unreachable(*_args, **_kwargs):
+            raise AssertionError("an engine ran before the output paths were checked")
+
+        for name in ("dependency_graph_for", "_compare_polynomials", "monte_carlo"):
+            monkeypatch.setattr(cli, name, unreachable)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "6", "3", "--sweep", "0.0005,0.02,12", "--trials", "2000",
+             "--csv", "{bad}"],
+            ["compare", "6", "3", "--p", "1/100", "--output", "{bad}"],
+            ["montecarlo", "5", "3", "--p", "0.1", "--trials", "10", "--seed", "1",
+             "--output", "{bad}"],
+            ["expand", "5", "3", "--k", "2", "--dump-adjacency", "{bad}"],
+            ["expand", "5", "3", "--k", "2", "--dump-adjacency", "{ok}",
+             "--output", "{bad}"],
+            ["expand", "5", "3", "--k", "2", "--dump-adjacency", "{bad}",
+             "--output", "{ok}"],
+        ],
+    )
+    def test_bad_path_exits_before_any_work(self, tmp_path, capsys, no_engines, argv):
+        bad, ok = tmp_path / "missing" / "x", tmp_path / "ok.txt"
+        argv = [a.format(bad=bad, ok=ok) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"] == f"cannot write {bad}: No such file or directory"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_check_keeps_an_existing_file(self, tmp_path, capsys, no_engines):
+        kept = tmp_path / "kept.json"
+        kept.write_text("earlier run\n")
+        argv = ["expand", "5", "3", "--k", "2", "--output", str(kept),
+                "--dump-adjacency", str(tmp_path)]
+        assert main(argv) == 2
+        assert kept.read_text() == "earlier run\n"
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"].startswith(f"cannot write {tmp_path}: ")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,15 +1,19 @@
 """Exact linearity oracle and the seeded Monte Carlo estimator."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from linhyp import oracle
 from linhyp.errors import CapExceededError, ValidationError
 from linhyp.hypergraph import Hypergraph, is_linear
 from linhyp.oracle import (
     BLOCK,
+    MC_MAX_N,
+    MC_PAIR_TABLE_CAP,
     _pair_table,
     exact_linearity_polynomial,
     monte_carlo,
@@ -131,8 +135,57 @@ class TestMonteCarlo:
     def test_pair_table_matches_edge_pairs(self):
         n, r = 7, 4
         table = _pair_table(n, r)
+        assert table.dtype == "int32"
         expect = [[a * n + b for a, b in combinations(e, 2)] for e in combinations(range(n), r)]
         assert table.tolist() == expect
+
+    @pytest.mark.parametrize(
+        "n, r, p, trials, seed, hits",
+        [
+            pytest.param(50, 3, Fraction("0.0019"), 50_000, 12345, 867, id="paper-regime"),
+            pytest.param(6, 3, Fraction(3, 10), BLOCK + 1, 21, 20, id="pigeonhole-boundary"),
+            pytest.param(5, 3, Fraction(1, 2), 4000, 5, 129, id="redraw"),
+            pytest.param(7, 4, Fraction(1, 20), 3000, 3, 1499, id="r4"),
+            pytest.param(12, 3, Fraction(1, 50), 5000, 1, 2180, id="n12"),
+        ],
+    )
+    def test_pinned_hits(self, n, r, p, trials, seed, hits):
+        """Hits of the philox4x64-block512 sampler, read before its pair keys
+        became int32: any change to the stream layout, the redraw order or
+        the conflict checks moves at least one of them."""
+        rep = monte_carlo(n, r, p, trials=trials, seed=seed)
+        assert rep.hits == hits
+        assert rep.rng_name == "philox4x64-block512"
+
+    @pytest.mark.parametrize(
+        "n, r, cap",
+        [
+            pytest.param(2049, 3, MC_PAIR_TABLE_CAP, id="pair-table"),
+            pytest.param(MC_MAX_N + 1, MC_MAX_N + 1, MC_MAX_N, id="int32-keys"),
+        ],
+    )
+    def test_host_cap_fires_before_the_table(self, monkeypatch, n, r, cap):
+        def unreachable(*_):
+            raise AssertionError("the pair table was built past the cap")
+
+        monkeypatch.setattr(oracle, "_pair_table", unreachable)
+        with pytest.raises(CapExceededError) as info:
+            monte_carlo(n, r, Fraction(1, 1000), trials=1, seed=0)
+        assert info.value.context == {"edges": math.comb(n, r), "cap": cap}
+
+    def test_int32_keys_reach_the_largest_host(self):
+        """At n = MC_MAX_N the last trial of a full block has the top pair
+        key BLOCK * n^2 - 1 = 2^31 - 1; its conflict must be found, and
+        charged to that trial alone."""
+        import numpy as np
+
+        n = MC_MAX_N
+        top = (n - 2) * n + (n - 1)
+        pair_ids = np.array([[top, 0, 1], [top, 2, 3], [4, 5, 6]], dtype=np.int32)
+        sizes = np.array([1] * (BLOCK - 1) + [2])
+        idx = np.array([2] * (BLOCK - 1) + [0, 1])
+        bad = oracle._nonlinear(pair_ids, n, idx, sizes)
+        assert np.flatnonzero(bad).tolist() == [BLOCK - 1]
 
     def test_report_fields(self):
         rep = monte_carlo(4, 3, Fraction(1, 4), trials=100, seed=3)
