@@ -1,4 +1,5 @@
-"""Small combinatorial generators used throughout the package."""
+"""Small combinatorial generators and the bitmask connectivity test shared
+across the package."""
 
 from __future__ import annotations
 
@@ -54,3 +55,19 @@ def set_partition_masks(n: int) -> tuple[tuple[int, ...], ...]:
         tuple(sum(1 << i for i in block) for block in part)
         for part in set_partitions(range(n))
     )
+
+
+def mask_connected(adj_masks: Sequence[int], mask: int) -> bool:
+    """Whether the nonempty vertex set `mask` induces a connected subgraph."""
+    reach = mask & -mask
+    while True:
+        frontier = 0
+        m = reach
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            frontier |= adj_masks[v]
+        new = (reach | frontier) & mask
+        if new == reach:
+            return new == mask
+        reach = new

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from .combinat import mask_connected
 from .hypergraph import ForbiddenCopy
 
 
@@ -66,7 +67,7 @@ class DependencyGraph:
         target = 0
         for i in members:
             target |= 1 << i
-        return _mask_connected(self.adj_masks, target)
+        return mask_connected(self.adj_masks, target)
 
     def dump_adjacency(self) -> str:
         """Adjacency-list text dump, one line per copy index."""
@@ -75,22 +76,6 @@ class DependencyGraph:
             members = _mask_to_members(nbrs)
             lines.append(f"{i}: {' '.join(str(j) for j in members)}")
         return "\n".join(lines) + "\n"
-
-
-def _mask_connected(adj_masks: Sequence[int], mask: int) -> bool:
-    """Whether the nonempty vertex set `mask` induces a connected subgraph."""
-    reach = mask & -mask
-    while True:
-        frontier = 0
-        m = reach
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            frontier |= adj_masks[v]
-        new = (reach | frontier) & mask
-        if new == reach:
-            return new == mask
-        reach = new
 
 
 def _connected_set_masks(

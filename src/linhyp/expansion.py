@@ -41,11 +41,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import set_partition_masks, set_partitions
+from .combinat import mask_connected, set_partition_masks, set_partitions
 from .dependency import (
     DependencyGraph,
     _connected_set_masks,
-    _mask_connected,
     _mask_to_members,
     _root_groups,
     _walk_scale,
@@ -143,7 +142,7 @@ def _partition_contributions(
             power += bm.bit_count()
         if max_power is not None and power > max_power:
             continue
-        if not all(_mask_connected(adj, sum(1 << i for i in block)) for block in part):
+        if not all(mask_connected(adj, sum(1 << i for i in block)) for block in part):
             continue
         yield (power, _phi_of_blocks(unions))
 

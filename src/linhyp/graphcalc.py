@@ -4,7 +4,9 @@ The Ursell weight of a connected graph is the alternating sum, over its
 connected spanning subgraphs, of (-1)^(number of edges).  It equals the
 coefficient of the linear term of the chromatic polynomial, which is how
 the production path computes it; a direct spanning-subgraph summation is
-kept as an independent oracle.
+kept as an independent oracle.  That sum and the rank-sum chromatic
+polynomial both read one numpy scan, which finds the component count of
+every edge subset at once (`_signed_component_counts`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .combinat import set_partition_masks
+from .combinat import mask_connected, set_partition_masks
 from .errors import ValidationError
 from .polynomial import Polynomial, falling_factorial_poly
 
@@ -54,21 +56,7 @@ class SimpleGraph:
         return masks
 
     def is_connected(self) -> bool:
-        if self.v <= 1:
-            return True
-        masks = self.adjacency_masks()
-        reach = 1
-        full = (1 << self.v) - 1
-        while True:
-            new = reach
-            m = reach
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                new |= masks[i]
-            if new == reach:
-                return reach == full
-            reach = new
+        return mask_connected(self.adjacency_masks(), (1 << self.v) - 1)
 
 
 # The memo table is keyed on the labelled minor (v, edge set).  The labelled
@@ -127,45 +115,58 @@ def chromatic_polynomial(g: SimpleGraph) -> Polynomial:
     return _chromatic(g.v, g.edges)
 
 
+def _signed_component_counts(v: int, edges: list[tuple[int, int]]) -> dict[int, int]:
+    """{k: sum of (-1)^|S| over the edge subsets S whose spanning subgraph
+    has k components}.
+
+    Subset S is the bitmask over `edges`, and every per-subset quantity is
+    a numpy row over all 2^e of them.  Each of the t vertices that some
+    edge touches holds a row of uint8 labels, starting at its own index; a
+    sweep sets both ends of every edge to the smaller of their labels in
+    the subsets holding that edge.  t - 1 sweeps spread each component's
+    least label over all of it, so the components of S are counted by the
+    vertices that keep their own label, plus the v - t untouched vertices.
+    """
+    import numpy as np
+
+    def holding(row, i):
+        """View of the entries of `row` for the subsets holding edge i:
+        the odd rows of `row` reshaped to (-1, 2, 2^i), no presence mask."""
+        return row.reshape(-1, 2, 1 << i)[:, 1]
+
+    touched = sorted({u for edge in edges for u in edge})
+    index = {u: j for j, u in enumerate(touched)}
+    t = len(touched)
+    size = 1 << len(edges)
+    labels = np.repeat(np.arange(t, dtype=np.uint8), size).reshape(t, size)
+    ends = [
+        (holding(labels[index[a]], i), holding(labels[index[b]], i))
+        for i, (a, b) in enumerate(edges)
+    ]
+    for _ in range(t - 1):
+        for la, lb in ends:
+            np.minimum(la, lb, out=la)
+            lb[...] = la
+    # key = 2 c(S) + |S| mod 2, with c(S) over the touched vertices only
+    key = np.zeros(size, dtype=np.uint8)
+    for j in range(t):
+        key += labels[j] == j
+    key <<= 1
+    for i in range(len(edges)):
+        holding(key, i)[...] ^= 1
+    tally = np.bincount(key, minlength=2 * t + 2).tolist()
+    return {v - t + c: tally[2 * c] - tally[2 * c + 1] for c in range(t + 1)}
+
+
 def chromatic_via_whitney(g: SimpleGraph) -> Polynomial:
     """Rank-sum form: sum over edge subsets of (-1)^|E| lambda^(components).
 
     Oracle implementation; exponential in the edge count, capped at 20.
     """
-    edges = sorted(g.edges)
-    e = len(edges)
+    e = len(g.edges)
     if e > 20:
         raise ValidationError(f"edge budget exceeded: {e} > 20")
-    out: dict[int, int] = {}
-    for sub in range(1 << e):
-        masks = [0] * g.v
-        m = sub
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            a, b = edges[i]
-            masks[a - 1] |= 1 << (b - 1)
-            masks[b - 1] |= 1 << (a - 1)
-        comps = 0
-        seen = 0
-        for s in range(g.v):
-            if seen >> s & 1:
-                continue
-            comps += 1
-            reach = 1 << s
-            while True:
-                new = reach
-                mm = reach
-                while mm:
-                    i = (mm & -mm).bit_length() - 1
-                    mm &= mm - 1
-                    new |= masks[i]
-                if new == reach:
-                    break
-                reach = new
-            seen |= reach
-        out[comps] = out.get(comps, 0) + (-1 if sub.bit_count() & 1 else 1)
-    return Polynomial(out)
+    return Polynomial(_signed_component_counts(g.v, sorted(g.edges)))
 
 
 @cache
@@ -221,65 +222,15 @@ def ursell(g: SimpleGraph) -> Fraction:
 
 
 def ursell_direct(g: SimpleGraph) -> Fraction:
-    """Alternating sum over connected spanning edge subsets, enumerated one
-    subset at a time.  Independent oracle for `ursell`; switches to a
-    vectorised scan above 16 edges (still the same direct sum)."""
+    """Alternating sum over connected spanning edge subsets, read off the
+    same subset scan as `chromatic_via_whitney`.  Independent oracle for
+    `ursell`; capped at 24 edges."""
     if not g.is_connected():
         raise ValidationError("Ursell weight is only used on connected graphs")
-    edges = sorted(g.edges)
-    e = len(edges)
+    e = len(g.edges)
     if e > 24:
         raise ValidationError(f"edge budget exceeded: {e} > 24")
-    if e > 16:
-        return _ursell_direct_vectorised(g.v, edges)
-    total = 0
-    full = (1 << g.v) - 1
-    for sub in range(1 << e):
-        masks = [0] * g.v
-        m = sub
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            a, b = edges[i]
-            masks[a - 1] |= 1 << (b - 1)
-            masks[b - 1] |= 1 << (a - 1)
-        reach = 1
-        while True:
-            new = reach
-            mm = reach
-            while mm:
-                i = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                new |= masks[i]
-            if new == reach:
-                break
-            reach = new
-        if reach == full:
-            total += -1 if sub.bit_count() & 1 else 1
-    return Fraction(total)
-
-
-def _ursell_direct_vectorised(v: int, edges: list[tuple[int, int]]) -> Fraction:
-    import numpy as np
-
-    e = len(edges)
-    subs = np.arange(1 << e, dtype=np.uint32)
-    nbr = [np.zeros(1 << e, dtype=np.uint32) for _ in range(v)]
-    for i, (a, b) in enumerate(edges):
-        present = (subs >> np.uint32(i)) & np.uint32(1)
-        nbr[a - 1] |= present << np.uint32(b - 1)
-        nbr[b - 1] |= present << np.uint32(a - 1)
-    reach = np.ones(1 << e, dtype=np.uint32)
-    for _ in range(v - 1):
-        acc = reach.copy()
-        for u in range(v):
-            has = (reach >> np.uint32(u)) & np.uint32(1)
-            acc |= has * nbr[u]
-        reach = acc
-    full = np.uint32((1 << v) - 1)
-    connected = reach == full
-    signs = 1 - 2 * (np.bitwise_count(subs).astype(np.int64) & 1)
-    return Fraction(int(signs[connected].sum()))
+    return Fraction(_signed_component_counts(g.v, sorted(g.edges)).get(1, 0))
 
 
 def complete_graph_ursell(m: int) -> Fraction:

@@ -9,11 +9,19 @@ forbidden copies inside the complete r-graph on [n].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
+
+#: Ceiling on the forbidden copies of one host.  Every engine but `copies`
+#: feeds the list to a DependencyGraph, whose adjacency is one m-bit mask
+#: per copy, m^2 / 8 bytes in all: 512 MiB at this cap (r = 3 passes it
+#: at n = 25).  The tests and the benchmark stop at 2,970 copies
+#: (n = 12, r = 3).
+COPY_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,15 +86,32 @@ class ForbiddenCopy:
         return tuple(sorted(set(self.e1) | set(self.e2)))
 
 
+def _copy_count(n: int, r: int) -> int:
+    """The number of forbidden copies on [n]: each of the C(n,r) edges
+    meets C(r,t) C(n-r,r-t) others in t vertices, summed over t = 2..r-1,
+    and each pair is counted from both of its edges."""
+    overlaps = sum(math.comb(r, t) * math.comb(n - r, r - t) for t in range(2, r))
+    return math.comb(n, r) * overlaps // 2
+
+
 def enumerate_forbidden_copies(n: int, r: int) -> list[ForbiddenCopy]:
     """Every pair of r-subsets of {1..n} intersecting in 2..r-1 vertices.
 
-    Canonical (sorted) output order.  For r=3 the count is [n]_4 / 4.
+    Canonical (sorted) output order.  For r=3 the count is [n]_4 / 4.  A
+    host with more than COPY_CAP copies (`_copy_count`) raises
+    CapExceededError with context {copies, cap} before any is listed.
     """
     if r < 3:
         raise ValidationError(f"uniformity must be >= 3, got {r}")
     if n < r:
         raise ValidationError(f"need n >= r, got n={n}, r={r}")
+    count = _copy_count(n, r)
+    if count > COPY_CAP:
+        raise CapExceededError(
+            f"({n}, {r}) has {count} forbidden copies, over the cap of {COPY_CAP}",
+            copies=count,
+            cap=COPY_CAP,
+        )
     copies = []
     edges = list(combinations(range(1, n + 1), r))
     edge_sets = [set(e) for e in edges]

@@ -136,7 +136,11 @@ def _pair_table(n: int, r: int) -> np.ndarray:
     ne = math.comb(n, r)
     flat = chain.from_iterable(combinations(range(n), r))
     verts = np.fromiter(flat, dtype=np.int32, count=ne * r).reshape(ne, r)
-    return np.stack([verts[:, a] * n + verts[:, b] for a, b in combinations(range(r), 2)], axis=1)
+    # triu_indices lists the pairs in combinations(range(r), 2) order; take
+    # keeps the table row-major (verts[:, ia] would not), which the row
+    # gathers of _nonlinear need to stay fast
+    ia, ib = np.triu_indices(r, 1)
+    return np.take(verts, ia, axis=1) * n + np.take(verts, ib, axis=1)
 
 
 def _repeated_owners(keys: np.ndarray, stride: int, owners: int) -> np.ndarray:

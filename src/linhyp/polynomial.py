@@ -41,10 +41,6 @@ class Polynomial:
     def one(cls) -> "Polynomial":
         return cls({0: 1})
 
-    @classmethod
-    def x(cls, power: int = 1, coeff=1) -> "Polynomial":
-        return cls({power: coeff})
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

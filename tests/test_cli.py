@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from linhyp import cli
+from linhyp import cli, hypergraph
 from linhyp.cli import main
+from linhyp.hypergraph import COPY_CAP
 
 
 def run(tmp_path, *argv):
@@ -314,6 +315,27 @@ class TestErrors:
         err = json.loads(captured.err)["error"]
         assert err["type"] == "cap_exceeded"
         assert err["context"] == {"edges": 1431655424, "cap": 2**26}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["copies", "2049", "3"],
+            ["compare", "2049", "3", "--p", "1/1000", "--trials", "1"],
+        ],
+        ids=["copies", "compare"],
+    )
+    def test_oversized_copy_host_is_a_cap_error(self, monkeypatch, capsys, argv):
+        def unreachable(*_):
+            raise AssertionError("the copy scan started past the cap")
+
+        monkeypatch.setattr(hypergraph, "combinations", unreachable)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "cap_exceeded"
+        # [n]_4 / 4 copies for r = 3
+        assert err["context"] == {"copies": 2049 * 2048 * 2047 * 2046 // 4, "cap": COPY_CAP}
 
 
 class TestOutputPathsCheckedFirst:

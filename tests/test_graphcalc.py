@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from linhyp import graphcalc
 from linhyp.errors import ValidationError
 from linhyp.graphcalc import (
     SimpleGraph,
@@ -50,6 +51,11 @@ class TestChromatic:
         assert chromatic_via_whitney(SimpleGraph.complete(3)) == poly({3: 1, 2: -3, 1: 2})
         assert chromatic_via_whitney(SimpleGraph(v=4, edges=frozenset())) == poly({4: 1})
         assert chromatic_via_whitney(SimpleGraph.complete(2)) == poly({2: 1, 1: -1})
+        assert chromatic_via_whitney(SimpleGraph(v=1, edges=frozenset())) == poly({1: 1})
+        # isolated vertices add one component to every edge subset
+        assert chromatic_via_whitney(SimpleGraph.from_edges(5, [(2, 4)])) == poly(
+            {5: 1, 4: -1}
+        )
 
     def test_partition_form_examples(self):
         assert chromatic_via_partitions(SimpleGraph.complete(3)) == poly(
@@ -80,6 +86,14 @@ class TestChromatic:
             a = chromatic_polynomial(g)
             assert a == chromatic_via_whitney(g)
             assert a == chromatic_via_partitions(g)
+
+    def test_whitney_agrees_at_17_to_20_edges(self):
+        rnd = random.Random(20261018)
+        for e in (17, 18, 19, 20):
+            v = rnd.randint(7, 9)
+            pairs = list(combinations(range(1, v + 1), 2))
+            g = SimpleGraph.from_edges(v, rnd.sample(pairs, e))
+            assert chromatic_via_whitney(g) == chromatic_polynomial(g)
 
     def test_label_invariance(self):
         rnd = random.Random(5)
@@ -124,6 +138,14 @@ class TestUrsell:
     def test_equals_linear_chromatic_coefficient(self):
         for g in connected_graphs(4):
             assert ursell(g) == chromatic_polynomial(g).coeff(1)
+
+    def test_direct_edge_cap_fires_before_the_scan(self, monkeypatch):
+        def unreachable(*_):
+            raise AssertionError("the subset scan ran past the edge cap")
+
+        monkeypatch.setattr(graphcalc, "_signed_component_counts", unreachable)
+        with pytest.raises(ValidationError, match="24"):
+            ursell_direct(SimpleGraph.complete(8))
 
     def test_rejects_disconnected(self):
         g = SimpleGraph(v=3, edges=frozenset({(1, 2)}))

@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from linhyp.errors import ValidationError
+from linhyp import hypergraph
+from linhyp.errors import CapExceededError, ValidationError
 from linhyp.hypergraph import (
     ForbiddenCopy,
     Hypergraph,
@@ -44,6 +45,22 @@ class TestEnumerateCopies:
             if 2 <= len(set(edges[i]) & set(edges[j])) <= r - 1
         )
         assert len(enumerate_forbidden_copies(n, r)) == expect
+
+    @pytest.mark.parametrize("n, r", [(3, 3), (7, 3), (6, 4), (9, 4), (8, 5), (10, 6)])
+    def test_closed_form_count(self, n, r):
+        assert hypergraph._copy_count(n, r) == len(enumerate_forbidden_copies(n, r))
+
+    def test_copy_cap_fires_before_the_scan(self, monkeypatch):
+        monkeypatch.setattr(hypergraph, "COPY_CAP", 90)
+        assert len(enumerate_forbidden_copies(6, 3)) == 90
+
+        def unreachable(*_):
+            raise AssertionError("the copy scan started past the cap")
+
+        monkeypatch.setattr(hypergraph, "combinations", unreachable)
+        with pytest.raises(CapExceededError) as info:
+            enumerate_forbidden_copies(7, 3)
+        assert info.value.context == {"copies": falling(7, 4) // 4, "cap": 90}
 
     def test_canonical_order_and_invariants(self):
         copies = enumerate_forbidden_copies(5, 3)

@@ -139,6 +139,19 @@ class TestMonteCarlo:
         expect = [[a * n + b for a, b in combinations(e, 2)] for e in combinations(range(n), r)]
         assert table.tolist() == expect
 
+    @pytest.mark.parametrize("n, r", [(5, 3), (50, 3), (12, 5), (9, 9)])
+    def test_pair_table_equals_per_pair_columns(self, n, r):
+        import numpy as np
+
+        verts = np.array(list(combinations(range(n), r)), dtype=np.int32)
+        columns = np.stack(
+            [verts[:, a] * n + verts[:, b] for a, b in combinations(range(r), 2)], axis=1
+        )
+        table = _pair_table(n, r)
+        assert table.dtype == columns.dtype == "int32"
+        assert table.flags.c_contiguous
+        assert np.array_equal(table, columns)
+
     @pytest.mark.parametrize(
         "n, r, p, trials, seed, hits",
         [
