@@ -7,13 +7,7 @@ Monte Carlo oracles, and closed-form asymptotic evaluators.
 
 __version__ = "0.1.0"
 
-from .hypergraph import (
-    ForbiddenCopy,
-    Hypergraph,
-    enumerate_forbidden_copies,
-    family_densities,
-    is_linear,
-)
+from .hypergraph import ForbiddenCopy, enumerate_forbidden_copies
 from .dependency import DependencyGraph, dependency_graph_for
 from .errors import CapExceededError, LinhypError, ValidationError
 from .expansion import (
@@ -35,7 +29,6 @@ __all__ = [
     "CapExceededError",
     "DependencyGraph",
     "ForbiddenCopy",
-    "Hypergraph",
     "LinhypError",
     "McReport",
     "Polynomial",
@@ -48,10 +41,8 @@ __all__ = [
     "enumerate_forbidden_copies",
     "exact_linearity_polynomial",
     "expansion_term",
-    "family_densities",
     "hard_core_polynomial",
     "inclusion_exclusion_polynomial",
-    "is_linear",
     "log_linearity_general",
     "log_linearity_r3",
     "moment_sum",

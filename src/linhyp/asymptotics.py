@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
+from .hypergraph import check_host
 from .polynomial import falling_factorial
 
 REGIME_R3 = "refined_r3"
@@ -99,10 +100,7 @@ def log_linearity_general(n: int, r: int, p: Fraction) -> AsymptoticEstimate:
     The known error-term magnitudes are reported as diagnostics, never
     added to the estimate.
     """
-    if r < 3:
-        raise ValidationError(f"uniformity must be >= 3, got {r}")
-    if n < r:
-        raise ValidationError(f"need n >= r, got n={n}, r={r}")
+    check_host(n, r)
     p = _check_p(p)
     big_n = Fraction(math.comb(n, r))
     r2 = falling_factorial(r, 2)

@@ -29,9 +29,11 @@ The symbolic-in-n series is produced two independent ways that must agree:
   contributes (labelled count / v!) * [n]_v, and automorphism factors
   never need to be computed.
 * Strategy B, interpolation: the per-n sums are evaluated exactly at
-  enough consecutive n and the coefficients are solved for in the
-  falling-factorial basis, with the degree set by the proven vertex-span
-  bound r + (b - 1)(r - 2) and one extra sample checked against the fit.
+  n = 0, 1, ..., D + 1, where D = r + (b - 1)(r - 2) is the proven
+  vertex-span bound, and read off in the falling-factorial basis from
+  their forward differences (`_solve_falling_basis`); the sample at
+  n = D + 1 checks the fit.  The sums vanish for n <= r, so only
+  n = r + 1..D + 1 cost anything.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from .dependency import (
 )
 from .errors import CapExceededError, LinhypError, ValidationError
 from .graphcalc import SimpleGraph, ursell
-from .hypergraph import enumerate_forbidden_copies
-from .polynomial import Polynomial, SeriesTerm, falling_factorial
+from .hypergraph import check_host, enumerate_forbidden_copies
+from .polynomial import Polynomial, SeriesTerm
 
 #: Hyperedge-count cap for the alternating-sum and polymer-model forms.
 INCLUSION_EXCLUSION_EDGE_CAP = 20
@@ -61,12 +63,12 @@ HARD_CORE_EDGE_CAP = 12
 
 #: Symbolic-series budget.  Vertex spans reach max_p_power + 2, the
 #: structural strategy walks the conflict-connected sets of at most
-#: max_p_power triples on [v], and the interpolation needs max_p_power + 4
-#: exact samples, up to n = max_p_power + 6.  A sample walks from one root
-#: per copy orbit, and a set through the root spans at most
-#: max_p_power - 2 vertices beyond the root's 4, so its cost grows like
-#: n^(max_p_power-2); 4 keeps both strategies comfortably inside the
-#: cross-check contract.
+#: max_p_power triples on [v], and the interpolation samples
+#: n = 0..max_p_power + 3, of which only n = 4..max_p_power + 3 hold any
+#: cluster.  A sample walks from one root per copy orbit, and a set
+#: through the root spans at most max_p_power - 2 vertices beyond the
+#: root's 4, so its cost grows like n^(max_p_power-2); 4 keeps both
+#: strategies comfortably inside the cross-check contract.
 MAX_SYMBOLIC_P_POWER = 4
 
 _phi_cache: dict[tuple[int, int], Fraction] = {}
@@ -482,40 +484,25 @@ def per_n_power_sums(n: int, max_p_power: int, r: int = 3) -> dict[tuple[int, in
 
 
 def _solve_falling_basis(samples: list[tuple[int, Fraction]], degree: int) -> list[Fraction]:
-    """Solve f(n) = sum_a c_a [n]_a from the first degree+1 exact samples;
-    every further sample must agree with the fit."""
-    size = degree + 1
-    if len(samples) < size:
+    """Coefficients c_a, a <= degree, of f(n) = sum_a c_a [n]_a from exact
+    samples of f at n = 0, 1, 2, ...
+
+    The forward difference of [n]_a is a [n]_(a-1), so c_a = Delta^a f(0) / a!:
+    the leading column of the difference table, scaled.  Every sample past
+    the first degree + 1 must leave its difference of order > degree at 0.
+    """
+    if [n for n, _ in samples] != list(range(len(samples))):
+        raise ValidationError("interpolation samples must be at n = 0, 1, 2, ...")
+    if len(samples) < degree + 1:
         raise ValidationError("not enough interpolation points")
-    rows = []
-    rhs = []
-    for n, value in samples[:size]:
-        rows.append([falling_factorial(n, a) for a in range(size)])
-        rhs.append(Fraction(value))
-    # Gaussian elimination, exact
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = Fraction(1) / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        rhs[col] = rhs[col] * inv
-        for i in range(size):
-            if i != col and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-                rhs[i] = rhs[i] - factor * rhs[col]
-    coeffs = rhs
-    # verify against any extra samples
-    for n, value in samples[size:]:
-        predicted = sum(
-            (c * falling_factorial(n, a) for a, c in enumerate(coeffs)), Fraction(0)
-        )
-        if predicted != value:
-            raise LinhypError("interpolation inconsistent with extra sample")
-    return coeffs
+    row = [Fraction(value) for _, value in samples]
+    leading = []
+    while row:
+        leading.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    if any(leading[degree + 1 :]):
+        raise LinhypError("interpolation inconsistent with extra sample")
+    return [d / math.factorial(a) for a, d in enumerate(leading[: degree + 1])]
 
 
 def interpolated_series_grouped(
@@ -531,8 +518,9 @@ def interpolated_series_grouped(
     an order where each one meets an earlier one in 2 or more vertices,
     the first brings r vertices and every further one at most r - 2, so
     v <= r + (b - 1)(r - 2), which is b + 2 for r = 3.  That span bound is
-    the degree: the coefficients are fitted on the consecutive samples
-    from n = r, and one more sample is checked against the fit.
+    the degree D: the coefficients are fitted on the samples at n = 0..D
+    and the one at n = D + 1 is checked against the fit.  The samples at
+    n <= r are 0 (no copy fits), so they cost nothing.
     """
     if r != 3:
         raise ValidationError("symbolic closed forms are implemented for r = 3 only")
@@ -544,7 +532,7 @@ def interpolated_series_grouped(
     if cached is not None:
         return dict(cached)
     degree = r + (max_p_power - 1) * (r - 2)
-    ns = list(range(r, r + degree + 2))  # degree + 1 fitted, the last checked
+    ns = list(range(degree + 2))  # degree + 1 fitted, the last checked
     sampled = _sample_power_sums(ns, max_p_power, r)
     keys = sorted({k for s in sampled.values() for k in s})
     out: dict[tuple[int, int, int], Fraction] = {}
@@ -611,6 +599,7 @@ def inclusion_exclusion_polynomial(n: int, r: int) -> Polynomial:
     """
     import numpy as np
 
+    check_host(n, r)
     edges = list(combinations(range(1, n + 1), r))
     ne = len(edges)
     if ne > INCLUSION_EXCLUSION_EDGE_CAP:
@@ -655,6 +644,7 @@ def hard_core_polynomial(n: int, r: int) -> Polynomial:
     the conflict-free sub-configurations of E by subset inversion, and
     families are assembled by a component-first recursion over supports.
     """
+    check_host(n, r)
     edges = list(combinations(range(1, n + 1), r))
     ne = len(edges)
     if ne > HARD_CORE_EDGE_CAP:

@@ -21,6 +21,7 @@ from itertools import chain, combinations
 from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, ValidationError
+from .hypergraph import check_host
 from .polynomial import Polynomial
 
 if TYPE_CHECKING:
@@ -52,10 +53,7 @@ def exact_linearity_polynomial(n: int, r: int) -> Polynomial:
     subset DP: a subset is linear iff the subset minus its lowest edge is
     linear and the lowest edge conflicts with nothing in the rest.
     """
-    if r < 3:
-        raise ValidationError(f"uniformity must be >= 3, got {r}")
-    if n < r:
-        raise ValidationError(f"need n >= r, got n={n}, r={r}")
+    check_host(n, r)
     edges = list(combinations(range(1, n + 1), r))
     ne = len(edges)
     if ne > EXACT_STATE_CAP_BITS:
@@ -232,10 +230,7 @@ def monte_carlo(
     `workers` has no effect: the blocks run serially and their layout does
     not depend on it; it is accepted so that existing callers keep working.
     """
-    if r < 3:
-        raise ValidationError(f"uniformity must be >= 3, got {r}")
-    if n < r:
-        raise ValidationError(f"need n >= r, got n={n}, r={r}")
+    check_host(n, r)
     if trials < 1:
         raise ValidationError("need at least one trial")
     if not 0 <= seed < 2**128:

@@ -206,23 +206,6 @@ class SeriesTerm:
         )
 
 
-def evaluate_series(terms: Iterable[SeriesTerm], n: int) -> Polynomial:
-    """Collapse SeriesTerms at a concrete n into a polynomial in p."""
-    out = Polynomial.zero()
-    for t in terms:
-        out = out + Polynomial({t.p_power: t.coeff * falling_factorial(n, t.n_falling)})
-    return out
-
-
-def series_monomial_coeff(terms: Iterable[SeriesTerm], n_power: int, p_power: int) -> Fraction:
-    """Coefficient of n^n_power p^p_power after expanding every [n]_a."""
-    total = Fraction(0)
-    for t in terms:
-        if t.p_power == p_power:
-            total += t.coeff * falling_factorial_poly(t.n_falling).coeff(n_power)
-    return total
-
-
 def log_fraction(x: Fraction) -> float:
     """log of a positive rational, accurate even when x is very close to 1.
 

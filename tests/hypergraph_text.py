@@ -6,7 +6,7 @@ here, outside the package.
 from __future__ import annotations
 
 from linhyp.errors import ValidationError
-from linhyp.hypergraph import Hypergraph
+from reference import Hypergraph
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

@@ -1,0 +1,116 @@
+"""Reference API that only the tests use: an explicit hypergraph value,
+the linearity test on it, the brute-force density measures of the
+forbidden family, and two readouts of a symbolic series.  No engine or
+CLI path calls these, so they live here, outside the package.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations
+from typing import Iterable
+
+from linhyp.errors import ValidationError
+from linhyp.polynomial import Polynomial, SeriesTerm, falling_factorial, falling_factorial_poly
+
+
+@dataclass(frozen=True)
+class Hypergraph:
+    """r-uniform hypergraph on vertex set {1..n} with a canonical edge order."""
+
+    n: int
+    r: int
+    edges: tuple[tuple[int, ...], ...] = field(default=())
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"vertex count must be positive, got {self.n}")
+        if self.r < 3:
+            raise ValidationError(f"uniformity must be >= 3, got {self.r}")
+        norm = []
+        for e in self.edges:
+            t = tuple(sorted(e))
+            if len(t) != self.r or len(set(t)) != self.r:
+                raise ValidationError(f"edge {e!r} does not have {self.r} distinct vertices")
+            if t[0] < 1 or t[-1] > self.n:
+                raise ValidationError(f"edge {e!r} has vertices outside 1..{self.n}")
+            norm.append(t)
+        canon = tuple(sorted(set(norm)))
+        if len(canon) != len(norm):
+            raise ValidationError("duplicate edges")
+        object.__setattr__(self, "edges", canon)
+
+
+def is_linear(h: Hypergraph) -> bool:
+    """True iff every pair of distinct edges shares at most one vertex.
+
+    Checked by counting coverage of vertex pairs: two edges overlap in >= 2
+    vertices exactly when some vertex pair lies in both.
+    """
+    seen: set[tuple[int, int]] = set()
+    for e in h.edges:
+        for pair in combinations(e, 2):
+            if pair in seen:
+                return False
+            seen.add(pair)
+    return True
+
+
+def family_densities(r: int) -> tuple[Fraction, Fraction]:
+    """Density measures of the forbidden family, by brute-force minimisation.
+
+    Returns (m_star, d) where, for each member G (one per overlap size t),
+
+        m_star(G) = min over subgraphs H of G with at least one edge and
+                    fewer vertices than G of (e_G - e_H) / (v_G - v_H),
+        d(G)      = e_G / v_G,
+
+    and the family value is the minimum over members.  The closed forms
+    1/(r-2) and 1/(r-1) are asserted against this in the tests.
+    """
+    if r < 3:
+        raise ValidationError(f"uniformity must be >= 3, got {r}")
+    m_star = None
+    d_min = None
+    for t in range(2, r):
+        # canonical member: edges {1..r} and {1..t, r+1..2r-t}
+        e_a = tuple(range(1, r + 1))
+        e_b = tuple(range(1, t + 1)) + tuple(range(r + 1, 2 * r - t + 1))
+        v_g = 2 * r - t
+        e_g = 2
+        d_g = Fraction(e_g, v_g)
+        d_min = d_g if d_min is None else min(d_min, d_g)
+        vertices = list(range(1, v_g + 1))
+        for edge_subset in ((e_a,), (e_b,), (e_a, e_b)):
+            covered = set()
+            for e in edge_subset:
+                covered.update(e)
+            free = [v for v in vertices if v not in covered]
+            # any vertex superset of the covered set is a valid subgraph
+            for k in range(len(free) + 1):
+                for extra in combinations(free, k):
+                    v_h = len(covered) + len(extra)
+                    if v_h == v_g:
+                        continue
+                    ratio = Fraction(e_g - len(edge_subset), v_g - v_h)
+                    m_star = ratio if m_star is None else min(m_star, ratio)
+    assert m_star is not None and d_min is not None
+    return m_star, d_min
+
+
+def evaluate_series(terms: Iterable[SeriesTerm], n: int) -> Polynomial:
+    """Collapse SeriesTerms at a concrete n into a polynomial in p."""
+    out = Polynomial.zero()
+    for t in terms:
+        out = out + Polynomial({t.p_power: t.coeff * falling_factorial(n, t.n_falling)})
+    return out
+
+
+def series_monomial_coeff(terms: Iterable[SeriesTerm], n_power: int, p_power: int) -> Fraction:
+    """Coefficient of n^n_power p^p_power after expanding every [n]_a."""
+    total = Fraction(0)
+    for t in terms:
+        if t.p_power == p_power:
+            total += t.coeff * falling_factorial_poly(t.n_falling).coeff(n_power)
+    return total

@@ -35,9 +35,9 @@ from linhyp.graphcalc import (
     independent_partition_identity,
     ursell_direct,
 )
-from linhyp.hypergraph import family_densities
 from linhyp.oracle import exact_linearity_polynomial, monte_carlo
 from linhyp.polynomial import falling_factorial_poly, log_fraction
+from reference import family_densities
 
 SEED = 20260808
 

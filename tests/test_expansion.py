@@ -34,8 +34,9 @@ from linhyp.expansion import (
 from linhyp.graphcalc import SimpleGraph, ursell
 from linhyp.hypergraph import enumerate_forbidden_copies
 from linhyp.oracle import exact_linearity_polynomial
-from linhyp.polynomial import Polynomial, SeriesTerm, evaluate_series, falling_factorial
+from linhyp.polynomial import Polynomial, SeriesTerm, falling_factorial
 from moment_oracle import joint_cumulant, joint_moment
+from reference import evaluate_series
 from test_dependency import polymers_up_to
 
 
@@ -380,23 +381,27 @@ class TestSymbolicSeries:
             assert symbolic_at_n == truncated_exact
 
     def test_undersized_degree_is_caught(self):
-        # b = 3 spans up to 5 vertices; a degree-4 fit on n = 3..7 must be
-        # contradicted by the check samples at n = 8, 9 for some group
-        ns = list(range(3, 10))
+        # b = 3 spans up to 5 vertices; a degree-4 fit on n = 0..4 must be
+        # contradicted by the check samples at n = 5..9: the groups of
+        # power 3, which reach [n]_5, are, and the p^2 group (only [n]_4)
+        # is not
+        ns = list(range(10))
         sampled = _sample_power_sums(ns, 3, 3)
         keys = sorted({k for s in sampled.values() for k in s})
-        caught = 0
+        caught = []
         for key in keys:
             samples = [(n, sampled[n].get(key, Fraction(0))) for n in ns]
             try:
                 _solve_falling_basis(samples, 4)
             except LinhypError as exc:
                 assert "inconsistent with extra sample" in str(exc)
-                caught += 1
-        assert caught >= 1
+                caught.append(key)
+        assert keys == [(2, 1), (3, 2), (3, 3)]
+        assert caught == [(3, 2), (3, 3)]
 
-    def test_interpolation_checks_one_sample_past_the_fit(self, monkeypatch):
-        # strategy B samples n = 3..b+6 and a wrong last sample is rejected
+    @pytest.mark.parametrize("max_p_power", [2, 3, 4])
+    def test_interpolation_checks_one_sample_past_the_fit(self, monkeypatch, max_p_power):
+        # strategy B samples n = 0..b+3 and a wrong last sample is rejected
         seen = []
 
         def corrupt_last(ns, max_p_power, r):
@@ -410,8 +415,29 @@ class TestSymbolicSeries:
         monkeypatch.setattr(expansion, "_interpolated_memo", {})
         monkeypatch.setattr(expansion, "_sample_power_sums", corrupt_last)
         with pytest.raises(LinhypError, match="inconsistent with extra sample"):
-            interpolated_series_grouped(3)
-        assert seen == [list(range(3, 10))]
+            interpolated_series_grouped(max_p_power)
+        assert seen == [list(range(max_p_power + 4))]
+
+    def test_falling_basis_recovers_known_coefficients(self):
+        # f = 3[n]_5 - 2[n]_4 + 7: degree 5 on n = 0..5, n = 6 checked
+        samples = [
+            (n, 3 * falling_factorial(n, 5) - 2 * falling_factorial(n, 4) + 7)
+            for n in range(7)
+        ]
+        assert _solve_falling_basis(samples, 5) == [7, 0, 0, 0, -2, 3]
+        # a larger degree fits the same samples with zero leading terms
+        assert _solve_falling_basis(samples, 6) == [7, 0, 0, 0, -2, 3, 0]
+        with pytest.raises(LinhypError, match="inconsistent with extra sample"):
+            _solve_falling_basis(samples, 4)
+
+    def test_falling_basis_needs_samples_from_zero_without_gaps(self):
+        value = [Fraction(n * n) for n in range(8)]
+        with pytest.raises(ValidationError):
+            _solve_falling_basis([(n, value[n]) for n in range(3, 8)], 2)
+        with pytest.raises(ValidationError):
+            _solve_falling_basis([(n, value[n]) for n in (0, 1, 2, 4, 5)], 2)
+        with pytest.raises(ValidationError, match="not enough interpolation points"):
+            _solve_falling_basis([(n, value[n]) for n in range(3)], 3)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -430,6 +456,15 @@ class TestUntruncatedForms:
     def test_hard_core_cap(self):
         with pytest.raises(CapExceededError):
             hard_core_polynomial(6, 3)
+
+    @pytest.mark.parametrize(
+        "form", [hard_core_polynomial, inclusion_exclusion_polynomial, exact_linearity_polynomial]
+    )
+    @pytest.mark.parametrize("n, r", [(4, 2), (2, 3), (9, 2)])
+    def test_forms_reject_bad_hosts(self, form, n, r):
+        # (9, 2) has 36 edges: the host is rejected before any edge cap
+        with pytest.raises(ValidationError):
+            form(n, r)
 
 
 class TestIndependentReduction:

@@ -7,15 +7,10 @@ import pytest
 
 from linhyp import hypergraph
 from linhyp.errors import CapExceededError, ValidationError
-from linhyp.hypergraph import (
-    ForbiddenCopy,
-    Hypergraph,
-    enumerate_forbidden_copies,
-    family_densities,
-    is_linear,
-)
+from linhyp.hypergraph import ForbiddenCopy, enumerate_forbidden_copies
 
 from hypergraph_text import format_hypergraph, parse_hypergraph
+from reference import Hypergraph, family_densities, is_linear
 
 
 def falling(n, t):

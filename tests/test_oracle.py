@@ -9,7 +9,6 @@ import pytest
 
 from linhyp import oracle
 from linhyp.errors import CapExceededError, ValidationError
-from linhyp.hypergraph import Hypergraph, is_linear
 from linhyp.oracle import (
     BLOCK,
     MC_MAX_N,
@@ -19,6 +18,7 @@ from linhyp.oracle import (
     monte_carlo,
 )
 from linhyp.polynomial import Polynomial
+from reference import Hypergraph, is_linear
 
 
 def independent_scan(n, r):

@@ -10,12 +10,11 @@ from linhyp.combinat import set_partition_masks, set_partitions
 from linhyp.polynomial import (
     Polynomial,
     SeriesTerm,
-    evaluate_series,
     falling_factorial,
     falling_factorial_poly,
     log_fraction,
-    series_monomial_coeff,
 )
+from reference import evaluate_series, series_monomial_coeff
 
 
 class TestPolynomial:
