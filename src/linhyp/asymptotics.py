@@ -65,12 +65,13 @@ def log_linearity_r3(n: int, p: Fraction) -> AsymptoticEstimate:
             diagnostics={"p_exponent": None, "exponent_margin": None},
         )
     nf = Fraction(n)
-    value = (
-        -Fraction(1, 4) * nf**4 * p**2
-        + Fraction(2, 3) * nf**5 * p**3
-        - Fraction(55, 24) * nf**6 * p**4
-        + Fraction(3, 2) * nf**3 * p**2
-    )
+    terms = {
+        "term_n4p2": -Fraction(1, 4) * nf**4 * p**2,
+        "term_n5p3": Fraction(2, 3) * nf**5 * p**3,
+        "term_n6p4": -Fraction(55, 24) * nf**6 * p**4,
+        "term_n3p2": Fraction(3, 2) * nf**3 * p**2,
+    }
+    value = sum(terms.values())
     # p = n^(-alpha); the hypothesis asks alpha > 7/5
     alpha = -math.log(float(p)) / math.log(n)
     margin = alpha - 7.0 / 5.0
@@ -82,10 +83,7 @@ def log_linearity_r3(n: int, p: Fraction) -> AsymptoticEstimate:
             "p_exponent": alpha,
             "exponent_margin": margin,
             "hypothesis": "p below n^(-7/5)",
-            "term_n4p2": float(-Fraction(1, 4) * nf**4 * p**2),
-            "term_n5p3": float(Fraction(2, 3) * nf**5 * p**3),
-            "term_n6p4": float(-Fraction(55, 24) * nf**6 * p**4),
-            "term_n3p2": float(Fraction(3, 2) * nf**3 * p**2),
+            **{key: float(term) for key, term in terms.items()},
         },
     )
 

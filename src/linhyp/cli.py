@@ -53,7 +53,7 @@ from .graphcalc import (
     ursell_direct,
 )
 from .hypergraph import enumerate_forbidden_copies
-from .oracle import EXACT_STATE_CAP_BITS, exact_linearity_polynomial, monte_carlo
+from .oracle import EXACT_STATE_CAP_BITS, check_seed, exact_linearity_polynomial, monte_carlo
 from .polynomial import Polynomial, log_fraction
 
 EXIT_OK = 0
@@ -147,6 +147,18 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
+
+
+def _seed(text: str) -> int:
+    """argparse type: an integer seed that `monte_carlo` accepts."""
+    try:
+        value = int(text)
+        check_seed(value)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    return value
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -253,9 +265,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_series(args) -> int:
     started = time.monotonic()
-    terms = symbolic_series(
-        max_p_power=args.max_p_power, r=args.r, cross_check=not args.no_cross_check
-    )
+    terms = symbolic_series(max_p_power=args.max_p_power, r=args.r)
     payload = {"terms": [t.to_json() for t in terms]}
     _emit(payload, args, started)
     return EXIT_OK
@@ -470,11 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, n_r=False)
     sp.add_argument("--r", type=int, default=3)
     sp.add_argument("--max-p-power", type=int, default=4)
-    sp.add_argument(
-        "--no-cross-check",
-        action="store_true",
-        help="skip the interpolation cross-check of the structural series",
-    )
     sp.set_defaults(func=_cmd_series)
 
     sp = sub.add_parser("delta", help="sum of moments over polymers of size i")
@@ -500,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--p", type=_checked_text(_parse_decimal), required=True, help="decimal probability"
     )
     sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
     sp.set_defaults(func=_cmd_montecarlo)
 
     sp = sub.add_parser("asymptotic", help="closed-form asymptotic evaluators")
@@ -520,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="lo,hi,count decimal sweep for the CSV",
     )
     sp.add_argument("--trials", type=_int_at_least(0), default=0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--csv", help="write the sweep table to this CSV path")
     sp.set_defaults(func=_cmd_compare)
 

@@ -15,11 +15,11 @@ shape, and `_shape_sums` evaluates each distinct shape's partition sum
 once (47 shapes for the 79,380 order-4 polymers at n = 6, r = 3).
 
 On the complete host the contribution is also unchanged by relabelling
-the vertices, so `expansion_term`, `moment_sum` and the per-n samples walk
-only the polymers through one root per copy orbit and weigh each by
-|orbit| / size (see `expansion_term`); at n = 6, r = 3 that is 3,528
-walked order-4 sets in 26 shapes instead of 79,380 polymers in 47.
-`cumulant_sum` walks every root and stays the independent check.
+the vertices, so `expansion_term` and `moment_sum` walk only the polymers
+through one root per copy orbit and weigh each by |orbit| / size (see
+`expansion_term`); at n = 6, r = 3 that is 3,528 walked order-4 sets in
+26 shapes instead of 79,380 polymers in 47.  `cumulant_sum` walks every
+root and stays the independent check.
 
 The symbolic-in-n series is produced two independent ways that must agree:
 
@@ -28,12 +28,13 @@ The symbolic-in-n series is produced two independent ways that must agree:
   conflict graph of the triples on [v], are counted directly, so a class
   contributes (labelled count / v!) * [n]_v, and automorphism factors
   never need to be computed.
-* Strategy B, interpolation: the per-n sums are evaluated exactly at
-  n = 0, 1, ..., D + 1, where D = r + (b - 1)(r - 2) is the proven
-  vertex-span bound, and read off in the falling-factorial basis from
-  their forward differences (`_solve_falling_basis`); the sample at
-  n = D + 1 checks the fit.  The sums vanish for n <= r, so only
-  n = r + 1..D + 1 cost anything.
+* Strategy B, interpolation: the per-n sums are the expansion terms cut
+  at p^b (`expansion_term` with `max_p_power`, the kernel `expand` runs),
+  evaluated exactly at n = 0, 1, ..., D + 1, where D = r + (b - 1)(r - 2)
+  is the proven vertex-span bound, and read off in the falling-factorial
+  basis from their forward differences (`_solve_falling_basis`); the
+  sample at n = D + 1 checks the fit.  The sums vanish for n <= r, so
+  only n = r + 1..D + 1 cost anything.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ HARD_CORE_EDGE_CAP = 12
 #: structural strategy walks the conflict-connected sets of at most
 #: max_p_power triples on [v], and the interpolation samples
 #: n = 0..max_p_power + 3, of which only n = 4..max_p_power + 3 hold any
-#: cluster.  A sample walks from one root per copy orbit, and a set
-#: through the root spans at most max_p_power - 2 vertices beyond the
+#: cluster.  A sample is the budgeted expansion terms of orders
+#: 1..C(max_p_power, 2), each walked from one root per copy orbit, and a
+#: set through the root spans at most max_p_power - 2 vertices beyond the
 #: root's 4, so its cost grows like n^(max_p_power-2); 4 keeps both
 #: strategies comfortably inside the cross-check contract.
 MAX_SYMBOLIC_P_POWER = 4
@@ -149,10 +151,9 @@ def _partition_contributions(
         yield (power, _phi_of_blocks(unions))
 
 
-def _shape(mask: int, copy_edges: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+def _shape(mask: int, edge_masks: Sequence[int]) -> tuple[int, ...]:
     """Shape of the copy set `mask`: its members' hyperedge masks, in
     member-index order, with hyperedge ids relabelled by first appearance.
-    `copy_edges[i]` holds copy i's hyperedges as one-bit masks.
 
     A polymer's contribution is a function of its shape, because everything
     it is computed from is read off the masks and is unchanged by renaming
@@ -165,16 +166,14 @@ def _shape(mask: int, copy_edges: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     while mask:
         low = mask & -mask
         mask ^= low
+        em = edge_masks[low.bit_length() - 1]
         relabelled = 0
-        for e in copy_edges[low.bit_length() - 1]:
+        while em:
+            e = em & -em
+            em ^= e
             relabelled |= labels.setdefault(e, 1 << len(labels))
         shape.append(relabelled)
     return tuple(shape)
-
-
-def _edge_bits(edge_masks: Sequence[int]) -> list[tuple[int, ...]]:
-    """Each copy's hyperedges as one-bit masks, the `copy_edges` of `_shape`."""
-    return [tuple(1 << e for e in _mask_to_members(em)) for em in edge_masks]
 
 
 def _shape_sums(
@@ -198,7 +197,9 @@ def _shape_sums(
     return out
 
 
-def expansion_term(d: DependencyGraph, order: int, cap: int | None = None) -> Polynomial:
+def expansion_term(
+    d: DependencyGraph, order: int, cap: int | None = None, max_p_power: int | None = None
+) -> Polynomial:
     """Order-`order` term of the disjoint-cluster expansion, exact in p.
 
     Unordered cluster enumeration absorbs the 1/|cluster|! of the ordered
@@ -218,15 +219,26 @@ def expansion_term(d: DependencyGraph, order: int, cap: int | None = None) -> Po
     weights sum to k times the polymer count, and the cap is hit when that
     sum exceeds cap * k, exactly when the polymer count exceeds cap.  Any
     other graph is walked from every root with weight 1.
+
+    With `max_p_power` the term is cut at p^max_p_power.  Every partition
+    of a polymer pays at least its hyperedge union, so the walk prunes the
+    sets whose union exceeds the budget and only partitions of power at
+    most the budget are summed; the cap then counts the polymers within
+    the budget.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    copy_edges = _edge_bits(d.copy_edge_masks)
     scale = _walk_scale(d, order)
     shapes: dict[tuple[int, ...], int] = {}
     walked = 0
     for roots, weight in _root_groups(d):
-        for mask, size, _emask in _connected_set_masks(d.adj_masks, order, roots=roots):
+        for mask, size, _emask in _connected_set_masks(
+            d.adj_masks,
+            order,
+            edge_masks=d.copy_edge_masks,
+            edge_budget=max_p_power,
+            roots=roots,
+        ):
             if size != order:
                 continue
             walked += weight
@@ -236,10 +248,10 @@ def expansion_term(d: DependencyGraph, order: int, cap: int | None = None) -> Po
                     cap=cap,
                     order=order,
                 )
-            key = _shape(mask, copy_edges)
+            key = _shape(mask, d.copy_edge_masks)
             shapes[key] = shapes.get(key, 0) + weight
     multiplicities = {key: Fraction(c, scale) for key, c in shapes.items()}
-    sums = _shape_sums(multiplicities, None)
+    sums = _shape_sums(multiplicities, max_p_power)
     return Polynomial({power: c for (power, _size), c in sums.items()})
 
 
@@ -381,10 +393,6 @@ def _spanning_triple_sets(v: int, max_edges: int) -> Iterator[tuple[int, ...]]:
             yield tuple(triples[i] for i in _mask_to_members(mask))
 
 
-_structural_memo: dict[tuple[int, int], dict] = {}
-_interpolated_memo: dict[tuple[int, int], dict] = {}
-
-
 def structural_series_grouped(
     max_p_power: int = 4, r: int = 3
 ) -> dict[tuple[int, int, int], Fraction]:
@@ -402,20 +410,16 @@ def structural_series_grouped(
         raise ValidationError(
             f"max_p_power must be in 2..{MAX_SYMBOLIC_P_POWER}, got {max_p_power}"
         )
-    cached = _structural_memo.get((max_p_power, r))
-    if cached is not None:
-        return dict(cached)
     out: dict[tuple[int, int, int], Fraction] = {}
     for v in range(4, max_p_power + 3):
         shapes: dict[tuple[int, ...], int] = {}
         for edge_set in _spanning_triple_sets(v, max_p_power):
             # the copies of the structure: conflicting pairs of its triples
-            copy_edges = [
-                (1 << i, 1 << j)
+            copy_masks = [
+                (1 << i) | (1 << j)
                 for i, j in combinations(range(len(edge_set)), 2)
                 if (edge_set[i] & edge_set[j]).bit_count() >= 2
             ]
-            copy_masks = [a | b for a, b in copy_edges]
             adj = [
                 sum(1 << j for j, b in enumerate(copy_masks) if j != i and a & b)
                 for i, a in enumerate(copy_masks)
@@ -425,14 +429,12 @@ def structural_series_grouped(
                 adj, len(copy_masks), edge_masks=copy_masks
             ):
                 if emask == full_edges:
-                    key = _shape(mask, copy_edges)
+                    key = _shape(mask, copy_masks)
                     shapes[key] = shapes.get(key, 0) + 1
         vfact = math.factorial(v)
         for (power, size), c in _shape_sums(shapes, max_p_power).items():
             out[(v, power, size)] = c / vfact
-    result = {k: c for k, c in out.items() if c != 0}
-    _structural_memo[(max_p_power, r)] = dict(result)
-    return result
+    return {k: c for k, c in out.items() if c != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -444,43 +446,20 @@ def per_n_power_sums(n: int, max_p_power: int, r: int = 3) -> dict[tuple[int, in
     """{(p_power, cluster_size): coefficient} of all cluster contributions
     with p-power at most max_p_power, at a concrete n.
 
-    The polymer stream is pruned on the hyperedge budget, which keeps it
-    polynomial in n.  A finer partition costs at least one hyperedge more
-    than the polymer's union, so only polymers of size > 1 whose union is
-    under the budget can have one; those are counted by shape, and every
-    other polymer adds its trivial partition to a signed integer tally.
-    The complete host is walked from one root per copy orbit, as in
-    `expansion_term`, and a walked set of size k weighs |orbit| / k.
+    These are the expansion terms cut at p^max_p_power (`expansion_term`
+    with `max_p_power`), so the samples run on the kernel that `expand`
+    runs.  The k copies of a polymer within the budget are distinct pairs
+    of the at most max_p_power hyperedges in its union, so the orders stop
+    at k = C(max_p_power, 2).
     """
     if n < r:
         return {}
     d = dependency_graph_for(n, r)
-    max_size = max(max_p_power * (max_p_power - 1) // 2, 1)
-    copy_edges = _edge_bits(d.copy_edge_masks)
-    tally: dict[tuple[int, int], int] = {}
-    shapes: dict[tuple[int, ...], int] = {}
-    for roots, weight in _root_groups(d):
-        for mask, size, emask in _connected_set_masks(
-            d.adj_masks,
-            max_size,
-            edge_masks=d.copy_edge_masks,
-            edge_budget=max_p_power,
-            roots=roots,
-        ):
-            m_u = emask.bit_count()
-            if size > 1 and m_u < max_p_power:
-                key = _shape(mask, copy_edges)
-                shapes[key] = shapes.get(key, 0) + weight
-            else:
-                key = (m_u, size)
-                tally[key] = tally.get(key, 0) + (-weight if size & 1 else weight)
-    out = {key: Fraction(c, _walk_scale(d, key[1])) for key, c in tally.items()}
-    multiplicities = {
-        key: Fraction(c, _walk_scale(d, len(key))) for key, c in shapes.items()
-    }
-    for key, c in _shape_sums(multiplicities, max_p_power).items():
-        out[key] = out.get(key, 0) + c
-    return {k: c for k, c in out.items() if c != 0}
+    out: dict[tuple[int, int], Fraction] = {}
+    for size in range(1, max(max_p_power * (max_p_power - 1) // 2, 1) + 1):
+        term = expansion_term(d, size, max_p_power=max_p_power)
+        out.update(((power, size), c) for power, c in term.coeffs.items())
+    return out
 
 
 def _solve_falling_basis(samples: list[tuple[int, Fraction]], degree: int) -> list[Fraction]:
@@ -528,9 +507,6 @@ def interpolated_series_grouped(
         raise ValidationError(
             f"max_p_power must be in 2..{MAX_SYMBOLIC_P_POWER}, got {max_p_power}"
         )
-    cached = _interpolated_memo.get((max_p_power, r))
-    if cached is not None:
-        return dict(cached)
     degree = r + (max_p_power - 1) * (r - 2)
     ns = list(range(degree + 2))  # degree + 1 fitted, the last checked
     sampled = _sample_power_sums(ns, max_p_power, r)
@@ -542,7 +518,6 @@ def interpolated_series_grouped(
         for a, c in enumerate(coeffs):
             if c != 0:
                 out[(a, power, size)] = c
-    _interpolated_memo[(max_p_power, r)] = dict(out)
     return out
 
 

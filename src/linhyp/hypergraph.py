@@ -78,9 +78,11 @@ def _copy_count(n: int, r: int) -> int:
 def enumerate_forbidden_copies(n: int, r: int) -> list[ForbiddenCopy]:
     """Every pair of r-subsets of {1..n} intersecting in 2..r-1 vertices.
 
-    Canonical (sorted) output order.  For r=3 the count is [n]_4 / 4.  A
-    host with more than COPY_CAP copies (`_copy_count`) raises
-    CapExceededError with context {copies, cap} before any is listed.
+    Canonical (sorted) output order: the pairs i < j of the
+    lexicographically listed edges come out sorted.  For r=3 the count is
+    [n]_4 / 4.  A host with more than COPY_CAP copies (`_copy_count`)
+    raises CapExceededError with context {copies, cap} before any is
+    listed.
     """
     check_host(n, r)
     count = _copy_count(n, r)
@@ -99,5 +101,4 @@ def enumerate_forbidden_copies(n: int, r: int) -> list[ForbiddenCopy]:
             t = len(si & edge_sets[j])
             if 2 <= t <= r - 1:
                 copies.append(ForbiddenCopy(e1=edges[i], e2=edges[j], t=t))
-    copies.sort()
     return copies

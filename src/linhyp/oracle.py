@@ -193,6 +193,12 @@ def _run_trials(pair_ids: np.ndarray, n: int, p: float, seed: int, trials: int) 
     return hits
 
 
+def check_seed(seed: int) -> None:
+    """Rejects a seed outside Philox's key range, 0 .. 2^128 - 1."""
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed must be in 0 .. 2^128 - 1, got {seed}")
+
+
 def monte_carlo(
     n: int, r: int, p: Fraction, trials: int, seed: int, workers: int = 1
 ) -> McReport:
@@ -233,8 +239,7 @@ def monte_carlo(
     check_host(n, r)
     if trials < 1:
         raise ValidationError("need at least one trial")
-    if not 0 <= seed < 2**128:
-        raise ValidationError(f"seed must be in 0 .. 2^128 - 1, got {seed}")
+    check_seed(seed)
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValidationError(f"p must be in (0,1), got {p}")

@@ -338,17 +338,18 @@ class TestErrors:
         assert err["context"] == {"copies": 2049 * 2048 * 2047 * 2046 // 4, "cap": COPY_CAP}
 
 
+@pytest.fixture
+def no_engines(monkeypatch):
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("an engine ran before the arguments were checked")
+
+    for name in ("dependency_graph_for", "_compare_polynomials", "monte_carlo"):
+        monkeypatch.setattr(cli, name, unreachable)
+
+
 class TestOutputPathsCheckedFirst:
     """A bad output path exits 2 before any engine runs or any file is
     written."""
-
-    @pytest.fixture
-    def no_engines(self, monkeypatch):
-        def unreachable(*_args, **_kwargs):
-            raise AssertionError("an engine ran before the output paths were checked")
-
-        for name in ("dependency_graph_for", "_compare_polynomials", "monte_carlo"):
-            monkeypatch.setattr(cli, name, unreachable)
 
     @pytest.mark.parametrize(
         "argv",
@@ -385,6 +386,28 @@ class TestOutputPathsCheckedFirst:
         assert kept.read_text() == "earlier run\n"
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["message"].startswith(f"cannot write {tmp_path}: ")
+
+
+class TestSeedCheckedFirst:
+    """A seed outside Philox's key range exits 2 before any engine runs,
+    also where no trial would use it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "6", "3", "--sweep", "0.0005,0.02,12", "--trials", "2000",
+             "--seed", "-1"],
+            ["compare", "6", "3", "--p", "1/100", "--trials", "0", "--seed", "-1"],
+            ["montecarlo", "5", "3", "--p", "0.1", "--trials", "10", "--seed", str(2**128)],
+        ],
+    )
+    def test_bad_seed_exits_before_any_work(self, capsys, no_engines, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "validation"
+        assert "seed must be in 0 .. 2^128 - 1" in err["message"]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -48,8 +48,7 @@ cap = ints(0, 500, [-1])
 OPTIONS = {
     "copies": [("--list", None, 5)],
     "expand": [("--k", ints(2, 4, [0, 1]), 9), ("--cap", cap, 4), ("--allow-partial", None, 5)],
-    "series": [("--r", ints(3, 3, [2, 4]), 5), ("--max-p-power", ints(2, 3, [-1, 0, 1]), 8),
-               ("--no-cross-check", None, 5)],
+    "series": [("--r", ints(3, 3, [2, 4]), 5), ("--max-p-power", ints(2, 3, [-1, 0, 1]), 8)],
     "delta": [("--i", ints(1, 4, [-1, 0]), 9), ("--cap", cap, 4)],
     "cumulants": [("--k", ints(1, 3, [-1, 0]), 9), ("--cap", cap, 4)],
     "oracle": [("--p", exact_p, 5)],

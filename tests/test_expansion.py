@@ -125,6 +125,19 @@ class TestExpansionTerms:
         assert err.value.context["partial_order"] >= 2
         assert err.value.context["completed_orders"] == [1]
 
+    #: (n, b, highest order): the untruncated side bounds the order, since
+    #: a budget of b hyperedges allows clusters of up to C(b, 2) copies and
+    #: the untruncated order 6 at n = 6 or 7 takes minutes
+    @pytest.mark.parametrize(
+        "n, b, top", [(5, 3, 3), (6, 3, 3), (7, 3, 3), (5, 4, 6), (6, 4, 5), (7, 4, 4)]
+    )
+    def test_budget_cuts_the_untruncated_term(self, n, b, top):
+        d = dependency_graph_for(n, 3)
+        for order in range(1, top + 1):
+            whole = expansion_term(d, order)
+            cut = Polynomial({e: c for e, c in whole.coeffs.items() if e <= b})
+            assert expansion_term(d, order, max_p_power=b) == cut
+
     def test_validation(self):
         d = dependency_graph_for(4, 3)
         with pytest.raises(ValidationError):
@@ -253,7 +266,9 @@ class TestOrbitWalk:
         orbit, every = dependency_graph_for(n, r), all_roots_graph(n, r)
         assert every.orbits is None
         for order in range(1, top + 1):
-            assert expansion_term(orbit, order) == expansion_term(every, order)
+            for budget in (None, 3):
+                got = expansion_term(orbit, order, max_p_power=budget)
+                assert got == expansion_term(every, order, max_p_power=budget)
 
     def test_expansion_term_order5_n6(self):
         got = expansion_term(dependency_graph_for(6, 3), 5)
@@ -412,7 +427,6 @@ class TestSymbolicSeries:
             last[key] += 1
             return sampled
 
-        monkeypatch.setattr(expansion, "_interpolated_memo", {})
         monkeypatch.setattr(expansion, "_sample_power_sums", corrupt_last)
         with pytest.raises(LinhypError, match="inconsistent with extra sample"):
             interpolated_series_grouped(max_p_power)
