@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .hypergraph import check_host
-from .polynomial import falling_factorial
+from .polynomial import falling_factorial, log_fraction
 
 REGIME_R3 = "refined_r3"
 REGIME_SMALL = "general_small"
@@ -73,7 +73,7 @@ def log_linearity_r3(n: int, p: Fraction) -> AsymptoticEstimate:
     }
     value = sum(terms.values())
     # p = n^(-alpha); the hypothesis asks alpha > 7/5
-    alpha = -math.log(float(p)) / math.log(n)
+    alpha = -log_fraction(p) / math.log(n)
     margin = alpha - 7.0 / 5.0
     return AsymptoticEstimate(
         log_prob=float(value),

@@ -112,10 +112,14 @@ def _sweep_points(text: str) -> list[Fraction]:
         raise ValidationError(f"sweep count must be an integer, got {fields[2]!r}") from None
     if count < 2 or not (0 < lo < hi < 1):
         raise ValidationError("sweep needs 0 < lo < hi < 1 and count >= 2")
-    # geometric spacing, snapped to exact decimals of the float grid
-    ratio = (float(hi) / float(lo)) ** (1.0 / (count - 1))
-    points = [Fraction(str(round(float(lo) * ratio**i, 12))) for i in range(count)]
-    if not (0 < points[0] and points[-1] < 1 and sorted(set(points)) == points):
+    # geometric spacing, snapped to exact decimals of the float grid; a
+    # bound too small for a float (1e-400 reads as 0.0) leaves no grid
+    try:
+        ratio = (float(hi) / float(lo)) ** (1.0 / (count - 1))
+        points = [Fraction(str(round(float(lo) * ratio**i, 12))) for i in range(count)]
+    except (ArithmeticError, ValueError):
+        points = []
+    if not (points and 0 < points[0] and points[-1] < 1 and sorted(set(points)) == points):
         raise ValidationError(f"sweep {text!r} does not round to increasing points in (0,1)")
     return points
 
@@ -484,12 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("delta", help="sum of moments over polymers of size i")
     add_common(sp, cap=True)
-    sp.add_argument("--i", type=int, required=True)
+    sp.add_argument("--i", type=_int_at_least(1), required=True)
     sp.set_defaults(func=_cmd_delta)
 
     sp = sub.add_parser("cumulants", help="alternating cumulant sum up to size k")
     add_common(sp, cap=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_int_at_least(1), required=True)
     sp.set_defaults(func=_cmd_cumulants)
 
     sp = sub.add_parser("oracle", help="exact linearity polynomial")

@@ -12,7 +12,7 @@ same walk has a pinned-root mode that lists every connected set through
 each given root exactly once.  The complete host's graph records its copy
 orbits under the symmetric group on the vertices (one per overlap size),
 and the engines that sum a relabelling-invariant quantity walk from one
-root per orbit instead of from every copy (see `expansion.expansion_term`).
+root per orbit instead of from every copy (see `expansion._orbit_tally`).
 The engines that consume the stream take an opt-in cap on what they count.
 """
 
@@ -35,28 +35,25 @@ class DependencyGraph:
     def __init__(self, copies: Sequence[ForbiddenCopy]):
         self.copies: list[ForbiddenCopy] = list(copies)
         self.orbits: tuple[tuple[int, int], ...] | None = None
-        m = len(self.copies)
         # hyperedge -> integer id, used for moment exponents
-        self.edge_ids: dict[tuple[int, ...], int] = {}
+        edge_ids: dict[tuple[int, ...], int] = {}
         for c in self.copies:
             for e in c.edge_pair:
-                if e not in self.edge_ids:
-                    self.edge_ids[e] = len(self.edge_ids)
+                if e not in edge_ids:
+                    edge_ids[e] = len(edge_ids)
         self.copy_edge_masks: list[int] = [
-            (1 << self.edge_ids[c.e1]) | (1 << self.edge_ids[c.e2]) for c in self.copies
+            (1 << edge_ids[c.e1]) | (1 << edge_ids[c.e2]) for c in self.copies
         ]
-        # adjacency via the hyperedge -> copies index, not all-pairs scans
-        by_edge: dict[int, list[int]] = {}
+        # holders[e]: the copies that contain hyperedge e, as one bitmask;
+        # a copy's neighbours are the other holders of its two hyperedges
+        holders = [0] * len(edge_ids)
         for i, c in enumerate(self.copies):
             for e in c.edge_pair:
-                by_edge.setdefault(self.edge_ids[e], []).append(i)
-        masks = [0] * m
-        for members in by_edge.values():
-            for i in members:
-                for j in members:
-                    if i != j:
-                        masks[i] |= 1 << j
-        self.adj_masks: list[int] = masks
+                holders[edge_ids[e]] |= 1 << i
+        self.adj_masks: list[int] = [
+            (holders[edge_ids[c.e1]] | holders[edge_ids[c.e2]]) & ~(1 << i)
+            for i, c in enumerate(self.copies)
+        ]
 
     def __len__(self) -> int:
         return len(self.copies)
@@ -158,20 +155,3 @@ def dependency_graph_for(n: int, r: int) -> DependencyGraph:
     d.orbits = tuple((reps[t], sizes[t]) for t in sorted(reps))
     return d
 
-
-def _root_groups(d: DependencyGraph) -> list[tuple[tuple[int, ...] | None, int]]:
-    """(roots, weight) pairs whose walks together cover every polymer of `d`.
-
-    Without orbits: one all-roots walk, each polymer listed once with
-    weight 1.  With orbits: one pinned walk per orbit representative,
-    weighted by the orbit size.  Either way a walked set of size k stands
-    for weight / `_walk_scale(d, k)` polymers.
-    """
-    if d.orbits is None:
-        return [(None, 1)]
-    return [((rep,), size) for rep, size in d.orbits]
-
-
-def _walk_scale(d: DependencyGraph, size: int) -> int:
-    """Walked weight that one polymer of the given size accounts for."""
-    return 1 if d.orbits is None else size

@@ -15,11 +15,12 @@ shape, and `_shape_sums` evaluates each distinct shape's partition sum
 once (47 shapes for the 79,380 order-4 polymers at n = 6, r = 3).
 
 On the complete host the contribution is also unchanged by relabelling
-the vertices, so `expansion_term` and `moment_sum` walk only the polymers
-through one root per copy orbit and weigh each by |orbit| / size (see
-`expansion_term`); at n = 6, r = 3 that is 3,528 walked order-4 sets in
-26 shapes instead of 79,380 polymers in 47.  `cumulant_sum` walks every
-root and stays the independent check.
+the vertices, so `expansion_term`, `moment_sum` and the per-n samples
+walk only the polymers through one root per copy orbit and weigh each by
+|orbit| / size (see `_orbit_tally`, the one walk under all three); at
+n = 6, r = 3 that is 3,528 walked order-4 sets in 26 shapes instead of
+79,380 polymers in 47.  `cumulant_sum` walks every root and stays the
+independent check.
 
 The symbolic-in-n series is produced two independent ways that must agree:
 
@@ -29,12 +30,12 @@ The symbolic-in-n series is produced two independent ways that must agree:
   contributes (labelled count / v!) * [n]_v, and automorphism factors
   never need to be computed.
 * Strategy B, interpolation: the per-n sums are the expansion terms cut
-  at p^b (`expansion_term` with `max_p_power`, the kernel `expand` runs),
-  evaluated exactly at n = 0, 1, ..., D + 1, where D = r + (b - 1)(r - 2)
-  is the proven vertex-span bound, and read off in the falling-factorial
-  basis from their forward differences (`_solve_falling_basis`); the
-  sample at n = D + 1 checks the fit.  The sums vanish for n <= r, so
-  only n = r + 1..D + 1 cost anything.
+  at p^b (the shape tally `expansion_term` runs, walked once for every
+  order up to C(b, 2)), evaluated exactly at n = 0, 1, ..., D + 1, where
+  D = r + (b - 1)(r - 2) is the proven vertex-span bound, and read off in
+  the falling-factorial basis from their forward differences
+  (`_solve_falling_basis`); the sample at n = D + 1 checks the fit.  The
+  sums vanish for n <= r, so only n = r + 1..D + 1 cost anything.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from .dependency import (
     DependencyGraph,
     _connected_set_masks,
     _mask_to_members,
-    _root_groups,
-    _walk_scale,
     dependency_graph_for,
 )
 from .errors import CapExceededError, LinhypError, ValidationError
@@ -66,11 +65,11 @@ HARD_CORE_EDGE_CAP = 12
 #: structural strategy walks the conflict-connected sets of at most
 #: max_p_power triples on [v], and the interpolation samples
 #: n = 0..max_p_power + 3, of which only n = 4..max_p_power + 3 hold any
-#: cluster.  A sample is the budgeted expansion terms of orders
-#: 1..C(max_p_power, 2), each walked from one root per copy orbit, and a
-#: set through the root spans at most max_p_power - 2 vertices beyond the
-#: root's 4, so its cost grows like n^(max_p_power-2); 4 keeps both
-#: strategies comfortably inside the cross-check contract.
+#: cluster.  A sample is one budgeted walk from one root per copy orbit,
+#: covering the orders 1..C(max_p_power, 2) at once, and a set through the
+#: root spans at most max_p_power - 2 vertices beyond the root's 4, so its
+#: cost grows like n^(max_p_power-2); 4 keeps both strategies comfortably
+#: inside the cross-check contract.
 MAX_SYMBOLIC_P_POWER = 4
 
 _phi_cache: dict[tuple[int, int], Fraction] = {}
@@ -197,6 +196,76 @@ def _shape_sums(
     return out
 
 
+def _orbit_tally(
+    d: DependencyGraph,
+    sizes: range,
+    cap: int | None = None,
+    max_p_power: int | None = None,
+    by_shape: bool = True,
+) -> dict[object, Fraction]:
+    """{key: number of polymers} over the polymers whose size is in
+    `sizes`, from one walk up to the largest size.  The key is the
+    polymer's shape (`_shape`), or without `by_shape` the p-power of its
+    hyperedge union.
+
+    On the complete host (`d.orbits` set by `dependency_graph_for`) only
+    one root per copy orbit is walked.  For a polymer function f that is
+    unchanged by relabelling the vertices, as both keys are,
+
+        sum_S f(S) = sum_c sum_{S containing c} f(S) / |S|
+                   = sum_O |O| * sum_{S containing rep(O)} f(S) / |S|,
+
+    because the symmetric group maps the sets through one copy of an orbit
+    onto the sets through any other.  So a walked set of size k stands for
+    exactly |O| / k polymers.  Any other graph is walked from every root,
+    and a walked set is one polymer.  The weights are tallied as integers
+    over the common denominator `scale`.
+
+    The cap counts polymers: it is hit when the walked weight exceeds
+    cap * scale, exactly when the polymer count exceeds cap.  The shape
+    tallies are cluster terms and report the hit by order, the union
+    tallies are moment sums and report it by size.  With `max_p_power` the
+    walk prunes the sets whose hyperedge union exceeds the budget, and the
+    cap counts the polymers within it.
+    """
+    low, top = sizes[0], sizes[-1]
+    if d.orbits is None:
+        scale = 1
+        groups = [(None, [1] * (top + 1))]
+    else:
+        scale = math.lcm(*sizes)
+        groups = [
+            ((rep,), [0] + [orbit * scale // k for k in range(1, top + 1)])
+            for rep, orbit in d.orbits
+        ]
+    limit = None if cap is None else cap * scale
+    noun, unit = ("cluster", "order") if by_shape else ("polymer", "size")
+    edge_masks = d.copy_edge_masks
+    walked = 0
+    tally: dict[object, int] = {}
+    for roots, weights in groups:
+        for mask, size, emask in _connected_set_masks(
+            d.adj_masks,
+            top,
+            edge_masks=edge_masks,
+            edge_budget=max_p_power,
+            roots=roots,
+        ):
+            if size < low:
+                continue
+            weight = weights[size]
+            walked += weight
+            if limit is not None and walked > limit:
+                raise CapExceededError(
+                    f"{noun} enumeration for {unit} {size} exceeded cap {cap}",
+                    cap=cap,
+                    **{unit: size},
+                )
+            key = _shape(mask, edge_masks) if by_shape else emask.bit_count()
+            tally[key] = tally.get(key, 0) + weight
+    return {key: Fraction(c, scale) for key, c in tally.items()}
+
+
 def expansion_term(
     d: DependencyGraph, order: int, cap: int | None = None, max_p_power: int | None = None
 ) -> Polynomial:
@@ -204,54 +273,18 @@ def expansion_term(
 
     Unordered cluster enumeration absorbs the 1/|cluster|! of the ordered
     formulation, because disjoint polymers are pairwise distinct.  Polymers
-    are counted by shape.
-
-    On the complete host (`d.orbits` set by `dependency_graph_for`) only
-    one root per copy orbit is walked.  For a polymer function f that is
-    unchanged by relabelling the vertices, as the contribution is,
-
-        sum_S f(S) = sum_c sum_{S containing c} f(S) / |S|
-                   = sum_O |O| * sum_{S containing rep(O)} f(S) / |S|,
-
-    because the symmetric group maps the sets through one copy of an orbit
-    onto the sets through any other.  So a walked set of size k carries the
-    exact weight |O| / k.  The cap still counts polymers: the walked
-    weights sum to k times the polymer count, and the cap is hit when that
-    sum exceeds cap * k, exactly when the polymer count exceeds cap.  Any
-    other graph is walked from every root with weight 1.
+    are counted by shape, one root per copy orbit on the complete host
+    (`_orbit_tally`), and the cap counts polymers.
 
     With `max_p_power` the term is cut at p^max_p_power.  Every partition
     of a polymer pays at least its hyperedge union, so the walk prunes the
     sets whose union exceeds the budget and only partitions of power at
-    most the budget are summed; the cap then counts the polymers within
-    the budget.
+    most the budget are summed.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    scale = _walk_scale(d, order)
-    shapes: dict[tuple[int, ...], int] = {}
-    walked = 0
-    for roots, weight in _root_groups(d):
-        for mask, size, _emask in _connected_set_masks(
-            d.adj_masks,
-            order,
-            edge_masks=d.copy_edge_masks,
-            edge_budget=max_p_power,
-            roots=roots,
-        ):
-            if size != order:
-                continue
-            walked += weight
-            if cap is not None and walked > cap * scale:
-                raise CapExceededError(
-                    f"cluster enumeration for order {order} exceeded cap {cap}",
-                    cap=cap,
-                    order=order,
-                )
-            key = _shape(mask, d.copy_edge_masks)
-            shapes[key] = shapes.get(key, 0) + weight
-    multiplicities = {key: Fraction(c, scale) for key, c in shapes.items()}
-    sums = _shape_sums(multiplicities, max_p_power)
+    shapes = _orbit_tally(d, range(order, order + 1), cap, max_p_power)
+    sums = _shape_sums(shapes, max_p_power)
     return Polynomial({power: c for (power, _size), c in sums.items()})
 
 
@@ -286,30 +319,12 @@ def truncated_expansion(d: DependencyGraph, k: int, cap: int | None = None) -> P
 def moment_sum(d: DependencyGraph, size: int, cap: int | None = None) -> Polynomial:
     """Sum of joint moments over polymers of exactly the given size.
 
-    Walked like `expansion_term`: one root per orbit on the complete host,
-    and the cap counts polymers.
+    Walked like `expansion_term` (`_orbit_tally`), and the cap counts
+    polymers.
     """
     if size < 1:
         raise ValidationError(f"size must be >= 1, got {size}")
-    scale = _walk_scale(d, size)
-    acc: dict[int, int] = {}
-    walked = 0
-    for roots, weight in _root_groups(d):
-        for _mask, s, emask in _connected_set_masks(
-            d.adj_masks, size, edge_masks=d.copy_edge_masks, roots=roots
-        ):
-            if s != size:
-                continue
-            walked += weight
-            if cap is not None and walked > cap * scale:
-                raise CapExceededError(
-                    f"polymer enumeration for size {size} exceeded cap {cap}",
-                    cap=cap,
-                    size=size,
-                )
-            power = emask.bit_count()
-            acc[power] = acc.get(power, 0) + weight
-    return Polynomial({power: Fraction(c, scale) for power, c in acc.items()})
+    return Polynomial(_orbit_tally(d, range(size, size + 1), cap, by_shape=False))
 
 
 def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomial:
@@ -446,20 +461,19 @@ def per_n_power_sums(n: int, max_p_power: int, r: int = 3) -> dict[tuple[int, in
     """{(p_power, cluster_size): coefficient} of all cluster contributions
     with p-power at most max_p_power, at a concrete n.
 
-    These are the expansion terms cut at p^max_p_power (`expansion_term`
-    with `max_p_power`), so the samples run on the kernel that `expand`
-    runs.  The k copies of a polymer within the budget are distinct pairs
-    of the at most max_p_power hyperedges in its union, so the orders stop
-    at k = C(max_p_power, 2).
+    These are the expansion terms cut at p^max_p_power, from the shape
+    tally and partition sums `expansion_term` runs, so the samples run on
+    the kernel that `expand` runs.  The k copies of a
+    polymer within the budget are distinct pairs of the at most
+    max_p_power hyperedges in its union, so one walk up to size
+    C(max_p_power, 2) covers every order, and a shape's length is its size.
     """
     if n < r:
         return {}
     d = dependency_graph_for(n, r)
-    out: dict[tuple[int, int], Fraction] = {}
-    for size in range(1, max(max_p_power * (max_p_power - 1) // 2, 1) + 1):
-        term = expansion_term(d, size, max_p_power=max_p_power)
-        out.update(((power, size), c) for power, c in term.coeffs.items())
-    return out
+    top = max(max_p_power * (max_p_power - 1) // 2, 1)
+    shapes = _orbit_tally(d, range(1, top + 1), max_p_power=max_p_power)
+    return {key: c for key, c in _shape_sums(shapes, max_p_power).items() if c}
 
 
 def _solve_falling_basis(samples: list[tuple[int, Fraction]], degree: int) -> list[Fraction]:

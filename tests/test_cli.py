@@ -77,6 +77,13 @@ class TestSubcommands:
         assert "refined_r3" in data and "general_r" in data
         assert data["refined_r3"]["log_prob"] < 0
 
+    def test_asymptotic_below_the_float_range(self, tmp_path):
+        # p = 10^-400 is 0.0 as a float; the exponent comes from the rational
+        code, data = run(tmp_path, "asymptotic", "10", "3", "--p", "1e-400")
+        assert code == 0
+        assert data["refined_r3"]["diagnostics"]["p_exponent"] == pytest.approx(400)
+        assert data["refined_r3"]["valid"] is True
+
     def test_compare_single_point(self, tmp_path):
         code, data = run(
             tmp_path, "compare", "6", "3", "--p", "1/100", "--trials", "2000",
@@ -249,6 +256,8 @@ class TestErrors:
             ["compare", "5", "3", "--p", "1/2", "--sweep", "0.1,0.2,2"],
             ["compare", "5", "3"],
             ["compare", "5", "3", "--sweep", "1e-13,3e-13,3"],
+            # 1e-400 is 0.0 as a float, so it spans no geometric grid
+            ["compare", "6", "3", "--sweep", "1e-400,0.5,3"],
             # --cap only where a cap is honoured, --allow-partial only on expand
             ["series", "--max-p-power", "2", "--cap", "1"],
             ["oracle", "4", "3", "--cap", "1"],
@@ -408,6 +417,28 @@ class TestSeedCheckedFirst:
         err = json.loads(captured.err)["error"]
         assert err["type"] == "validation"
         assert "seed must be in 0 .. 2^128 - 1" in err["message"]
+
+
+class TestSizeCheckedFirst:
+    """A polymer size below 1 exits 2 while parsing, before the graph is
+    built, also where the host is over the copy cap."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["delta", "30", "3", "--i", "0"],
+            ["cumulants", "30", "3", "--k", "0"],
+            ["delta", "6", "3", "--i", "-1"],
+            ["cumulants", "6", "3", "--k", "0"],
+        ],
+    )
+    def test_bad_size_exits_before_any_work(self, capsys, no_engines, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "validation"
+        assert f"argument {argv[3]}: must be >= 1" in err["message"]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from linhyp.combinat import set_partitions
-from linhyp.dependency import DependencyGraph, dependency_graph_for
+from linhyp.dependency import DependencyGraph, _connected_set_masks, dependency_graph_for
 from linhyp import expansion
 from linhyp.errors import CapExceededError, LinhypError, ValidationError
 from linhyp.expansion import (
@@ -212,8 +212,7 @@ class TestCumulantSum:
             "_shape_sums",
             "_partition_contributions",
             "_phi_of_blocks",
-            "_root_groups",
-            "_walk_scale",
+            "_orbit_tally",
             "ursell",
         ):
             monkeypatch.setattr(expansion, name, broken)
@@ -289,15 +288,29 @@ class TestOrbitWalk:
         monkeypatch.setattr(expansion, "dependency_graph_for", all_roots_graph)
         assert orbit == per_n_power_sums(n, b, r)
 
-    def test_cap_counts_polymers_across_orbits(self):
-        # two orbits at (7, 4); the polymer count comes from the all-roots walk
-        d = dependency_graph_for(7, 4)
+    @pytest.mark.parametrize("graph", [dependency_graph_for, all_roots_graph])
+    def test_cap_counts_polymers_across_orbits(self, graph):
+        # two orbits at (7, 4); the polymer count comes from the all-roots
+        # walk, and the cap counts polymers on either walk
+        d = graph(7, 4)
         count = int(sum(moment_sum(all_roots_graph(7, 4), 3).coeffs.values()))
         for engine, key in ((expansion_term, "order"), (moment_sum, "size")):
             with pytest.raises(CapExceededError) as err:
                 engine(d, 3, cap=count - 1)
             assert err.value.context == {"cap": count - 1, key: 3}
             assert engine(d, 3, cap=count) == engine(d, 3)
+
+    def test_per_n_power_sums_walks_each_orbit_once(self, monkeypatch):
+        # one budgeted walk covers every order: one pinned walk per orbit
+        walks = []
+
+        def counted(*args, **kwargs):
+            walks.append(kwargs["roots"])
+            return _connected_set_masks(*args, **kwargs)
+
+        monkeypatch.setattr(expansion, "_connected_set_masks", counted)
+        per_n_power_sums(6, 4)
+        assert sorted(walks) == [(rep,) for rep, _size in dependency_graph_for(6, 3).orbits]
 
 
 class TestSymbolicSeries:
