@@ -4,12 +4,14 @@ Two evaluators: the refined four-term closed form for 3-uniform
 hypergraphs, and the general-r first/second-order closed forms written in
 terms of C(n,r).  Both are evaluated in exact rational arithmetic with a
 single rounding at the end, so near-cancelling terms cost no precision.
-Out-of-regime inputs are evaluated anyway and flagged, never clamped.
+Out-of-regime inputs are evaluated anyway and flagged, never clamped; a
+reported value that rounds outside the float range is a ValidationError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,6 +47,17 @@ def _check_p(p: Fraction) -> Fraction:
     return p
 
 
+def _float(name: str, x) -> float:
+    """float(x), or a ValidationError naming `name` when x is outside the
+    float range, since no finite float reports it."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError(
+            f"{name} is outside the float range (magnitude above {sys.float_info.max:.3g})"
+        ) from None
+
+
 def log_linearity_r3(n: int, p: Fraction) -> AsymptoticEstimate:
     """Four-term closed form for r=3:
     -(1/4) n^4 p^2 + (2/3) n^5 p^3 - (55/24) n^6 p^4 + (3/2) n^3 p^2.
@@ -76,14 +89,14 @@ def log_linearity_r3(n: int, p: Fraction) -> AsymptoticEstimate:
     alpha = -log_fraction(p) / math.log(n)
     margin = alpha - 7.0 / 5.0
     return AsymptoticEstimate(
-        log_prob=float(value),
+        log_prob=_float(f"{REGIME_R3} log_prob", value),
         regime=REGIME_R3,
         valid=margin > 0,
         diagnostics={
             "p_exponent": alpha,
             "exponent_margin": margin,
             "hypothesis": "p below n^(-7/5)",
-            **{key: float(term) for key, term in terms.items()},
+            **{key: _float(f"{REGIME_R3} {key}", term) for key, term in terms.items()},
         },
     )
 
@@ -115,11 +128,7 @@ def log_linearity_general(n: int, r: int, p: Fraction) -> AsymptoticEstimate:
         regime = REGIME_SMALL
         valid = True
         value = term2
-        diagnostics = {
-            "p_times_binom": float(pn),
-            "small_regime_threshold": float(small_threshold),
-            "unmodelled_error_r6_scale": float(err2),
-        }
+        exact = {"small_regime_threshold": small_threshold}
     else:
         regime = REGIME_MID
         term3 = (
@@ -131,13 +140,17 @@ def log_linearity_general(n: int, r: int, p: Fraction) -> AsymptoticEstimate:
         )
         value = term2 + term3
         valid = pn < mid_threshold
-        err_sqrt = math.log(max(float(n) / r**2, math.e)) ** 3 / math.sqrt(float(pn))
-        diagnostics = {
-            "p_times_binom": float(pn),
-            "mid_regime_threshold": float(mid_threshold),
-            "unmodelled_error_r6_scale": float(err2),
-            "unmodelled_error_log_over_sqrt": err_sqrt,
-        }
+        exact = {"mid_regime_threshold": mid_threshold}
+    exact.update(p_times_binom=pn, unmodelled_error_r6_scale=err2)
+    diagnostics = {key: _float(f"{regime} {key}", x) for key, x in exact.items()}
+    if regime == REGIME_MID:
+        lead = math.log(max(_float(f"{regime} n", n) / r**2, math.e))
+        diagnostics["unmodelled_error_log_over_sqrt"] = lead**3 / math.sqrt(
+            diagnostics["p_times_binom"]
+        )
     return AsymptoticEstimate(
-        log_prob=float(value), regime=regime, valid=valid, diagnostics=diagnostics
+        log_prob=_float(f"{regime} log_prob", value),
+        regime=regime,
+        valid=valid,
+        diagnostics=diagnostics,
     )

@@ -1,10 +1,13 @@
 """Command-line frontend.
 
 Subcommands: copies, expand, series, delta, cumulants, oracle, montecarlo,
-asymptotic, compare, verify.  Every output embeds the tool version, the
-full configuration, and the wall-clock duration; a reproducibility hash is
-computed over the payload with the duration excluded, so repeated runs
-with the same configuration agree on everything the hash covers.
+asymptotic, compare, verify.  Each subcommand's handler returns its
+payload and exit code; `main` alone times the handler and stamps the
+payload through `_emit` with the tool version, the full configuration and
+the wall-clock duration, then prints or writes it.  A reproducibility hash
+is computed over the payload with the duration excluded (and the worker
+count left out of the configuration), so repeated runs with the same
+configuration agree on everything the hash covers.
 
 Option types check their values while the arguments are parsed, and the
 parser reports its errors as ValidationError, so a bad argument exits 2
@@ -172,7 +175,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _emit(payload: dict, args, started: float) -> None:
+def _emit(payload: dict, args, duration: float) -> None:
     payload = dict(payload)
     payload["tool_version"] = __version__
     payload["config"] = {
@@ -183,7 +186,7 @@ def _emit(payload: dict, args, started: float) -> None:
     hashed["config"] = {k: v for k, v in payload["config"].items() if k != "workers"}
     canonical = json.dumps(hashed, sort_keys=True, default=str)
     payload["repro_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
-    payload["duration_seconds"] = round(time.monotonic() - started, 6)
+    payload["duration_seconds"] = round(duration, 6)
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
     out_path = getattr(args, "output", None)
     if out_path:
@@ -227,20 +230,17 @@ def _emit_error(kind: str, message: str, code: int, context: dict | None = None)
     return code
 
 
-def _cmd_copies(args) -> int:
-    started = time.monotonic()
+def _cmd_copies(args) -> tuple[dict, int]:
     copies = enumerate_forbidden_copies(args.n, args.r)
     payload: dict = {"count": len(copies)}
     if args.list:
         payload["copies"] = [
             {"e1": list(c.e1), "e2": list(c.e2), "overlap": c.t} for c in copies
         ]
-    _emit(payload, args, started)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_expand(args) -> int:
-    started = time.monotonic()
+def _cmd_expand(args) -> tuple[dict, int]:
     d = dependency_graph_for(args.n, args.r)
     if args.dump_adjacency:
         _write_text(args.dump_adjacency, d.dump_adjacency())
@@ -251,48 +251,33 @@ def _cmd_expand(args) -> int:
     except CapExceededError as exc:
         if not args.allow_partial:
             raise
-        payload = {
-            "orders": {str(i): poly.to_json() for i, poly in terms.items()},
-            "partial": True,
-            "cap_context": exc.context,
-        }
-        _emit(payload, args, started)
-        return _emit_error("cap_exceeded", str(exc), EXIT_CAP, exc.context)
-    total = sum(terms.values(), Polynomial.zero())
-    payload = {
-        "orders": {str(i): poly.to_json() for i, poly in terms.items()},
-        "truncated_sum": total.to_json(),
-    }
-    _emit(payload, args, started)
-    return EXIT_OK
+        payload = {"partial": True, "cap_context": exc.context}
+        code = _emit_error("cap_exceeded", str(exc), EXIT_CAP, exc.context)
+    else:
+        payload = {"truncated_sum": sum(terms.values(), Polynomial.zero()).to_json()}
+        code = EXIT_OK
+    payload["orders"] = {str(i): poly.to_json() for i, poly in terms.items()}
+    return payload, code
 
 
-def _cmd_series(args) -> int:
-    started = time.monotonic()
+def _cmd_series(args) -> tuple[dict, int]:
     terms = symbolic_series(max_p_power=args.max_p_power, r=args.r)
-    payload = {"terms": [t.to_json() for t in terms]}
-    _emit(payload, args, started)
-    return EXIT_OK
+    return {"terms": [t.to_json() for t in terms]}, EXIT_OK
 
 
-def _cmd_delta(args) -> int:
-    started = time.monotonic()
+def _cmd_delta(args) -> tuple[dict, int]:
     d = dependency_graph_for(args.n, args.r)
     poly = moment_sum(d, args.i, cap=args.cap)
-    _emit({"moment_sum": poly.to_json()}, args, started)
-    return EXIT_OK
+    return {"moment_sum": poly.to_json()}, EXIT_OK
 
 
-def _cmd_cumulants(args) -> int:
-    started = time.monotonic()
+def _cmd_cumulants(args) -> tuple[dict, int]:
     d = dependency_graph_for(args.n, args.r)
     poly = cumulant_sum(d, args.k, cap=args.cap)
-    _emit({"cumulant_sum": poly.to_json()}, args, started)
-    return EXIT_OK
+    return {"cumulant_sum": poly.to_json()}, EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    started = time.monotonic()
+def _cmd_oracle(args) -> tuple[dict, int]:
     poly = exact_linearity_polynomial(args.n, args.r)
     payload: dict = {"polynomial": poly.to_json()}
     if args.p is not None:
@@ -301,28 +286,21 @@ def _cmd_oracle(args) -> int:
         payload["p"] = {"num": p.numerator, "den": p.denominator}
         payload["value"] = {"num": value.numerator, "den": value.denominator}
         payload["value_float"] = float(value)
-    _emit(payload, args, started)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_montecarlo(args) -> int:
-    started = time.monotonic()
+def _cmd_montecarlo(args) -> tuple[dict, int]:
     p = _parse_decimal(args.p)
     report = monte_carlo(args.n, args.r, p, trials=args.trials, seed=args.seed)
-    _emit({"report": report.to_json()}, args, started)
-    return EXIT_OK
+    return {"report": report.to_json()}, EXIT_OK
 
 
-def _cmd_asymptotic(args) -> int:
-    started = time.monotonic()
+def _cmd_asymptotic(args) -> tuple[dict, int]:
     p = _parse_decimal(args.p)
-    payload: dict = {
-        "general_r": log_linearity_general(args.n, args.r, p).to_json(),
-    }
+    payload = {"general_r": log_linearity_general(args.n, args.r, p).to_json()}
     if args.r == 3:
         payload["refined_r3"] = log_linearity_r3(args.n, p).to_json()
-    _emit(payload, args, started)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 def _compare_polynomials(n: int, r: int, cap: int | None) -> dict:
@@ -375,8 +353,7 @@ CSV_COLUMNS = (
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-def _cmd_compare(args) -> int:
-    started = time.monotonic()
+def _cmd_compare(args) -> tuple[dict, int]:
     ps = _sweep_points(args.sweep) if args.sweep else [_exact_p(args.p)]
     polys = _compare_polynomials(args.n, args.r, args.cap)
     rows = [_compare_row(polys, args.n, args.r, p, args.trials, args.seed) for p in ps]
@@ -386,8 +363,7 @@ def _cmd_compare(args) -> int:
             cells = ("" if row[key] is None else repr(row[key]) for key in CSV_COLUMNS)
             lines.append(",".join(cells))
         _write_text(args.csv, "\n".join(lines) + "\n")
-    _emit({"rows": rows, "csv": args.csv}, args, started)
-    return EXIT_OK
+    return {"rows": rows, "csv": args.csv}, EXIT_OK
 
 
 def _run_identity_suite() -> tuple[dict[str, bool], bool]:
@@ -427,13 +403,11 @@ def _run_identity_suite() -> tuple[dict[str, bool], bool]:
     return results, all(results.values())
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
+def _cmd_verify(args) -> tuple[dict, int]:
     results, ok = _run_identity_suite()
     for name, passed in results.items():
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
-    _emit({"identities": results, "all_passed": ok}, args, started)
-    return EXIT_OK if ok else EXIT_IDENTITY
+    return {"identities": results, "all_passed": ok}, EXIT_OK if ok else EXIT_IDENTITY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,7 +522,10 @@ def main(argv=None) -> int:
             path = getattr(args, option, None)
             if path:
                 _check_writable(path)
-        return args.func(args)
+        started = time.monotonic()
+        payload, code = args.func(args)
+        _emit(payload, args, time.monotonic() - started)
+        return code
     except ValidationError as exc:
         return _emit_error("validation", str(exc), EXIT_VALIDATION)
     except CapExceededError as exc:

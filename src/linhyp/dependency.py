@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .combinat import mask_connected
 from .hypergraph import ForbiddenCopy
 
 
@@ -57,14 +56,6 @@ class DependencyGraph:
 
     def __len__(self) -> int:
         return len(self.copies)
-
-    def is_connected(self, members: Sequence[int]) -> bool:
-        if not members:
-            return False
-        target = 0
-        for i in members:
-            target |= 1 << i
-        return mask_connected(self.adj_masks, target)
 
     def dump_adjacency(self) -> str:
         """Adjacency-list text dump, one line per copy index."""

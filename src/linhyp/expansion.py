@@ -589,14 +589,14 @@ def inclusion_exclusion_polynomial(n: int, r: int) -> Polynomial:
     import numpy as np
 
     check_host(n, r)
-    edges = list(combinations(range(1, n + 1), r))
-    ne = len(edges)
+    ne = math.comb(n, r)
     if ne > INCLUSION_EXCLUSION_EDGE_CAP:
         raise CapExceededError(
             f"{ne} hyperedges exceeds the alternating-sum cap "
             f"{INCLUSION_EXCLUSION_EDGE_CAP}",
             edges=ne,
         )
+    edges = list(combinations(range(1, n + 1), r))
     edge_id = {e: i for i, e in enumerate(edges)}
     copies = enumerate_forbidden_copies(n, r)
     table = np.zeros(1 << ne, dtype=np.int64)
@@ -634,13 +634,13 @@ def hard_core_polynomial(n: int, r: int) -> Polynomial:
     families are assembled by a component-first recursion over supports.
     """
     check_host(n, r)
-    edges = list(combinations(range(1, n + 1), r))
-    ne = len(edges)
+    ne = math.comb(n, r)
     if ne > HARD_CORE_EDGE_CAP:
         raise CapExceededError(
             f"{ne} hyperedges exceeds the polymer-model cap {HARD_CORE_EDGE_CAP}",
             edges=ne,
         )
+    edges = list(combinations(range(1, n + 1), r))
     esets = [frozenset(e) for e in edges]
     conflict = [0] * ne
     for i in range(ne):

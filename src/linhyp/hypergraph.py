@@ -54,9 +54,6 @@ class ForbiddenCopy:
     def edge_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.e1, self.e2)
 
-    def span(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.e1) | set(self.e2)))
-
 
 def check_host(n: int, r: int) -> None:
     """Raise ValidationError unless r >= 3 and n >= r, the complete hosts

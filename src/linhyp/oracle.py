@@ -54,13 +54,13 @@ def exact_linearity_polynomial(n: int, r: int) -> Polynomial:
     linear and the lowest edge conflicts with nothing in the rest.
     """
     check_host(n, r)
-    edges = list(combinations(range(1, n + 1), r))
-    ne = len(edges)
+    ne = math.comb(n, r)
     if ne > EXACT_STATE_CAP_BITS:
         raise CapExceededError(
             f"C({n},{r}) = {ne} edges exceeds the 2^{EXACT_STATE_CAP_BITS} state cap",
             edges=ne,
         )
+    edges = list(combinations(range(1, n + 1), r))
     counts = _linear_subset_counts(edges)
     # expand sum_e a_e p^e (1-p)^(N-e) exactly
     one_minus = Polynomial({0: 1, 1: -1})

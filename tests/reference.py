@@ -1,7 +1,8 @@
 """Reference API that only the tests use: an explicit hypergraph value,
 the linearity test on it, the brute-force density measures of the
-forbidden family, and two readouts of a symbolic series.  No engine or
-CLI path calls these, so they live here, outside the package.
+forbidden family, two readouts of a symbolic series, the connectivity of
+a copy set in a dependency graph and the vertex span of a copy.  No
+engine or CLI path calls these, so they live here, outside the package.
 """
 
 from __future__ import annotations
@@ -9,9 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from linhyp.combinat import mask_connected
+from linhyp.dependency import DependencyGraph
 from linhyp.errors import ValidationError
+from linhyp.hypergraph import ForbiddenCopy
 from linhyp.polynomial import Polynomial, SeriesTerm, falling_factorial, falling_factorial_poly
 
 
@@ -114,3 +118,18 @@ def series_monomial_coeff(terms: Iterable[SeriesTerm], n_power: int, p_power: in
         if t.p_power == p_power:
             total += t.coeff * falling_factorial_poly(t.n_falling).coeff(n_power)
     return total
+
+
+def is_connected(d: DependencyGraph, members: Sequence[int]) -> bool:
+    """True iff the copies `members` induce a non-empty connected subgraph of d."""
+    if not members:
+        return False
+    target = 0
+    for i in members:
+        target |= 1 << i
+    return mask_connected(d.adj_masks, target)
+
+
+def span(c: ForbiddenCopy) -> tuple[int, ...]:
+    """The sorted vertices of the copy's two hyperedges."""
+    return tuple(sorted(set(c.e1) | set(c.e2)))

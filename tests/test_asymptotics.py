@@ -108,6 +108,12 @@ class TestGeneralR:
         with pytest.raises(ValidationError):
             log_linearity_general(2, 3, Fraction(1, 10))
 
+    def test_diagnostic_past_the_float_range_is_a_validation_error(self):
+        # the estimate (about -10^-200) is a float, but the regime
+        # threshold n / r^2 is not; it is reported, never clamped
+        with pytest.raises(ValidationError, match="small_regime_threshold is outside the float range"):
+            log_linearity_general(10**400, 3, Fraction(1, 10**1500))
+
 
 class TestMonotoneTruncation:
     def test_gap_shrinks_with_truncation_order(self):

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, determinism, error objects, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import linhyp
 from linhyp import cli, hypergraph
 from linhyp.cli import main
 from linhyp.hypergraph import COPY_CAP
@@ -178,6 +180,41 @@ class TestDeterminism:
         assert a["repro_sha256"] == b["repro_sha256"]
 
 
+class TestStamping:
+    """`main` stamps every payload, partial ones too: the tool version, the
+    parsed configuration, and a hash over both that leaves out the
+    duration and the worker count."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["copies", "5", "3"], 0),
+            (["expand", "5", "3", "--k", "3"], 0),
+            (["expand", "6", "3", "--k", "4", "--cap", "6000", "--allow-partial"], 3),
+            (["series", "--max-p-power", "2"], 0),
+            (["delta", "6", "3", "--i", "1"], 0),
+            (["cumulants", "5", "3", "--k", "1"], 0),
+            (["oracle", "4", "3", "--p", "1/2"], 0),
+            (["montecarlo", "4", "3", "--p", "0.5", "--trials", "200", "--seed", "5",
+              "--workers", "2"], 0),
+            (["asymptotic", "50", "3", "--p", "0.002"], 0),
+            (["compare", "6", "3", "--p", "1/100"], 0),
+            (["verify"], 0),
+        ],
+    )
+    def test_hash_recomputes_from_the_payload(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--output", str(out)]) == code
+        data = json.loads(out.read_text())
+        assert data["tool_version"] == linhyp.__version__
+        assert data["config"]["command"] == argv[0]
+        assert data["duration_seconds"] >= 0
+        hashed = {k: v for k, v in data.items() if k not in ("duration_seconds", "repro_sha256")}
+        hashed["config"] = {k: v for k, v in data["config"].items() if k != "workers"}
+        canonical = json.dumps(hashed, sort_keys=True).encode()
+        assert data["repro_sha256"] == hashlib.sha256(canonical).hexdigest()
+
+
 class TestErrors:
     def test_validation_exit_code(self, tmp_path, capsys):
         code = main(["copies", "2", "3"])
@@ -263,6 +300,9 @@ class TestErrors:
             ["oracle", "4", "3", "--cap", "1"],
             ["copies", "5", "3", "--allow-partial"],
             ["compare", "6", "3", "--p", "1/100", "--cap", "10", "--allow-partial"],
+            # estimates whose magnitude is past the float range
+            ["asymptotic", "400", "200", "--p", "0.5"],
+            ["asymptotic", str(10**100), "3", "--p", "0.5"],
         ],
     )
     def test_bad_input_is_a_json_validation_error(self, argv, capsys):

@@ -36,7 +36,7 @@ from linhyp.hypergraph import enumerate_forbidden_copies
 from linhyp.oracle import exact_linearity_polynomial
 from linhyp.polynomial import Polynomial, SeriesTerm, falling_factorial
 from moment_oracle import joint_cumulant, joint_moment
-from reference import evaluate_series
+from reference import evaluate_series, is_connected
 from test_dependency import polymers_up_to
 
 
@@ -48,10 +48,10 @@ def brute_force_term(d, order):
 
     total = Polynomial.zero()
     for members in combinations(range(len(d)), order):
-        if not d.is_connected(members):
+        if not is_connected(d, members):
             continue
         for part in set_partitions(members):
-            if not all(d.is_connected(b) for b in part):
+            if not all(is_connected(d, b) for b in part):
                 continue
             blocks = [tuple(b) for b in part]
             phi = _phi_brute(d, blocks)
@@ -241,7 +241,7 @@ class TestMomentSum:
         d = dependency_graph_for(5, 3)
         expect = Polynomial.zero()
         for members in combinations(range(len(d)), 3):
-            if d.is_connected(members):
+            if is_connected(d, members):
                 expect = expect + joint_moment(members, d.copies)
         assert moment_sum(d, 3) == expect
 
@@ -483,6 +483,21 @@ class TestUntruncatedForms:
     def test_hard_core_cap(self):
         with pytest.raises(CapExceededError):
             hard_core_polynomial(6, 3)
+
+    @pytest.mark.parametrize(
+        "form", [hard_core_polynomial, inclusion_exclusion_polynomial, exact_linearity_polynomial]
+    )
+    def test_edge_cap_fires_before_any_edge_is_listed(self, monkeypatch, form):
+        # the edge count comes in closed form: listing C(300, 3) edges first
+        # would hold hundreds of MiB before the cap is read
+        def unreachable(*args):
+            raise AssertionError("edges listed before the edge cap was checked")
+
+        for module in ("linhyp.expansion", "linhyp.oracle"):
+            monkeypatch.setattr(f"{module}.combinations", unreachable)
+        with pytest.raises(CapExceededError) as info:
+            form(300, 3)
+        assert info.value.context == {"edges": 4455100}
 
     @pytest.mark.parametrize(
         "form", [hard_core_polynomial, inclusion_exclusion_polynomial, exact_linearity_polynomial]
