@@ -23,6 +23,8 @@ REGIME_R3 = "refined_r3"
 REGIME_SMALL = "general_small"
 REGIME_MID = "general_mid"
 
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class AsymptoticEstimate:
@@ -53,9 +55,13 @@ def _float(name: str, x) -> float:
     try:
         return float(x)
     except OverflowError:
-        raise ValidationError(
-            f"{name} is outside the float range (magnitude above {sys.float_info.max:.3g})"
-        ) from None
+        raise _outside_float_range(name) from None
+
+
+def _outside_float_range(name: str) -> ValidationError:
+    return ValidationError(
+        f"{name} is outside the float range (magnitude above {sys.float_info.max:.3g})"
+    )
 
 
 def log_linearity_r3(n: int, p: Fraction) -> AsymptoticEstimate:
@@ -113,12 +119,20 @@ def log_linearity_general(n: int, r: int, p: Fraction) -> AsymptoticEstimate:
     """
     check_host(n, r)
     p = _check_p(p)
-    big_n = Fraction(math.comb(n, r))
-    r2 = falling_factorial(r, 2)
     if p == 0:
         return AsymptoticEstimate(
             log_prob=0.0, regime=REGIME_SMALL, valid=True, diagnostics={}
         )
+    # C(n,r) >= (n/k)^k, k = min(r, n-r).  Below n = 2^600 the thresholds are
+    # floats, so when this bound (less a margin for rounding) puts p C(n,r)
+    # past the float range, its error is due and is raised before C(n,r)
+    k = min(r, n - r)
+    if k and n.bit_length() < 600:
+        log_binom, log_p = k * math.log(n / k), log_fraction(p)
+        if log_binom + log_p > LOG_FLOAT_MAX + 1 + 1e-12 * (log_binom - log_p):
+            raise _outside_float_range(f"{REGIME_MID} p_times_binom")
+    big_n = Fraction(math.comb(n, r))
+    r2 = falling_factorial(r, 2)
     pn = p * big_n
     small_threshold = Fraction(n) / r**2
     mid_threshold = Fraction(n) * math.isqrt(n) / r**3  # n^{3/2} understated slightly

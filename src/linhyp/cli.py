@@ -56,7 +56,7 @@ from .graphcalc import (
     ursell_direct,
 )
 from .hypergraph import enumerate_forbidden_copies
-from .oracle import EXACT_STATE_CAP_BITS, check_seed, exact_linearity_polynomial, monte_carlo
+from .oracle import EXACT_EDGE_CAP, check_seed, exact_linearity_polynomial, monte_carlo
 from .polynomial import Polynomial, log_fraction
 
 EXIT_OK = 0
@@ -305,11 +305,11 @@ def _cmd_asymptotic(args) -> tuple[dict, int]:
 
 def _compare_polynomials(n: int, r: int, cap: int | None) -> dict:
     """The p-independent polynomials of a compare row, built once per run:
-    the exact oracle (when its state space fits), the truncations T2, T3
-    and T4 as running sums of one pass over orders 1-3, and cumulant k3.
+    the exact oracle (within its edge cap), the truncations T2, T3 and T4
+    as running sums of one pass over orders 1-3, and cumulant k3.
     The enumeration cap applies to both cluster passes."""
     polys: dict = {"exact": None}
-    if math.comb(n, r) <= EXACT_STATE_CAP_BITS:
+    if math.comb(n, r) <= EXACT_EDGE_CAP:
         polys["exact"] = exact_linearity_polynomial(n, r)
     d = dependency_graph_for(n, r)
     orders = (term for _order, term in expansion_terms(d, 4, cap=cap))
@@ -516,12 +516,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    limit = sys.get_int_max_str_digits()
     try:
         args = parser.parse_args(argv)
         for option in OUTPUT_PATH_OPTIONS:
             path = getattr(args, option, None)
             if path:
                 _check_writable(path)
+        # argv is parsed under the digit limit; a count reported may be any size
+        sys.set_int_max_str_digits(0)
         started = time.monotonic()
         payload, code = args.func(args)
         _emit(payload, args, time.monotonic() - started)
@@ -532,6 +535,8 @@ def main(argv=None) -> int:
         return _emit_error("cap_exceeded", str(exc), EXIT_CAP, exc.context)
     except LinhypError as exc:
         return _emit_error("internal_consistency", str(exc), EXIT_IDENTITY)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

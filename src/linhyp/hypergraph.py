@@ -66,10 +66,12 @@ def check_host(n: int, r: int) -> None:
 
 def _copy_count(n: int, r: int) -> int:
     """The number of forbidden copies on [n]: each of the C(n,r) edges
-    meets C(r,t) C(n-r,r-t) others in t vertices, summed over t = 2..r-1,
-    and each pair is counted from both of its edges."""
-    overlaps = sum(math.comb(r, t) * math.comb(n - r, r - t) for t in range(2, r))
-    return math.comb(n, r) * overlaps // 2
+    meets the C(n,r) - 1 others in 2..r-1 vertices, except the C(n-r,r)
+    disjoint from it and the r C(n-r,r-1) that meet it in one vertex, and
+    each pair is counted from both of its edges."""
+    edges = math.comb(n, r)
+    overlaps = edges - math.comb(n - r, r) - r * math.comb(n - r, r - 1) - 1
+    return edges * overlaps // 2
 
 
 def enumerate_forbidden_copies(n: int, r: int) -> list[ForbiddenCopy]:

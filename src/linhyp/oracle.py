@@ -1,15 +1,16 @@
 """Ground-truth linearity probabilities: exact enumeration and Monte Carlo.
 
-The exact oracle walks every edge subset of the complete host with an
-incremental pair-conflict mask; feasible up to 2^24 states.  The Monte
-Carlo estimator runs its trials serially in blocks of BLOCK trials.  Block
-b owns one substream of the philox4x64 counter-based generator (key =
-seed, counter = b << 64) and checks its trials with vectorised sorts, so a
-report is reproducible bit for bit from the seed and the parameters.  The
-vertex-pair keys are int32, so the sampler caps the host (MC_PAIR_TABLE_CAP,
-MC_MAX_N) before it allocates anything; the key dtype changes no report.
-numpy loads on the first call of the exact scan or the sampler, not on
-import, so the subcommands that use neither start without it.
+The exact oracle counts linear edge sets by a sweep over the vertices
+that tracks the vertex pairs in use, for hosts of up to EXACT_EDGE_CAP
+edges.  The Monte Carlo estimator runs its trials serially in blocks of
+BLOCK trials.  Block b owns one substream of the philox4x64 counter-based
+generator (key = seed, counter = b << 64) and checks its trials with
+vectorised sorts, so a report is reproducible bit for bit from the seed
+and the parameters.  The vertex-pair keys are int32, so the sampler caps
+the host (MC_PAIR_TABLE_CAP, MC_MAX_N) before it allocates anything; the
+key dtype changes no report.  numpy loads on the first call of the
+sampler, not on import, so the subcommands that do not sample start
+without it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from .polynomial import Polynomial
 if TYPE_CHECKING:
     import numpy as np
 
-#: 2^24 subset states is the documented ceiling for the exact scan.
-EXACT_STATE_CAP_BITS = 24
+#: Ceiling on the exact oracle's host edges, C(9,3): every host it admits
+#: is swept in seconds, while (10,3) takes about 30 s.
+EXACT_EDGE_CAP = 84
 
 #: Monte Carlo trials per block; each block owns one Philox substream.
 #: 512 keeps the peak RSS of an n = 50 run below the per-trial layout's.
@@ -48,52 +50,77 @@ MC_MAX_N = math.isqrt(2**31 // BLOCK)
 def exact_linearity_polynomial(n: int, r: int) -> Polynomial:
     """Exact probability of linearity as an expanded polynomial in p.
 
-    Sums p^|E| (1-p)^(N-|E|) over every linear edge subset E of the
-    complete r-graph.  Linearity counts per subset size come from a
-    subset DP: a subset is linear iff the subset minus its lowest edge is
-    linear and the lowest edge conflicts with nothing in the rest.
+    Sums L_m p^m (1-p)^(N-m) over m, where N = C(n,r) and L_m counts the
+    linear m-edge sets of the complete r-graph (`_linear_set_counts`).
     """
     check_host(n, r)
     ne = math.comb(n, r)
-    if ne > EXACT_STATE_CAP_BITS:
+    if ne > EXACT_EDGE_CAP:
         raise CapExceededError(
-            f"C({n},{r}) = {ne} edges exceeds the 2^{EXACT_STATE_CAP_BITS} state cap",
+            f"C({n},{r}) = {ne} edges exceeds the {EXACT_EDGE_CAP}-edge cap",
             edges=ne,
         )
-    edges = list(combinations(range(1, n + 1), r))
-    counts = _linear_subset_counts(edges)
-    # expand sum_e a_e p^e (1-p)^(N-e) exactly
     one_minus = Polynomial({0: 1, 1: -1})
-    tails = [Polynomial.one()]
-    for _ in range(ne):
-        tails.append(tails[-1] * one_minus)
-    out = Polynomial.zero()
-    for e in range(ne + 1):
-        if counts[e]:
-            out = out + Polynomial({e: int(counts[e])}) * tails[ne - e]
-    return out
+    terms = (
+        Polynomial({m: count}) * one_minus ** (ne - m)
+        for m, count in _linear_set_counts(n, r).items()
+    )
+    return sum(terms, Polynomial.zero())
 
 
-def _linear_subset_counts(edges: list[tuple[int, ...]]) -> np.ndarray:
-    import numpy as np
+def _linear_set_counts(n: int, r: int) -> dict[int, int]:
+    """{m: L_m} over L_m > 0, the linear m-edge sets of the host (n, r).
 
-    ne = len(edges)
-    sets = [frozenset(e) for e in edges]
-    conflict = np.zeros(ne, dtype=np.int64)
-    for i in range(ne):
-        for j in range(i + 1, ne):
-            if len(sets[i] & sets[j]) >= 2:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-    linear = np.zeros(1 << ne, dtype=bool)
-    linear[0] = True
-    # masks are filled by their lowest set bit, highest bit first, so the
-    # `rest` lookups (whose lowest bits are larger) are always ready
-    for v in range(ne - 1, -1, -1):
-        rest = np.arange(1 << (ne - 1 - v), dtype=np.int64) << (v + 1)
-        linear[rest | (1 << v)] = linear[rest] & ((rest & conflict[v]) == 0)
-    pop = np.bitwise_count(np.arange(1 << ne, dtype=np.uint32)).astype(np.int64)
-    return np.bincount(pop[linear], minlength=ne + 1)
+    Linear edges use pairwise distinct vertex pairs.  The state maps the
+    used pairs among the unswept vertices (bit i*n + j for i < j) to
+    {edge count: edge sets}.  Vertex a takes every set of disjoint
+    (r-1)-subsets of its free neighbours (b > a, pair ab unused) whose
+    inner pairs are unused, adds those pairs and drops the pairs at a.
+    """
+    row = (1 << n) - 1
+    tallies = {0: {0: 1}}
+    for a in range(n):
+        later = row & ~((2 << a) - 1)
+        keep = ~(row << (a * n))
+        swept: dict[int, dict[int, int]] = {}
+        for used, counts in tallies.items():
+            free = later & ~(used >> (a * n))
+            for added, k in _packings(free, used, n, r - 1):
+                slot = swept.setdefault((used | added) & keep, {})
+                for m, count in counts.items():
+                    slot[m + k] = slot.get(m + k, 0) + count
+        tallies = swept
+    (counts,) = tallies.values()
+    return counts
+
+
+def _packings(free: int, used: int, n: int, size: int):
+    """(inner pairs, number of subsets) of each set of pairwise disjoint
+    size-subsets of the vertex mask `free` whose inner pairs are unused."""
+    if free.bit_count() < size:
+        yield 0, 0
+        return
+    low = free & -free
+    b = low.bit_length() - 1
+    rest = free ^ low
+    yield from _packings(rest, used, n, size)  # b in no subset
+    for verts, pairs in _cliques(rest & ~(used >> (b * n)), used, n, size - 1):
+        for more, k in _packings(rest & ~verts, used, n, size):
+            yield pairs | (verts << (b * n)) | more, k + 1
+
+
+def _cliques(cand: int, used: int, n: int, size: int):
+    """(vertex mask, inner pairs) of each size-subset of `cand` whose inner
+    pairs are unused."""
+    if size == 0:
+        yield 0, 0
+        return
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        c = low.bit_length() - 1
+        cand ^= low
+        for verts, pairs in _cliques(cand & ~(used >> (c * n)), used, n, size - 1):
+            yield verts | low, pairs | (verts << (c * n))
 
 
 @dataclass(frozen=True)

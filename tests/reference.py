@@ -1,8 +1,9 @@
 """Reference API that only the tests use: an explicit hypergraph value,
-the linearity test on it, the brute-force density measures of the
-forbidden family, two readouts of a symbolic series, the connectivity of
-a copy set in a dependency graph and the vertex span of a copy.  No
-engine or CLI path calls these, so they live here, outside the package.
+the linearity test on it, the brute-force count of linear edge subsets,
+the brute-force density measures of the forbidden family, two readouts of
+a symbolic series, the connectivity of a copy set in a dependency graph
+and the vertex span of a copy.  No engine or CLI path calls these, so
+they live here, outside the package.
 """
 
 from __future__ import annotations
@@ -59,6 +60,34 @@ def is_linear(h: Hypergraph) -> bool:
                 return False
             seen.add(pair)
     return True
+
+
+def linear_subset_counts(n: int, r: int) -> list[int]:
+    """L_m for m = 0..C(n,r): the linear m-edge subsets of the complete
+    r-graph on [n], by a numpy scan of all 2^C(n,r) subsets.
+
+    A subset is linear iff the subset minus its lowest edge is linear and
+    the lowest edge conflicts with nothing in the rest.
+    """
+    import numpy as np
+
+    sets = [frozenset(e) for e in combinations(range(1, n + 1), r)]
+    ne = len(sets)
+    conflict = np.zeros(ne, dtype=np.int64)
+    for i in range(ne):
+        for j in range(i + 1, ne):
+            if len(sets[i] & sets[j]) >= 2:
+                conflict[i] |= 1 << j
+                conflict[j] |= 1 << i
+    linear = np.zeros(1 << ne, dtype=bool)
+    linear[0] = True
+    # masks are filled by their lowest set bit, highest bit first, so the
+    # `rest` lookups (whose lowest bits are larger) are always ready
+    for v in range(ne - 1, -1, -1):
+        rest = np.arange(1 << (ne - 1 - v), dtype=np.int64) << (v + 1)
+        linear[rest | (1 << v)] = linear[rest] & ((rest & conflict[v]) == 0)
+    pop = np.bitwise_count(np.arange(1 << ne, dtype=np.uint32)).astype(np.int64)
+    return np.bincount(pop[linear], minlength=ne + 1).tolist()
 
 
 def family_densities(r: int) -> tuple[Fraction, Fraction]:

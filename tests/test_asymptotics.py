@@ -1,9 +1,11 @@
 """Closed-form asymptotic evaluators and their mutual consistency."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from linhyp import asymptotics
 from linhyp.asymptotics import (
     REGIME_MID,
     REGIME_R3,
@@ -113,6 +115,24 @@ class TestGeneralR:
         # threshold n / r^2 is not; it is reported, never clamped
         with pytest.raises(ValidationError, match="small_regime_threshold is outside the float range"):
             log_linearity_general(10**400, 3, Fraction(1, 10**1500))
+
+    @pytest.mark.parametrize(
+        "n, r, p",
+        [
+            (3000, 1500, Fraction(1, 2)),
+            (5000, 2500, Fraction(1, 10**100)),
+            (10**150, 3, Fraction(1, 2)),
+            # p C(n, r) overflows, but the bound (n/r)^r does not reach it
+            (100000, 100, Fraction(1, 2)),
+        ],
+    )
+    def test_early_float_range_error_is_the_exact_paths(self, monkeypatch, n, r, p):
+        with pytest.raises(ValidationError) as early:
+            log_linearity_general(n, r, p)
+        monkeypatch.setattr(asymptotics, "LOG_FLOAT_MAX", math.inf)
+        with pytest.raises(ValidationError) as exact:
+            log_linearity_general(n, r, p)
+        assert str(early.value) == str(exact.value)
 
 
 class TestMonotoneTruncation:

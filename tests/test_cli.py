@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ import linhyp
 from linhyp import cli, hypergraph
 from linhyp.cli import main
 from linhyp.hypergraph import COPY_CAP
+from linhyp.oracle import exact_linearity_polynomial
+from linhyp.polynomial import log_fraction
 
 
 def run(tmp_path, *argv):
@@ -95,6 +98,12 @@ class TestSubcommands:
         row = data["rows"][0]
         assert row["log_exact"] is not None
         assert row["log_T2"] is not None and row["mc_estimate"] is not None
+
+    def test_compare_exact_cell_past_the_subset_scan(self, tmp_path):
+        code, data = run(tmp_path, "compare", "8", "3", "--p", "1/100")
+        assert code == 0
+        exact = exact_linearity_polynomial(8, 3)(Fraction(1, 100))
+        assert data["rows"][0]["log_exact"] == log_fraction(exact)
 
     def test_compare_csv_sweep(self, tmp_path):
         csv_path = tmp_path / "sweep.csv"
@@ -223,10 +232,22 @@ class TestErrors:
         assert err["error"]["type"] == "validation"
 
     def test_cap_exit_code(self, tmp_path, capsys):
-        code = main(["oracle", "8", "3"])
+        code = main(["oracle", "10", "3"])
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "cap_exceeded"
+        assert err["error"]["context"] == {"edges": 120}
+
+    def test_copy_cap_of_a_huge_host(self, capsys):
+        # C(100000, 50000)^2 / 2 copies: counted from four binomials, and
+        # reported with more digits than the interpreter's default limit
+        limit = sys.get_int_max_str_digits()
+        assert main(["expand", "100000", "50000", "--k", "2"]) == 3
+        assert sys.get_int_max_str_digits() == limit
+        err = json.loads(capsys.readouterr().err, parse_int=str)["error"]
+        assert err["type"] == "cap_exceeded"
+        assert err["context"]["cap"] == str(COPY_CAP)
+        assert len(err["context"]["copies"]) > limit
 
     def test_compare_cap_is_the_expand_cap_error(self, capsys):
         assert main(["compare", "6", "3", "--p", "1/100", "--cap", "10"]) == 3
@@ -303,6 +324,8 @@ class TestErrors:
             # estimates whose magnitude is past the float range
             ["asymptotic", "400", "200", "--p", "0.5"],
             ["asymptotic", str(10**100), "3", "--p", "0.5"],
+            # ... raised before C(n, r), which has 30 million digits, is built
+            ["asymptotic", "100000000", "50000000", "--p", "0.5"],
         ],
     )
     def test_bad_input_is_a_json_validation_error(self, argv, capsys):
@@ -500,7 +523,8 @@ def main_call(*argv: str) -> str:
 
 
 class TestStartupImports:
-    """The subcommands that neither scan nor sample start without numpy."""
+    """The subcommands that neither sample nor build the alternating-sum
+    table start without numpy."""
 
     @pytest.mark.parametrize(
         "code",
@@ -520,6 +544,8 @@ class TestStartupImports:
             pytest.param(
                 main_call("asymptotic", "50", "3", "--p", "0.002"), id="asymptotic"
             ),
+            pytest.param(main_call("oracle", "6", "3", "--p", "1/2"), id="oracle"),
+            pytest.param(main_call("compare", "6", "3", "--p", "1/100"), id="compare"),
         ],
     )
     def test_numpy_free_paths(self, code):

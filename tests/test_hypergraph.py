@@ -41,7 +41,9 @@ class TestEnumerateCopies:
         )
         assert len(enumerate_forbidden_copies(n, r)) == expect
 
-    @pytest.mark.parametrize("n, r", [(3, 3), (7, 3), (6, 4), (9, 4), (8, 5), (10, 6)])
+    @pytest.mark.parametrize(
+        "n, r", [(3, 3), (7, 3), (6, 4), (9, 4), (8, 5), (10, 6), (4, 4), (5, 4), (7, 6), (10, 5)]
+    )
     def test_closed_form_count(self, n, r):
         assert hypergraph._copy_count(n, r) == len(enumerate_forbidden_copies(n, r))
 

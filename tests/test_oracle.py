@@ -9,6 +9,7 @@ import pytest
 
 from linhyp import oracle
 from linhyp.errors import CapExceededError, ValidationError
+from linhyp.hypergraph import _copy_count
 from linhyp.oracle import (
     BLOCK,
     MC_MAX_N,
@@ -18,7 +19,7 @@ from linhyp.oracle import (
     monte_carlo,
 )
 from linhyp.polynomial import Polynomial
-from reference import Hypergraph, is_linear
+from reference import Hypergraph, is_linear, linear_subset_counts
 
 
 def independent_scan(n, r):
@@ -34,7 +35,36 @@ def independent_scan(n, r):
     return total
 
 
+def scan_polynomial(n, r):
+    """sum_m L_m p^m (1-p)^(N-m) with L_m from the numpy subset scan."""
+    counts = linear_subset_counts(n, r)
+    ne = len(counts) - 1
+    one_minus = Polynomial({0: 1, 1: -1})
+    terms = (Polynomial({m: c}) * one_minus ** (ne - m) for m, c in enumerate(counts))
+    return sum(terms, Polynomial.zero())
+
+
 class TestExactOracle:
+    @pytest.mark.parametrize(
+        "n, r", [(3, 3), (4, 3), (5, 3), (6, 3), (4, 4), (5, 4), (6, 4)]
+    )
+    def test_sweep_equals_subset_scan(self, n, r):
+        assert exact_linearity_polynomial(n, r) == scan_polynomial(n, r)
+
+    @pytest.mark.parametrize("n, top, count", [(7, 7, 30), (9, 12, 840)])
+    def test_steiner_triple_system_counts(self, n, top, count):
+        # the largest linear 3-graphs on 7 and 9 vertices are the labelled
+        # Fano planes and the labelled STS(9)s
+        counts = oracle._linear_set_counts(n, 3)
+        assert max(counts) == top and counts[top] == count
+
+    @pytest.mark.parametrize("n, r", [(7, 3), (8, 4), (8, 5), (10, 8), (84, 83)])
+    def test_edge_pairs_are_linear_unless_a_copy(self, n, r):
+        counts = oracle._linear_set_counts(n, r)
+        ne = math.comb(n, r)
+        assert counts[1] == ne
+        assert counts.get(2, 0) == math.comb(ne, 2) - _copy_count(n, r)
+
     def test_n3_always_linear(self):
         assert exact_linearity_polynomial(3, 3) == Polynomial.one()
 
@@ -69,8 +99,9 @@ class TestExactOracle:
             assert 0 < poly(q) <= 1
 
     def test_state_cap(self):
-        with pytest.raises(CapExceededError):
-            exact_linearity_polynomial(7, 3)  # C(7,3) = 35 edges
+        with pytest.raises(CapExceededError) as info:
+            exact_linearity_polynomial(10, 3)  # C(10,3) = 120 edges
+        assert info.value.context == {"edges": 120}
 
     def test_validation(self):
         with pytest.raises(ValidationError):
