@@ -57,7 +57,7 @@ def set_partition_masks(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def mask_connected(adj_masks: Sequence[int], mask: int) -> bool:
+def mask_connected(adj: Sequence[int], mask: int) -> bool:
     """Whether the nonempty vertex set `mask` induces a connected subgraph."""
     reach = mask & -mask
     while True:
@@ -66,7 +66,7 @@ def mask_connected(adj_masks: Sequence[int], mask: int) -> bool:
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
-            frontier |= adj_masks[v]
+            frontier |= adj[v]
         new = (reach | frontier) & mask
         if new == reach:
             return new == mask

@@ -1,10 +1,13 @@
 """Dependency graph over forbidden copies, and the polymer stream.
 
 Two copies are adjacent exactly when they share a hyperedge; indicators of
-non-adjacent copy sets are independent.  A *polymer* is a vertex set of a
-connected induced subgraph of this graph.  A *disjoint cluster* is a set of
-pairwise disjoint polymers whose mutual-closeness graph is connected, which
-is the same thing as a partition of some polymer into connected blocks.
+non-adjacent copy sets are independent.  The graph stores no adjacency:
+the copies' hyperedge masks encode it, and the walk reads a copy's
+neighbours off the holders of its two hyperedges.  A *polymer* is a vertex
+set of a connected induced subgraph of this graph.  A *disjoint cluster* is
+a set of pairwise disjoint polymers whose mutual-closeness graph is
+connected, which is the same thing as a partition of some polymer into
+connected blocks.
 
 Enumeration is streaming: polymers are produced one at a time by a rooted
 exclusion-list growth that emits every connected set exactly once.  The
@@ -24,7 +27,8 @@ from .hypergraph import ForbiddenCopy
 
 
 class DependencyGraph:
-    """Indexed copies plus shared-hyperedge adjacency and fast bitmask views.
+    """Indexed copies and their hyperedge masks, one bit per hyperedge: two
+    copies are adjacent exactly when their masks intersect.
 
     `orbits` is None unless `dependency_graph_for` built the graph over the
     complete host; there it holds one (representative index, orbit size)
@@ -43,79 +47,79 @@ class DependencyGraph:
         self.copy_edge_masks: list[int] = [
             (1 << edge_ids[c.e1]) | (1 << edge_ids[c.e2]) for c in self.copies
         ]
-        # holders[e]: the copies that contain hyperedge e, as one bitmask;
-        # a copy's neighbours are the other holders of its two hyperedges
-        holders = [0] * len(edge_ids)
-        for i, c in enumerate(self.copies):
-            for e in c.edge_pair:
-                holders[edge_ids[e]] |= 1 << i
-        self.adj_masks: list[int] = [
-            (holders[edge_ids[c.e1]] | holders[edge_ids[c.e2]]) & ~(1 << i)
-            for i, c in enumerate(self.copies)
-        ]
 
     def __len__(self) -> int:
         return len(self.copies)
 
     def dump_adjacency(self) -> str:
-        """Adjacency-list text dump, one line per copy index."""
-        lines = []
-        for i, nbrs in enumerate(self.adj_masks):
-            members = _mask_to_members(nbrs)
-            lines.append(f"{i}: {' '.join(str(j) for j in members)}")
-        return "\n".join(lines) + "\n"
+        """Adjacency-list text dump, one line per copy index: the sets of
+        two through each copy, from the pinned walk."""
+        lines: list[list[str]] = []
+        pairs = _connected_set_masks(self.copy_edge_masks, 2, roots=range(len(self)))
+        for mask, size, _emask in pairs:
+            if size == 1:
+                root, nbrs = mask, []
+                lines.append(nbrs)
+            else:
+                nbrs.append(str((mask ^ root).bit_length() - 1))
+        return "".join(f"{i}: {' '.join(nbrs)}\n" for i, nbrs in enumerate(lines))
 
 
 def _connected_set_masks(
-    adj_masks: Sequence[int],
+    edge_masks: Sequence[int],
     max_size: int,
-    edge_masks: Sequence[int] | None = None,
     edge_budget: int | None = None,
     roots: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, int, int]]:
     """Stream (member_mask, size, union_edge_mask) of every connected set.
 
+    Two members are adjacent exactly when their edge masks share a bit, so
+    a member's neighbours are the OR of the holders of its edge bits, read
+    off one {edge bit: members} map built per call, linear in the input;
+    no pairwise adjacency is built.
+
     Rooted exclusion-list growth: sets are grown from their minimum element
     using only larger indices, and each extension candidate is handed to
     exactly one branch, so every connected set of size <= max_size appears
     exactly once and no visited table is needed.  When `edge_budget` is
-    given, branches whose hyperedge union already exceeds the budget are
-    pruned (the union only grows along a branch).  This is the one
-    connected-set walk: every polymer stream in the package runs on it.
+    given, branches whose edge union already exceeds the budget are pruned
+    (the union only grows along a branch).  This is the one connected-set
+    walk: every polymer stream in the package runs on it.
 
     Pinned mode: with `roots`, the same growth runs from each given root
     with every other index allowed, so each connected set of size
     <= max_size that contains the root appears exactly once per root.
     """
-    n = len(adj_masks)
-    if edge_masks is None:
-        edge_masks = [0] * n
+    holders: dict[int, int] = {}
+    for i, em in enumerate(edge_masks):
+        while em:
+            e = em & -em
+            em ^= e
+            holders[e] = holders.get(e, 0) | 1 << i
     pinned = roots is not None
-    for root in roots if pinned else range(n):
+    for root in roots if pinned else range(len(edge_masks)):
         allowed = -1 if pinned else -1 << (root + 1)
-        root_edges = edge_masks[root]
-        if edge_budget is not None and root_edges.bit_count() > edge_budget:
-            continue
-        yield (1 << root, 1, root_edges)
-        if max_size == 1:
-            continue
-        closed0 = (1 << root) | adj_masks[root]
-        stack = [(1 << root, 1, adj_masks[root] & allowed, closed0, root_edges)]
+        # the root is the one candidate of the empty set
+        stack = [(0, 0, 1 << root, 1 << root, 0)]
         while stack:
             sub, size, ext, closed, emask = stack.pop()
             while ext:
                 wbit = ext & -ext
                 ext &= ext - 1
-                w = wbit.bit_length() - 1
-                new_emask = emask | edge_masks[w]
+                w_edges = edge_masks[wbit.bit_length() - 1]
+                new_emask = emask | w_edges
                 if edge_budget is not None and new_emask.bit_count() > edge_budget:
                     continue
                 new_sub = sub | wbit
                 yield (new_sub, size + 1, new_emask)
                 if size + 1 < max_size:
-                    new_closed = closed | wbit | adj_masks[w]
-                    ext_w = ext | (adj_masks[w] & allowed & ~closed)
-                    stack.append((new_sub, size + 1, ext_w, new_closed, new_emask))
+                    nbrs = 0
+                    while w_edges:
+                        e = w_edges & -w_edges
+                        w_edges ^= e
+                        nbrs |= holders[e]
+                    ext_w = ext | (nbrs & allowed & ~closed)
+                    stack.append((new_sub, size + 1, ext_w, closed | nbrs, new_emask))
 
 
 def _mask_to_members(mask: int) -> tuple[int, ...]:

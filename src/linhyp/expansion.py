@@ -26,7 +26,7 @@ The symbolic-in-n series is produced two independent ways that must agree:
 
 * Strategy A, structural enumeration: labelled spanning structures on a
   canonical vertex set [v], grown on the connected-set walk over the
-  conflict graph of the triples on [v], are counted directly, so a class
+  vertex-pair masks of the triples on [v], are counted directly, so a class
   contributes (labelled count / v!) * [n]_v, and automorphism factors
   never need to be computed.
 * Strategy B, interpolation: the per-n sums are the expansion terms cut
@@ -54,7 +54,7 @@ from .dependency import (
 )
 from .errors import CapExceededError, LinhypError, ValidationError
 from .graphcalc import SimpleGraph, ursell
-from .hypergraph import check_host, enumerate_forbidden_copies
+from .hypergraph import check_edge_cap, enumerate_forbidden_copies
 from .polynomial import Polynomial, SeriesTerm
 
 #: Hyperedge-count cap for the alternating-sum and polymer-model forms.
@@ -245,11 +245,7 @@ def _orbit_tally(
     tally: dict[object, int] = {}
     for roots, weights in groups:
         for mask, size, emask in _connected_set_masks(
-            d.adj_masks,
-            top,
-            edge_masks=edge_masks,
-            edge_budget=max_p_power,
-            roots=roots,
+            edge_masks, top, edge_budget=max_p_power, roots=roots
         ):
             if size < low:
                 continue
@@ -357,7 +353,7 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
     signed: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     acc: dict[int, int] = {}
     count = 0
-    for mask, size, _emask in _connected_set_masks(d.adj_masks, k):
+    for mask, size, _emask in _connected_set_masks(edge_masks, k):
         count += 1
         if cap is not None and count > cap:
             raise CapExceededError(
@@ -393,19 +389,27 @@ def _spanning_triple_sets(v: int, max_edges: int) -> Iterator[tuple[int, ...]]:
     """Vertex masks of every set of 2..max_edges triples on [v] that spans
     [v] and is connected under conflict (two triples sharing 2 vertices).
 
-    The sets are the connected sets of the conflict graph on the triples,
-    walked with each triple's vertex mask as its edge mask, so the union
-    the walk reports is the set's vertex span.
+    Two triples conflict exactly when they share a vertex pair, so the sets
+    are the connected sets of the walk over each triple's vertex-pair mask
+    (pair bit i * v + j).
     """
-    triples = [sum(1 << u for u in t) for t in combinations(range(v), 3)]
-    conflict = [
-        sum(1 << j for j, b in enumerate(triples) if j != i and (a & b).bit_count() >= 2)
-        for i, a in enumerate(triples)
-    ]
-    full = (1 << v) - 1
-    for mask, size, span in _connected_set_masks(conflict, max_edges, edge_masks=triples):
-        if size >= 2 and span == full:
-            yield tuple(triples[i] for i in _mask_to_members(mask))
+    triples = list(combinations(range(v), 3))
+    pair_masks = [sum(1 << (i * v + j) for i, j in combinations(t, 2)) for t in triples]
+    for mask, size, _pairs in _connected_set_masks(pair_masks, max_edges):
+        members = _mask_to_members(mask)
+        if size >= 2 and len({u for i in members for u in triples[i]}) == v:
+            yield tuple(sum(1 << u for u in triples[i]) for i in members)
+
+
+def _check_series_args(max_p_power: int, r: int) -> None:
+    """The arguments both series strategies accept: r = 3 and a budget in
+    2..MAX_SYMBOLIC_P_POWER."""
+    if r != 3:
+        raise ValidationError("symbolic closed forms are implemented for r = 3 only")
+    if not 2 <= max_p_power <= MAX_SYMBOLIC_P_POWER:
+        raise ValidationError(
+            f"max_p_power must be in 2..{MAX_SYMBOLIC_P_POWER}, got {max_p_power}"
+        )
 
 
 def structural_series_grouped(
@@ -419,12 +423,7 @@ def structural_series_grouped(
     `_spanning_triple_sets`, and the structures over one union are its
     copy sets (conflicting pairs of its triples) that cover every triple.
     """
-    if r != 3:
-        raise ValidationError("symbolic closed forms are implemented for r = 3 only")
-    if not 2 <= max_p_power <= MAX_SYMBOLIC_P_POWER:
-        raise ValidationError(
-            f"max_p_power must be in 2..{MAX_SYMBOLIC_P_POWER}, got {max_p_power}"
-        )
+    _check_series_args(max_p_power, r)
     out: dict[tuple[int, int, int], Fraction] = {}
     for v in range(4, max_p_power + 3):
         shapes: dict[tuple[int, ...], int] = {}
@@ -435,14 +434,8 @@ def structural_series_grouped(
                 for i, j in combinations(range(len(edge_set)), 2)
                 if (edge_set[i] & edge_set[j]).bit_count() >= 2
             ]
-            adj = [
-                sum(1 << j for j, b in enumerate(copy_masks) if j != i and a & b)
-                for i, a in enumerate(copy_masks)
-            ]
             full_edges = (1 << len(edge_set)) - 1
-            for mask, _size, emask in _connected_set_masks(
-                adj, len(copy_masks), edge_masks=copy_masks
-            ):
+            for mask, _size, emask in _connected_set_masks(copy_masks, len(copy_masks)):
                 if emask == full_edges:
                     key = _shape(mask, copy_masks)
                     shapes[key] = shapes.get(key, 0) + 1
@@ -515,12 +508,7 @@ def interpolated_series_grouped(
     and the one at n = D + 1 is checked against the fit.  The samples at
     n <= r are 0 (no copy fits), so they cost nothing.
     """
-    if r != 3:
-        raise ValidationError("symbolic closed forms are implemented for r = 3 only")
-    if not 2 <= max_p_power <= MAX_SYMBOLIC_P_POWER:
-        raise ValidationError(
-            f"max_p_power must be in 2..{MAX_SYMBOLIC_P_POWER}, got {max_p_power}"
-        )
+    _check_series_args(max_p_power, r)
     degree = r + (max_p_power - 1) * (r - 2)
     ns = list(range(degree + 2))  # degree + 1 fitted, the last checked
     sampled = _sample_power_sums(ns, max_p_power, r)
@@ -588,14 +576,7 @@ def inclusion_exclusion_polynomial(n: int, r: int) -> Polynomial:
     """
     import numpy as np
 
-    check_host(n, r)
-    ne = math.comb(n, r)
-    if ne > INCLUSION_EXCLUSION_EDGE_CAP:
-        raise CapExceededError(
-            f"{ne} hyperedges exceeds the alternating-sum cap "
-            f"{INCLUSION_EXCLUSION_EDGE_CAP}",
-            edges=ne,
-        )
+    ne = check_edge_cap(n, r, INCLUSION_EXCLUSION_EDGE_CAP)
     edges = list(combinations(range(1, n + 1), r))
     edge_id = {e: i for i, e in enumerate(edges)}
     copies = enumerate_forbidden_copies(n, r)
@@ -633,13 +614,7 @@ def hard_core_polynomial(n: int, r: int) -> Polynomial:
     the conflict-free sub-configurations of E by subset inversion, and
     families are assembled by a component-first recursion over supports.
     """
-    check_host(n, r)
-    ne = math.comb(n, r)
-    if ne > HARD_CORE_EDGE_CAP:
-        raise CapExceededError(
-            f"{ne} hyperedges exceeds the polymer-model cap {HARD_CORE_EDGE_CAP}",
-            edges=ne,
-        )
+    ne = check_edge_cap(n, r, HARD_CORE_EDGE_CAP)
     edges = list(combinations(range(1, n + 1), r))
     esets = [frozenset(e) for e in edges]
     conflict = [0] * ne

@@ -22,7 +22,7 @@ from itertools import chain, combinations
 from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, ValidationError
-from .hypergraph import check_host
+from .hypergraph import check_edge_cap, check_host, count_text
 from .polynomial import Polynomial
 
 if TYPE_CHECKING:
@@ -53,13 +53,7 @@ def exact_linearity_polynomial(n: int, r: int) -> Polynomial:
     Sums L_m p^m (1-p)^(N-m) over m, where N = C(n,r) and L_m counts the
     linear m-edge sets of the complete r-graph (`_linear_set_counts`).
     """
-    check_host(n, r)
-    ne = math.comb(n, r)
-    if ne > EXACT_EDGE_CAP:
-        raise CapExceededError(
-            f"C({n},{r}) = {ne} edges exceeds the {EXACT_EDGE_CAP}-edge cap",
-            edges=ne,
-        )
+    ne = check_edge_cap(n, r, EXACT_EDGE_CAP)
     one_minus = Polynomial({0: 1, 1: -1})
     terms = (
         Polynomial({m: count}) * one_minus ** (ne - m)
@@ -274,8 +268,8 @@ def monte_carlo(
     entries = ne * math.comb(r, 2)
     if entries > MC_PAIR_TABLE_CAP:
         raise CapExceededError(
-            f"C({n},{r}) = {ne} edges need {entries} pair-table entries, over the "
-            f"sampler's cap of {MC_PAIR_TABLE_CAP}",
+            f"C({n},{r}) = {count_text(ne)} edges need {count_text(entries)} "
+            f"pair-table entries, over the sampler's cap of {MC_PAIR_TABLE_CAP}",
             edges=ne,
             cap=MC_PAIR_TABLE_CAP,
         )

@@ -1,9 +1,9 @@
 """Reference API that only the tests use: an explicit hypergraph value,
 the linearity test on it, the brute-force count of linear edge subsets,
 the brute-force density measures of the forbidden family, two readouts of
-a symbolic series, the connectivity of a copy set in a dependency graph
-and the vertex span of a copy.  No engine or CLI path calls these, so
-they live here, outside the package.
+a symbolic series, the pairwise adjacency of a dependency graph, the
+connectivity of a copy set in it and the vertex span of a copy.  No
+engine or CLI path calls these, so they live here, outside the package.
 """
 
 from __future__ import annotations
@@ -149,14 +149,23 @@ def series_monomial_coeff(terms: Iterable[SeriesTerm], n_power: int, p_power: in
     return total
 
 
+def adjacent(d: DependencyGraph, i: int, j: int) -> bool:
+    """True iff copies i and j of d are distinct and share a hyperedge."""
+    return i != j and bool(set(d.copies[i].edge_pair) & set(d.copies[j].edge_pair))
+
+
+def adjacency(d: DependencyGraph) -> list[int]:
+    """Neighbour bitmask of every copy of d, pair by pair from the copies'
+    hyperedges, independent of the package's walk and `dump_adjacency`."""
+    return [sum(1 << j for j in range(len(d)) if adjacent(d, i, j)) for i in range(len(d))]
+
+
 def is_connected(d: DependencyGraph, members: Sequence[int]) -> bool:
     """True iff the copies `members` induce a non-empty connected subgraph of d."""
     if not members:
         return False
-    target = 0
-    for i in members:
-        target |= 1 << i
-    return mask_connected(d.adj_masks, target)
+    local = [sum(1 << b for b, y in enumerate(members) if adjacent(d, x, y)) for x in members]
+    return mask_connected(local, (1 << len(members)) - 1)
 
 
 def span(c: ForbiddenCopy) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ the package's one connected-set walk.  `polymers_up_to` there is the
 capped polymer stream that only the tests consume.
 """
 
+import tracemalloc
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -20,7 +21,7 @@ from linhyp.dependency import (
 )
 from linhyp.errors import CapExceededError, ValidationError
 from linhyp.hypergraph import ForbiddenCopy, enumerate_forbidden_copies
-from reference import is_connected
+from reference import adjacency, adjacent, is_connected
 
 
 def path_graph(k):
@@ -38,7 +39,7 @@ def path_graph(k):
         ((1 << (i - 1)) if i > 0 else 0) | ((1 << (i + 1)) if i + 1 < k else 0)
         for i in range(k)
     ]
-    assert d.adj_masks == expect
+    assert adjacency(d) == expect
     return d
 
 
@@ -50,48 +51,62 @@ def triangle_graph():
         ForbiddenCopy.from_edges((2, 3, 4), (2, 3, 5)),
     ]
     d = DependencyGraph(copies)
-    assert d.adj_masks == [0b110, 0b101, 0b011]
+    assert adjacency(d) == [0b110, 0b101, 0b011]
     return d
 
 
 class TestBuild:
     def test_shared_edge_adjacency_matches_bruteforce(self):
+        # the dumped neighbour lists, read off the walk, against the pairs
+        # of copies that share a hyperedge
         for n in (4, 5, 6):
             copies = enumerate_forbidden_copies(n, 3)
-            d = DependencyGraph(copies)
+            dumped = _parse_dump(DependencyGraph(copies).dump_adjacency())
             for i in range(len(copies)):
                 for j in range(i + 1, len(copies)):
                     shared = bool(
                         set(copies[i].edge_pair) & set(copies[j].edge_pair)
                     )
-                    assert bool(d.adj_masks[i] >> j & 1) == shared
-                    assert bool(d.adj_masks[j] >> i & 1) == shared
+                    assert (j in dumped[i]) == shared
+                    assert (i in dumped[j]) == shared
+
+    def test_graph_holds_no_pairwise_adjacency(self):
+        # one two-bit hyperedge mask per copy: the 10,920 copies at n = 16
+        # hold 1.9 MiB, where an m-bit adjacency mask per copy held 12.6 MiB
+        tracemalloc.start()
+        try:
+            d = dependency_graph_for(16, 3)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(d) == 10920
+        assert held < 4 * 2**20
 
     def test_n4_degrees(self):
         d = dependency_graph_for(4, 3)
-        assert [m.bit_count() for m in d.adj_masks] == [4] * 6
+        assert [len(nbrs) for nbrs in _parse_dump(d.dump_adjacency())] == [4] * 6
 
     def test_single_copy(self):
         d = DependencyGraph([ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 4))])
-        assert len(d) == 1 and d.adj_masks == [0]
+        assert len(d) == 1 and adjacency(d) == [0]
         assert d.dump_adjacency() == "0: \n"
 
     def test_disjoint_edge_sets_not_adjacent(self):
         a = ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 4))
         b = ForbiddenCopy.from_edges((1, 5, 6), (5, 6, 7))
         d = DependencyGraph([a, b])
-        assert d.adj_masks == [0, 0]
+        assert adjacency(d) == [0, 0]
         assert d.dump_adjacency() == "0: \n1: \n"
 
     def test_symmetric_irreflexive(self):
         d = dependency_graph_for(5, 3)
-        adjacency = _parse_dump(d.dump_adjacency())
-        assert len(adjacency) == len(d)
-        for i, nbrs in enumerate(adjacency):
-            assert nbrs == [j for j in range(len(d)) if d.adj_masks[i] >> j & 1]
+        dumped = _parse_dump(d.dump_adjacency())
+        assert len(dumped) == len(d)
+        for i, (nbrs, expect) in enumerate(zip(dumped, adjacency(d))):
+            assert nbrs == [j for j in range(len(d)) if expect >> j & 1]
             assert i not in nbrs
             for j in nbrs:
-                assert i in adjacency[j]
+                assert i in dumped[j]
 
 
 def _parse_dump(text):
@@ -127,14 +142,14 @@ class TestPolymers:
         # frontier growth with a visited set, on real and synthetic graphs
         for d in (dependency_graph_for(4, 3), path_graph(6)):
             for k in (1, 2, 3, 4):
-                fast = {(m, s) for m, s, _ in _connected_set_masks(d.adj_masks, k)}
-                ref = connected_sets_reference(d.adj_masks, k)
+                fast = {(m, s) for m, s, _ in _connected_set_masks(d.copy_edge_masks, k)}
+                ref = connected_sets_reference(adjacency(d), k)
                 assert fast == ref
 
     def test_stream_is_duplicate_free(self):
         d = dependency_graph_for(5, 3)
         seen = set()
-        for mask, _s, _e in _connected_set_masks(d.adj_masks, 3):
+        for mask, _s, _e in _connected_set_masks(d.copy_edge_masks, 3):
             assert mask not in seen
             seen.add(mask)
 
@@ -152,10 +167,11 @@ class TestPolymers:
         kind, n, r = graph.split("-")
         copies = enumerate_forbidden_copies(int(n), int(r))
         d = DependencyGraph(copies[::3] if kind == "irregular" else copies)
-        ref = connected_sets_reference(d.adj_masks, 3)
+        ref = connected_sets_reference(adjacency(d), 3)
         for root in range(len(d)):
             walked = [
-                (m, s) for m, s, _ in _connected_set_masks(d.adj_masks, 3, roots=[root])
+                (m, s)
+                for m, s, _ in _connected_set_masks(d.copy_edge_masks, 3, roots=[root])
             ]
             assert len(walked) == len(set(walked))
             assert set(walked) == {(m, s) for m, s in ref if m >> root & 1}
@@ -163,13 +179,11 @@ class TestPolymers:
     def test_pinned_walk_prunes_on_the_edge_budget(self):
         d = dependency_graph_for(6, 3)
         em = d.copy_edge_masks
-        ref = connected_sets_reference(d.adj_masks, 3)
+        ref = connected_sets_reference(adjacency(d), 3)
         for root in (0, 17, 89):
             walked = {
                 (m, s, u)
-                for m, s, u in _connected_set_masks(
-                    d.adj_masks, 3, edge_masks=em, edge_budget=4, roots=[root]
-                )
+                for m, s, u in _connected_set_masks(em, 3, edge_budget=4, roots=[root])
             }
             expect = set()
             for m, s in ref:
@@ -224,13 +238,13 @@ class TestClusters:
         # partitions into connected blocks; brute force on small graphs
         for d, k in ((dependency_graph_for(4, 3), 3), (path_graph(5), 4)):
             expect = 0
-            nverts = len(d.adj_masks)
-            for mask in range(1, 1 << nverts):
-                members = tuple(i for i in range(nverts) if mask >> i & 1)
-                if len(members) > k or not _is_conn(d, members):
+            adj = adjacency(d)
+            for mask in range(1, 1 << len(d)):
+                members = tuple(i for i in range(len(d)) if mask >> i & 1)
+                if len(members) > k or not _is_conn(adj, members):
                     continue
                 for part in set_partitions(members):
-                    if all(_is_conn(d, b) for b in part):
+                    if all(_is_conn(adj, b) for b in part):
                         expect += 1
             got = sum(1 for _ in clusters_disjoint(d, k))
             assert got == expect
@@ -253,15 +267,13 @@ class TestClusters:
                 a, b = polymers[i], polymers[j]
                 if set(a) & set(b):
                     continue
-                crossing = any(
-                    d.adj_masks[x] >> y & 1 for x in a for y in b
-                )
+                crossing = any(adjacent(d, x, y) for x in a for y in b)
                 assert is_connected(d, tuple(set(a) | set(b))) == crossing
                 checked += 1
         assert checked > 100
 
 
-def _is_conn(d, members):
+def _is_conn(adj, members):
     if not members:
         return False
     reach = {members[0]}
@@ -270,7 +282,7 @@ def _is_conn(d, members):
     while frontier:
         v = frontier.pop()
         for u in mset:
-            if u not in reach and d.adj_masks[v] >> u & 1:
+            if u not in reach and adj[v] >> u & 1:
                 reach.add(u)
                 frontier.append(u)
     return reach == mset
@@ -301,7 +313,7 @@ def polymers_up_to(
     if k < 1:
         raise ValidationError(f"max polymer size must be >= 1, got {k}")
     count = 0
-    for mask, _size, _em in _connected_set_masks(d.adj_masks, k):
+    for mask, _size, _em in _connected_set_masks(d.copy_edge_masks, k):
         count += 1
         if cap is not None and count > cap:
             raise CapExceededError(
@@ -367,20 +379,10 @@ def closeness_edges(
     d: DependencyGraph, blocks: Sequence[tuple[int, ...]]
 ) -> frozenset[tuple[int, int]]:
     """Edges between disjoint blocks that are within distance one."""
-    masks = []
-    nbrs = []
-    for b in blocks:
-        m = 0
-        a = 0
-        for i in b:
-            m |= 1 << i
-            a |= d.adj_masks[i]
-        masks.append(m)
-        nbrs.append(a)
     edges = set()
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
-            if nbrs[i] & masks[j]:
+            if any(adjacent(d, x, y) for x in blocks[i] for y in blocks[j]):
                 edges.add((i, j))
     return frozenset(edges)
 
@@ -418,7 +420,7 @@ def clusters_disjoint(
     if k < 1:
         raise ValidationError(f"max cluster size must be >= 1, got {k}")
     count = 0
-    for mask, _size, _em in _connected_set_masks(d.adj_masks, k):
+    for mask, _size, _em in _connected_set_masks(d.copy_edge_masks, k):
         for part in connected_partitions(d, _mask_to_members(mask)):
             count += 1
             if cap is not None and count > cap:

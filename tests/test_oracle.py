@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +10,7 @@ import pytest
 
 from linhyp import oracle
 from linhyp.errors import CapExceededError, ValidationError
-from linhyp.hypergraph import _copy_count
+from linhyp.hypergraph import COPY_CAP, _copy_count, enumerate_forbidden_copies
 from linhyp.oracle import (
     BLOCK,
     MC_MAX_N,
@@ -106,6 +107,34 @@ class TestExactOracle:
     def test_validation(self):
         with pytest.raises(ValidationError):
             exact_linearity_polynomial(2, 3)
+
+
+def test_cap_errors_past_the_int_digit_limit():
+    # C(100000, 50000) has 30,101 digits, past the interpreter's default
+    # limit of 4,300 on int-to-str conversion: each library cap must still
+    # raise its own error, with the exact count in its context
+    edges = math.comb(100000, 50000)
+    calls = [
+        (
+            lambda: enumerate_forbidden_copies(100000, 50000),
+            {"copies": _copy_count(100000, 50000), "cap": COPY_CAP},
+        ),
+        (lambda: exact_linearity_polynomial(100000, 50000), {"edges": edges}),
+        (
+            lambda: monte_carlo(100000, 50000, Fraction(1, 2), trials=1, seed=0),
+            {"edges": edges, "cap": MC_PAIR_TABLE_CAP},
+        ),
+    ]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for call, context in calls:
+            with pytest.raises(CapExceededError) as info:
+                call()
+            assert info.value.context == context
+            assert "about 10^" in str(info.value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestMonteCarlo:
