@@ -107,15 +107,30 @@ def log_linearity_r3(n: int, p: Fraction) -> AsymptoticEstimate:
     )
 
 
+def mid_regime_p3_factor(r: int) -> Fraction:
+    """(3r^2 - 3r - 2) / 24, the factor of the mid-regime term
+    [r]_2^3 N^3 p^3 / n^4 of `log_linearity_general`.
+
+    It is the third cluster coefficient of log P at fixed r: the clusters
+    of three edges spanning the most vertices, 3r - 4, give
+    (3r^2 - 3r - 2) / (24 ((r-2)!)^3) n^(3r-4) p^3.  At r = 4 that is
+    17/96, which the per-n cluster sums (`expansion.per_n_power_sums`) and
+    the exact oracle's log P both give; the test suite pins it.
+    """
+    return Fraction(3 * r * r - 3 * r - 2, 24)
+
+
 def log_linearity_general(n: int, r: int, p: Fraction) -> AsymptoticEstimate:
-    """General-r closed forms in terms of N = C(n,r).
+    """General-r closed forms in terms of N = C(n,r), at fixed r.
 
     Small regime (p N of order n / r^2 or below):
         -( [r]_2^2 / (4 n^2) ) N^2 p^2
     Mid regime (up to p N of order n^(3/2) / r^3) adds:
-        +( (3r-5) [r]_2^3 / (6 n^4) ) N^3 p^3
-    The known error-term magnitudes are reported as diagnostics, never
-    added to the estimate.
+        +( (3r^2 - 3r - 2) [r]_2^3 / (24 n^4) ) N^3 p^3
+    (`mid_regime_p3_factor`).  The paper compares these forms with McKay
+    and Tian (Random Structures Algorithms 57, 2020).  The known
+    error-term magnitudes are reported as diagnostics, never added to the
+    estimate.
     """
     check_host(n, r)
     p = _check_p(p)
@@ -145,13 +160,7 @@ def log_linearity_general(n: int, r: int, p: Fraction) -> AsymptoticEstimate:
         exact = {"small_regime_threshold": small_threshold}
     else:
         regime = REGIME_MID
-        term3 = (
-            Fraction(3 * r - 5)
-            * r2**3
-            / (6 * Fraction(n) ** 4)
-            * big_n**3
-            * p**3
-        )
+        term3 = mid_regime_p3_factor(r) * r2**3 / Fraction(n) ** 4 * big_n**3 * p**3
         value = term2 + term3
         valid = pn < mid_threshold
         exact = {"mid_regime_threshold": mid_threshold}

@@ -9,6 +9,11 @@ is computed over the payload with the duration excluded (and the worker
 count left out of the configuration), so repeated runs with the same
 configuration agree on everything the hash covers.
 
+At module level this file imports only what parsing needs.  Each handler
+imports its engines from their defining modules when it runs, so a run
+loads only the modules its subcommand uses, and `--version` loads no
+engine.  The timed span of a handler includes loading them.
+
 Option types check their values while the arguments are parsed, and the
 parser reports its errors as ValidationError, so a bad argument exits 2
 with a JSON error object instead of a usage message.
@@ -20,44 +25,17 @@ suite failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import sys
 import time
-from fractions import Fraction
-from itertools import accumulate
 
 from . import __version__
-from .asymptotics import log_linearity_general, log_linearity_r3
-from .dependency import dependency_graph_for
 from .errors import CapExceededError, LinhypError, ValidationError
-from .expansion import (
-    cumulant_sum,
-    expansion_terms,
-    hard_core_polynomial,
-    inclusion_exclusion_polynomial,
-    independent_truncated_series,
-    log_taylor_truncated,
-    moment_sum,
-    symbolic_series,
-    truncated_expansion,
-)
-from .graphcalc import (
-    SimpleGraph,
-    all_graphs,
-    chromatic_polynomial,
-    chromatic_via_partitions,
-    chromatic_via_whitney,
-    complete_graph_ursell,
-    connected_graphs,
-    independent_partition_identity,
-    ursell_direct,
-)
-from .hypergraph import enumerate_forbidden_copies
-from .oracle import EXACT_EDGE_CAP, check_seed, exact_linearity_polynomial, monte_carlo
-from .polynomial import Polynomial, log_fraction
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -70,6 +48,8 @@ OUTPUT_PATH_OPTIONS = ("output", "csv", "dump_adjacency")
 
 def _parse_rational(text: str) -> Fraction:
     """Exact rational 'num/den'; used on the exact evaluation paths."""
+    from fractions import Fraction
+
     if "/" not in text:
         raise ValidationError(
             f"expected an exact rational like 1/1000, got {text!r} "
@@ -92,6 +72,8 @@ def _exact_p(text: str) -> Fraction:
 
 def _parse_decimal(text: str) -> Fraction:
     """Decimal string; used on the Monte Carlo / asymptotic paths."""
+    from fractions import Fraction
+
     if "/" in text:
         raise ValidationError(
             f"expected a decimal like 0.001, got {text!r} "
@@ -105,6 +87,8 @@ def _parse_decimal(text: str) -> Fraction:
 
 def _sweep_points(text: str) -> list[Fraction]:
     """`lo,hi,count`: count geometrically spaced decimals from lo to hi."""
+    from fractions import Fraction
+
     fields = text.split(",")
     if len(fields) != 3:
         raise ValidationError(f"sweep needs lo,hi,count, got {text!r}")
@@ -158,6 +142,8 @@ def _int_at_least(minimum: int):
 
 def _seed(text: str) -> int:
     """argparse type: an integer seed that `monte_carlo` accepts."""
+    from .oracle import check_seed
+
     try:
         value = int(text)
         check_seed(value)
@@ -176,6 +162,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict, args, duration: float) -> None:
+    import hashlib
+    import json
+
     payload = dict(payload)
     payload["tool_version"] = __version__
     payload["config"] = {
@@ -225,12 +214,16 @@ def _unwritable(path: str, exc: OSError) -> ValidationError:
 
 
 def _emit_error(kind: str, message: str, code: int, context: dict | None = None) -> int:
+    import json
+
     obj = {"error": {"type": kind, "message": message, "context": context or {}}}
     print(json.dumps(obj, sort_keys=True, default=str), file=sys.stderr)
     return code
 
 
 def _cmd_copies(args) -> tuple[dict, int]:
+    from .hypergraph import enumerate_forbidden_copies
+
     copies = enumerate_forbidden_copies(args.n, args.r)
     payload: dict = {"count": len(copies)}
     if args.list:
@@ -241,6 +234,10 @@ def _cmd_copies(args) -> tuple[dict, int]:
 
 
 def _cmd_expand(args) -> tuple[dict, int]:
+    from .dependency import dependency_graph_for
+    from .expansion import expansion_terms
+    from .polynomial import Polynomial
+
     d = dependency_graph_for(args.n, args.r)
     if args.dump_adjacency:
         _write_text(args.dump_adjacency, d.dump_adjacency())
@@ -261,23 +258,33 @@ def _cmd_expand(args) -> tuple[dict, int]:
 
 
 def _cmd_series(args) -> tuple[dict, int]:
+    from .expansion import symbolic_series
+
     terms = symbolic_series(max_p_power=args.max_p_power, r=args.r)
     return {"terms": [t.to_json() for t in terms]}, EXIT_OK
 
 
 def _cmd_delta(args) -> tuple[dict, int]:
+    from .dependency import dependency_graph_for
+    from .expansion import moment_sum
+
     d = dependency_graph_for(args.n, args.r)
     poly = moment_sum(d, args.i, cap=args.cap)
     return {"moment_sum": poly.to_json()}, EXIT_OK
 
 
 def _cmd_cumulants(args) -> tuple[dict, int]:
+    from .dependency import dependency_graph_for
+    from .expansion import cumulant_sum
+
     d = dependency_graph_for(args.n, args.r)
     poly = cumulant_sum(d, args.k, cap=args.cap)
     return {"cumulant_sum": poly.to_json()}, EXIT_OK
 
 
 def _cmd_oracle(args) -> tuple[dict, int]:
+    from .oracle import exact_linearity_polynomial
+
     poly = exact_linearity_polynomial(args.n, args.r)
     payload: dict = {"polynomial": poly.to_json()}
     if args.p is not None:
@@ -290,12 +297,16 @@ def _cmd_oracle(args) -> tuple[dict, int]:
 
 
 def _cmd_montecarlo(args) -> tuple[dict, int]:
+    from .oracle import monte_carlo
+
     p = _parse_decimal(args.p)
     report = monte_carlo(args.n, args.r, p, trials=args.trials, seed=args.seed)
     return {"report": report.to_json()}, EXIT_OK
 
 
 def _cmd_asymptotic(args) -> tuple[dict, int]:
+    from .asymptotics import log_linearity_general, log_linearity_r3
+
     p = _parse_decimal(args.p)
     payload = {"general_r": log_linearity_general(args.n, args.r, p).to_json()}
     if args.r == 3:
@@ -308,6 +319,12 @@ def _compare_polynomials(n: int, r: int, cap: int | None) -> dict:
     the exact oracle (within its edge cap), the truncations T2, T3 and T4
     as running sums of one pass over orders 1-3, and cumulant k3.
     The enumeration cap applies to both cluster passes."""
+    from itertools import accumulate
+
+    from .dependency import dependency_graph_for
+    from .expansion import cumulant_sum, expansion_terms
+    from .oracle import EXACT_EDGE_CAP, exact_linearity_polynomial
+
     polys: dict = {"exact": None}
     if math.comb(n, r) <= EXACT_EDGE_CAP:
         polys["exact"] = exact_linearity_polynomial(n, r)
@@ -319,6 +336,10 @@ def _compare_polynomials(n: int, r: int, cap: int | None) -> dict:
 
 
 def _compare_row(polys: dict, n: int, r: int, p: Fraction, trials: int, seed: int) -> dict:
+    from .asymptotics import log_linearity_general, log_linearity_r3
+    from .oracle import monte_carlo
+    from .polynomial import log_fraction
+
     row: dict = {"p": float(p)}
     exact = polys["exact"](p) if polys["exact"] is not None else 0
     row["log_exact"] = log_fraction(exact) if exact > 0 else None
@@ -367,6 +388,28 @@ def _cmd_compare(args) -> tuple[dict, int]:
 
 
 def _run_identity_suite() -> tuple[dict[str, bool], bool]:
+    from .dependency import dependency_graph_for
+    from .expansion import (
+        cumulant_sum,
+        hard_core_polynomial,
+        inclusion_exclusion_polynomial,
+        independent_truncated_series,
+        log_taylor_truncated,
+        truncated_expansion,
+    )
+    from .graphcalc import (
+        SimpleGraph,
+        all_graphs,
+        chromatic_polynomial,
+        chromatic_via_partitions,
+        chromatic_via_whitney,
+        complete_graph_ursell,
+        connected_graphs,
+        independent_partition_identity,
+        ursell_direct,
+    )
+    from .oracle import exact_linearity_polynomial
+
     results: dict[str, bool] = {}
     results["ursell_complete_graphs"] = all(
         ursell_direct(SimpleGraph.complete(m)) == complete_graph_ursell(m)
@@ -482,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--p", type=_checked_text(_parse_decimal), required=True, help="decimal probability"
     )
-    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--trials", type=_int_at_least(1), required=True)
     sp.add_argument("--seed", type=_seed, required=True)
     sp.set_defaults(func=_cmd_montecarlo)
 

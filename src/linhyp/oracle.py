@@ -52,14 +52,15 @@ def exact_linearity_polynomial(n: int, r: int) -> Polynomial:
 
     Sums L_m p^m (1-p)^(N-m) over m, where N = C(n,r) and L_m counts the
     linear m-edge sets of the complete r-graph (`_linear_set_counts`).
+    The binomial expansion of (1-p)^(N-m) keeps every coefficient an
+    integer: L_m p^m (1-p)^(N-m) = sum_j (-1)^j C(N-m, j) L_m p^(m+j).
     """
     ne = check_edge_cap(n, r, EXACT_EDGE_CAP)
-    one_minus = Polynomial({0: 1, 1: -1})
-    terms = (
-        Polynomial({m: count}) * one_minus ** (ne - m)
-        for m, count in _linear_set_counts(n, r).items()
-    )
-    return sum(terms, Polynomial.zero())
+    coeffs = [0] * (ne + 1)
+    for m, count in _linear_set_counts(n, r).items():
+        for j in range(ne - m + 1):
+            coeffs[m + j] += (-1) ** j * math.comb(ne - m, j) * count
+    return Polynomial(dict(enumerate(coeffs)))
 
 
 def _linear_set_counts(n: int, r: int) -> dict[int, int]:

@@ -12,9 +12,11 @@ from linhyp.asymptotics import (
     REGIME_SMALL,
     log_linearity_general,
     log_linearity_r3,
+    mid_regime_p3_factor,
 )
 from linhyp.errors import ValidationError
-from linhyp.expansion import structural_series_grouped
+from linhyp.expansion import _solve_falling_basis, per_n_power_sums, structural_series_grouped
+from linhyp.oracle import exact_linearity_polynomial
 from linhyp.polynomial import falling_factorial_poly
 
 
@@ -99,6 +101,39 @@ class TestGeneralR:
         n6p4 = float(Fraction(55, 24) * n**6 * p**4)
         n3p2 = float(Fraction(3, 2) * n**3 * p**2)
         assert abs(a.log_prob - b.log_prob) <= n6p4 + n3p2
+
+    def test_mid_regime_p3_factor_is_the_cluster_coefficient_at_r4(self):
+        # the p^3 coefficient of the per-n cluster sums at r = 4, fitted in
+        # the falling-factorial basis at degree r + 2(r - 2) = 8 from
+        # n = 0..8 and checked at n = 9, 10; its [n]_8 coefficient is the
+        # n^8 = n^(3r-4) coefficient the form's factor must reproduce
+        r = 4
+        sums = [
+            sum((c for (b, _k), c in per_n_power_sums(n, 3, r).items() if b == 3), Fraction(0))
+            for n in range(11)
+        ]
+        lead = _solve_falling_basis(list(enumerate(sums)), 8)[8]
+        assert lead == Fraction(17, 96)
+        assert mid_regime_p3_factor(r) / math.factorial(r - 2) ** 3 == lead
+        assert mid_regime_p3_factor(3) == Fraction(2, 3)
+        # up to p^3 the cluster sums are log P's Taylor coefficients, which
+        # the exact oracle gives independently: log(1 + x) to x^3
+        for n in range(5, 9):
+            a = exact_linearity_polynomial(n, r)
+            a1, a2, a3 = a.coeff(1), a.coeff(2), a.coeff(3)
+            assert a3 - a1 * a2 + a1**3 / 3 == sums[n]
+        assert sums[5:9] == [20, 910, 10780, 69020]
+
+    def test_mid_regime_value_uses_the_p3_factor(self):
+        n, r, p = 40, 4, Fraction(1, 20000)
+        est = log_linearity_general(n, r, p)
+        assert est.regime == REGIME_MID
+        big_n, r2 = math.comb(n, r), r * (r - 1)
+        expect = (
+            -Fraction(r2**2, 4 * n**2) * big_n**2 * p**2
+            + Fraction(17, 12) * Fraction(r2**3, n**4) * big_n**3 * p**3
+        )
+        assert est.log_prob == float(expect)
 
     def test_diagnostics_present(self):
         est = log_linearity_general(50, 4, Fraction(1, 10**5))

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, determinism, error objects, exit codes."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -412,11 +413,22 @@ class TestErrors:
 
 @pytest.fixture
 def no_engines(monkeypatch):
+    """Stubs the first engine call of every subcommand in its defining
+    module, where the handlers import it from when they run.  Every
+    module of the package is imported first, so none binds a stub that
+    outlives the test."""
+    for module in set(linhyp._EXPORTS.values()):
+        importlib.import_module(f"linhyp.{module}")
+
     def unreachable(*_args, **_kwargs):
         raise AssertionError("an engine ran before the arguments were checked")
 
-    for name in ("dependency_graph_for", "_compare_polynomials", "monte_carlo"):
-        monkeypatch.setattr(cli, name, unreachable)
+    for target in (
+        "linhyp.dependency.dependency_graph_for",
+        "linhyp.cli._compare_polynomials",
+        "linhyp.oracle.monte_carlo",
+    ):
+        monkeypatch.setattr(target, unreachable)
 
 
 class TestOutputPathsCheckedFirst:
@@ -482,6 +494,21 @@ class TestSeedCheckedFirst:
         assert "seed must be in 0 .. 2^128 - 1" in err["message"]
 
 
+class TestTrialsCheckedFirst:
+    """`montecarlo --trials` below 1 exits 2 while parsing, before the
+    sampler runs."""
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bad_trials_exit_before_any_work(self, capsys, no_engines, trials):
+        argv = ["montecarlo", "5", "3", "--p", "0.1", "--trials", trials, "--seed", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "validation"
+        assert f"argument --trials: must be >= 1, got {trials}" in err["message"]
+
+
 class TestSizeCheckedFirst:
     """A polymer size below 1 exits 2 while parsing, before the graph is
     built, also where the host is over the copy cap."""
@@ -507,35 +534,72 @@ class TestSizeCheckedFirst:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def numpy_loaded(code: str) -> bool:
-    """Whether numpy is in sys.modules after running `code` in a fresh
+def modules_loaded(code: str) -> set[str]:
+    """The modules in sys.modules after running `code` in a fresh
     interpreter that imports linhyp from this checkout."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    probe = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    probe = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    return done.stdout.splitlines()[-1] == "True"
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def numpy_loaded(code: str) -> bool:
+    return "numpy" in modules_loaded(code)
 
 
 def main_call(*argv: str) -> str:
     return f"from linhyp.cli import main\nassert main({list(argv)!r}) == 0"
 
 
+VERSION_CALL = (
+    "from linhyp.cli import main\ntry:\n    main(['--version'])\n"
+    "except SystemExit as exc:\n    assert exc.code == 0"
+)
+
+
+def linhyp_modules(code: str) -> set[str]:
+    return {m for m in modules_loaded(code) if m == "linhyp" or m.startswith("linhyp.")}
+
+
 class TestStartupImports:
-    """The subcommands that neither sample nor build the alternating-sum
-    table start without numpy."""
+    """Each subcommand loads only the modules it runs: the subcommands that
+    neither sample nor build the alternating-sum table start without numpy,
+    and none loads an engine it does not call."""
+
+    def test_import_linhyp_loads_no_engine(self):
+        assert linhyp_modules("import linhyp") == {"linhyp"}
+
+    def test_version_loads_only_the_parser(self):
+        assert linhyp_modules(VERSION_CALL) == {"linhyp", "linhyp.cli", "linhyp.errors"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("montecarlo", "5", "3", "--p", "0.1", "--trials", "10", "--seed", "1"),
+            ("asymptotic", "50", "3", "--p", "0.002"),
+            ("oracle", "6", "3", "--p", "1/2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_cluster_engine_outside_the_cluster_paths(self, argv):
+        loaded = linhyp_modules(main_call(*argv))
+        assert not loaded & {"linhyp.expansion", "linhyp.graphcalc", "linhyp.dependency"}
+
+    def test_every_export_resolves_to_its_module_object(self):
+        for name in linhyp.__all__:
+            module = importlib.import_module(f"linhyp.{linhyp._EXPORTS[name]}")
+            assert getattr(linhyp, name) is getattr(module, name), name
+        with pytest.raises(AttributeError):
+            linhyp.no_such_name  # noqa: B018
 
     @pytest.mark.parametrize(
         "code",
         [
             pytest.param("import linhyp", id="import-linhyp"),
             pytest.param("import linhyp.cli", id="import-cli"),
-            pytest.param(
-                "from linhyp.cli import main\ntry:\n    main(['--version'])\n"
-                "except SystemExit as exc:\n    assert exc.code == 0",
-                id="version",
-            ),
+            pytest.param(VERSION_CALL, id="version"),
             pytest.param(main_call("copies", "5", "3"), id="copies"),
             pytest.param(main_call("expand", "5", "3", "--k", "3"), id="expand"),
             pytest.param(main_call("series", "--max-p-power", "2"), id="series"),
