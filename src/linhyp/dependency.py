@@ -56,7 +56,7 @@ class DependencyGraph:
         two through each copy, from the pinned walk."""
         lines: list[list[str]] = []
         pairs = _connected_set_masks(self.copy_edge_masks, 2, roots=range(len(self)))
-        for mask, size, _emask in pairs:
+        for mask, size, _emask, _key in pairs:
             if size == 1:
                 root, nbrs = mask, []
                 lines.append(nbrs)
@@ -70,13 +70,13 @@ def _connected_set_masks(
     max_size: int,
     edge_budget: int | None = None,
     roots: Sequence[int] | None = None,
-) -> Iterator[tuple[int, int, int]]:
-    """Stream (member_mask, size, union_edge_mask) of every connected set.
+) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """Stream (member_mask, size, union_edge_mask, key) of every connected set.
 
     Two members are adjacent exactly when their edge masks share a bit, so
-    a member's neighbours are the OR of the holders of its edge bits, read
-    off one {edge bit: members} map built per call, linear in the input;
-    no pairwise adjacency is built.
+    a member's neighbours are the OR of the holders of its edges, read off
+    one {edge: members} map built per call, linear in the input; no
+    pairwise adjacency is built.
 
     Rooted exclusion-list growth: sets are grown from their minimum element
     using only larger indices, and each extension candidate is handed to
@@ -89,37 +89,50 @@ def _connected_set_masks(
     Pinned mode: with `roots`, the same growth runs from each given root
     with every other index allowed, so each connected set of size
     <= max_size that contains the root appears exactly once per root.
+
+    The key is the set's walk-order form: its members' edge masks in the
+    order the walk added them, with the edge bits relabelled in the order
+    the walk first met them (a member's own bits lowest first), so label i
+    is bit i.  Each extension appends one relabelled mask.  Sets with equal
+    keys are equal up to renaming edges, so anything read off their masks
+    alone is a function of the key.
     """
     holders: dict[int, int] = {}
-    for i, em in enumerate(edge_masks):
-        while em:
-            e = em & -em
-            em ^= e
+    ends = [_mask_to_members(em) for em in edge_masks]
+    for i, es in enumerate(ends):
+        for e in es:
             holders[e] = holders.get(e, 0) | 1 << i
     pinned = roots is not None
     for root in roots if pinned else range(len(edge_masks)):
         allowed = -1 if pinned else -1 << (root + 1)
         # the root is the one candidate of the empty set
-        stack = [(0, 0, 1 << root, 1 << root, 0)]
+        stack = [(0, 0, 0, (), 1 << root, 1 << root, ())]
         while stack:
-            sub, size, ext, closed, emask = stack.pop()
+            sub, size, emask, key, ext, closed, met = stack.pop()
             while ext:
                 wbit = ext & -ext
                 ext &= ext - 1
-                w_edges = edge_masks[wbit.bit_length() - 1]
-                new_emask = emask | w_edges
-                if edge_budget is not None and new_emask.bit_count() > edge_budget:
+                w = wbit.bit_length() - 1
+                union = emask | edge_masks[w]
+                if edge_budget is not None and union.bit_count() > edge_budget:
                     continue
-                new_sub = sub | wbit
-                yield (new_sub, size + 1, new_emask)
+                # met lists the set's edges in the order the walk first met
+                # them, so edge met[i] has label i; grown adds w's new edges
+                grown, label = met, 0
+                for e in ends[w]:
+                    if emask >> e & 1:
+                        label |= 1 << met.index(e)
+                    else:
+                        label |= 1 << len(grown)
+                        grown += (e,)
+                item = (sub | wbit, size + 1, union, key + (label,))
+                yield item
                 if size + 1 < max_size:
                     nbrs = 0
-                    while w_edges:
-                        e = w_edges & -w_edges
-                        w_edges ^= e
+                    for e in ends[w]:
                         nbrs |= holders[e]
-                    ext_w = ext | (nbrs & allowed & ~closed)
-                    stack.append((new_sub, size + 1, ext_w, closed | nbrs, new_emask))
+                    fresh = nbrs & allowed & ~closed
+                    stack.append((*item, ext | fresh, closed | nbrs, grown))
 
 
 def _mask_to_members(mask: int) -> tuple[int, ...]:

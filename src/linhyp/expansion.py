@@ -9,18 +9,24 @@ grouped either by cluster size (the truncation axis of the log-probability
 approximation) or by the p-power of the contribution (what the symbolic
 series is organised around).
 
-A polymer's contribution is a function of its *shape* (see `_shape`).
-`expansion_term` and both symbolic-series strategies count polymers by
-shape, and `_shape_sums` evaluates each distinct shape's partition sum
-once (47 shapes for the 79,380 order-4 polymers at n = 6, r = 3).
+A polymer's contribution is a function of the isomorphism type of its
+*copy graph*, whose vertices are the polymer's hyperedges and whose edges
+are its copies (each a pair of hyperedges): copy adjacency, each block's
+p-power and the closeness of blocks, hence phi, are all read off that
+graph.  The connected-set walk keys each set by its walk-order key (see
+`dependency._connected_set_masks`), `_cluster_sums` merges the keys into
+types by a canonical form (`_copy_graph_type`), and each type's partition
+sum is evaluated once per process (`_type_weight`).  `expansion_term` and
+both symbolic-series strategies count polymers this way.
 
 On the complete host the contribution is also unchanged by relabelling
 the vertices, so `expansion_term`, `moment_sum` and the per-n samples
 walk only the polymers through one root per copy orbit and weigh each by
 |orbit| / size (see `_orbit_tally`, the one walk under all three); at
-n = 6, r = 3 that is 3,528 walked order-4 sets in 26 shapes instead of
-79,380 polymers in 47.  `cumulant_sum` walks every root and stays the
-independent check.
+n = 6, r = 3 that is 3,528 walked order-4 sets with 22 keys in 5 types
+instead of 79,380 polymers, and at n = 7 the order-5 sets have 104 keys
+in 12 types.  `cumulant_sum` walks every root, ignores the keys and stays
+the independent check.
 
 The symbolic-in-n series is produced two independent ways that must agree:
 
@@ -30,7 +36,7 @@ The symbolic-in-n series is produced two independent ways that must agree:
   contributes (labelled count / v!) * [n]_v, and automorphism factors
   never need to be computed.
 * Strategy B, interpolation: the per-n sums are the expansion terms cut
-  at p^b (the shape tally `expansion_term` runs, walked once for every
+  at p^b (the type tally `expansion_term` runs, walked once for every
   order up to C(b, 2)), evaluated exactly at n = 0, 1, ..., D + 1, where
   D = r + (b - 1)(r - 2) is the proven vertex-span bound, and read off in
   the falling-factorial basis from their forward differences
@@ -42,7 +48,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .combinat import mask_connected, set_partition_masks, set_partitions
@@ -72,60 +79,32 @@ HARD_CORE_EDGE_CAP = 12
 #: inside the cross-check contract.
 MAX_SYMBOLIC_P_POWER = 4
 
-_phi_cache: dict[tuple[int, int], Fraction] = {}
+#: {copy-graph type: {p-power: sum of phi over its admissible partitions}},
+#: filled the first time the process meets a type
+_type_weights: dict[tuple[int, ...], dict[int, Fraction]] = {}
 
 
 def _phi_of_blocks(unions: Sequence[int]) -> Fraction:
     """Ursell weight of the closeness graph of disjoint connected blocks,
-    given each block's hyperedge union.
-
-    Disjoint blocks are close exactly when some copy of one shares a
-    hyperedge with some copy of the other, i.e. when their unions
-    intersect.  Two-block clusters dominate; they short-circuit to -1.
-    """
+    given each block's hyperedge union: two blocks are close exactly when
+    some copy of one shares a hyperedge with some copy of the other, i.e.
+    when their unions intersect."""
     m = len(unions)
-    if m == 2:
-        if not unions[0] & unions[1]:
-            raise LinhypError("two-block partition of a connected set must be close")
-        return Fraction(-1)
-    key_mask = 0
-    bit = 0
-    edges = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if unions[i] & unions[j]:
-                key_mask |= 1 << bit
-                edges.append((i + 1, j + 1))
-            bit += 1
-    key = (m, key_mask)
-    cached = _phi_cache.get(key)
-    if cached is None:
-        cached = ursell(SimpleGraph.from_edges(m, edges))
-        _phi_cache[key] = cached
-    return cached
+    close = [
+        (i + 1, j + 1) for i in range(m) for j in range(i + 1, m) if unions[i] & unions[j]
+    ]
+    return ursell(SimpleGraph.from_edges(m, close))
 
 
-def _partition_contributions(
-    masks: Sequence[int],
-    union_power: int,
-    max_power: int | None,
-) -> Iterable[tuple[int, Fraction]]:
+def _partition_contributions(masks: Sequence[int]) -> Iterable[tuple[int, Fraction]]:
     """(p-power, phi) for every admissible partition of one polymer, given
     the hyperedge masks of its copies.
 
     Two copies are adjacent exactly when their masks intersect, so the
     masks alone decide which blocks are connected.  The trivial partition
-    always qualifies.  Any finer partition repeats at least one shared
-    hyperedge across blocks, so its power is at least union_power + 1;
-    when a power ceiling is given this prunes almost all partition
-    enumeration.
+    always qualifies, with phi 1.
     """
     size = len(masks)
-    yield (union_power, Fraction(1))
-    if size == 1:
-        return
-    if max_power is not None and union_power + 1 > max_power:
-        return
     adj = [0] * size
     for i in range(size):
         for j in range(i + 1, size):
@@ -133,66 +112,67 @@ def _partition_contributions(
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     for part in set_partitions(range(size)):
-        if len(part) == 1:
+        if not all(mask_connected(adj, sum(1 << i for i in block)) for block in part):
             continue
         unions = []
-        power = 0
         for block in part:
             bm = 0
             for i in block:
                 bm |= masks[i]
             unions.append(bm)
-            power += bm.bit_count()
-        if max_power is not None and power > max_power:
-            continue
-        if not all(mask_connected(adj, sum(1 << i for i in block)) for block in part):
-            continue
-        yield (power, _phi_of_blocks(unions))
+        yield (sum(u.bit_count() for u in unions), _phi_of_blocks(unions))
 
 
-def _shape(mask: int, edge_masks: Sequence[int]) -> tuple[int, ...]:
-    """Shape of the copy set `mask`: its members' hyperedge masks, in
-    member-index order, with hyperedge ids relabelled by first appearance.
+def _copy_graph_type(key: Sequence[int]) -> tuple[int, ...]:
+    """Canonical form of the copy graph a walk key describes: the key's
+    labels are its vertices and its members, each a two-bit mask, its edges.
 
-    A polymer's contribution is a function of its shape, because everything
-    it is computed from is read off the masks and is unchanged by renaming
-    hyperedges: copy adjacency (masks intersect), each block's p-power
-    (popcount of the union of its members' masks) and the closeness of two
-    blocks (their unions intersect), hence phi.
+    The form is the least sorted tuple of relabelled member masks over the
+    relabellings that list the vertices in increasing degree, in any order
+    within a degree.  An isomorphism keeps degrees, so isomorphic graphs
+    have the same candidates and the same least one, and the form is a
+    graph isomorphic to the key's.
     """
-    labels: dict[int, int] = {}
-    shape = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        em = edge_masks[low.bit_length() - 1]
-        relabelled = 0
-        while em:
-            e = em & -em
-            em ^= e
-            relabelled |= labels.setdefault(e, 1 << len(labels))
-        shape.append(relabelled)
-    return tuple(shape)
+    ends = [((m & -m).bit_length() - 1, (m & m - 1).bit_length() - 1) for m in key]
+    degree = Counter(chain.from_iterable(ends))
+    classes = [[v for v in degree if degree[v] == d] for d in sorted(set(degree.values()))]
+    orders = product(*(permutations(c) for c in classes))
+    relabellings = ({v: 1 << i for i, v in enumerate(chain.from_iterable(o))} for o in orders)
+    return min(tuple(sorted(bit[a] | bit[b] for a, b in ends)) for bit in relabellings)
 
 
-def _shape_sums(
-    shapes: dict[tuple[int, ...], int], max_power: int | None
+def _type_weight(form: tuple[int, ...]) -> dict[int, Fraction]:
+    """{p-power: sum of phi} over the admissible partitions of one polymer
+    of the given copy-graph type, evaluated once per type per process."""
+    weight = _type_weights.get(form)
+    if weight is None:
+        weight = {}
+        for power, phi in _partition_contributions(form):
+            weight[power] = weight.get(power, 0) + phi
+        _type_weights[form] = weight
+    return weight
+
+
+def _cluster_sums(
+    keys: dict[tuple[int, ...], Fraction], max_power: int | None
 ) -> dict[tuple[int, int], Fraction]:
-    """{(p-power, size): coefficient} of polymers counted by shape.
+    """{(p-power, size): coefficient} of polymers counted by walk key.
 
-    Each distinct shape's admissible partitions are evaluated once, signed
-    by (-1)^size and scaled by the number of polymers of that shape.
+    The keys are merged into copy-graph types, and each type's weight,
+    signed by (-1)^size, is scaled by the number of polymers of that type.
+    With `max_power` only the partitions of power at most the budget count.
     """
+    types: dict[tuple[int, ...], Fraction] = {}
+    for key, count in keys.items():
+        form = _copy_graph_type(key)
+        types[form] = types.get(form, 0) + count
     out: dict[tuple[int, int], Fraction] = {}
-    for shape, multiplicity in shapes.items():
-        union = 0
-        for em in shape:
-            union |= em
-        size = len(shape)
-        weight = -multiplicity if size & 1 else multiplicity
-        for power, phi in _partition_contributions(shape, union.bit_count(), max_power):
-            key = (power, size)
-            out[key] = out.get(key, 0) + weight * phi
+    for form, count in types.items():
+        size = len(form)
+        weight = -count if size & 1 else count
+        for power, phi in _type_weight(form).items():
+            if max_power is None or power <= max_power:
+                out[(power, size)] = out.get((power, size), 0) + weight * phi
     return out
 
 
@@ -201,12 +181,13 @@ def _orbit_tally(
     sizes: range,
     cap: int | None = None,
     max_p_power: int | None = None,
-    by_shape: bool = True,
+    by_key: bool = True,
 ) -> dict[object, Fraction]:
     """{key: number of polymers} over the polymers whose size is in
     `sizes`, from one walk up to the largest size.  The key is the
-    polymer's shape (`_shape`), or without `by_shape` the p-power of its
-    hyperedge union.
+    polymer's walk-order key (`dependency._connected_set_masks`), or
+    without `by_key` the p-power of its hyperedge union.  A lowest size
+    above the copy count has no polymers and walks nothing.
 
     On the complete host (`d.orbits` set by `dependency_graph_for`) only
     one root per copy orbit is walked.  For a polymer function f that is
@@ -222,13 +203,15 @@ def _orbit_tally(
     over the common denominator `scale`.
 
     The cap counts polymers: it is hit when the walked weight exceeds
-    cap * scale, exactly when the polymer count exceeds cap.  The shape
+    cap * scale, exactly when the polymer count exceeds cap.  The key
     tallies are cluster terms and report the hit by order, the union
     tallies are moment sums and report it by size.  With `max_p_power` the
     walk prunes the sets whose hyperedge union exceeds the budget, and the
     cap counts the polymers within it.
     """
     low, top = sizes[0], sizes[-1]
+    if low > len(d):
+        return {}
     if d.orbits is None:
         scale = 1
         groups = [(None, [1] * (top + 1))]
@@ -239,12 +222,12 @@ def _orbit_tally(
             for rep, orbit in d.orbits
         ]
     limit = None if cap is None else cap * scale
-    noun, unit = ("cluster", "order") if by_shape else ("polymer", "size")
+    noun, unit = ("cluster", "order") if by_key else ("polymer", "size")
     edge_masks = d.copy_edge_masks
     walked = 0
     tally: dict[object, int] = {}
     for roots, weights in groups:
-        for mask, size, emask in _connected_set_masks(
+        for _mask, size, emask, key in _connected_set_masks(
             edge_masks, top, edge_budget=max_p_power, roots=roots
         ):
             if size < low:
@@ -257,7 +240,8 @@ def _orbit_tally(
                     cap=cap,
                     **{unit: size},
                 )
-            key = _shape(mask, edge_masks) if by_shape else emask.bit_count()
+            if not by_key:
+                key = emask.bit_count()
             tally[key] = tally.get(key, 0) + weight
     return {key: Fraction(c, scale) for key, c in tally.items()}
 
@@ -269,8 +253,8 @@ def expansion_term(
 
     Unordered cluster enumeration absorbs the 1/|cluster|! of the ordered
     formulation, because disjoint polymers are pairwise distinct.  Polymers
-    are counted by shape, one root per copy orbit on the complete host
-    (`_orbit_tally`), and the cap counts polymers.
+    are counted by copy-graph type, one root per copy orbit on the complete
+    host (`_orbit_tally`), and the cap counts polymers.
 
     With `max_p_power` the term is cut at p^max_p_power.  Every partition
     of a polymer pays at least its hyperedge union, so the walk prunes the
@@ -279,8 +263,8 @@ def expansion_term(
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    shapes = _orbit_tally(d, range(order, order + 1), cap, max_p_power)
-    sums = _shape_sums(shapes, max_p_power)
+    keys = _orbit_tally(d, range(order, order + 1), cap, max_p_power)
+    sums = _cluster_sums(keys, max_p_power)
     return Polynomial({power: c for (power, _size), c in sums.items()})
 
 
@@ -320,7 +304,7 @@ def moment_sum(d: DependencyGraph, size: int, cap: int | None = None) -> Polynom
     """
     if size < 1:
         raise ValidationError(f"size must be >= 1, got {size}")
-    return Polynomial(_orbit_tally(d, range(size, size + 1), cap, by_shape=False))
+    return Polynomial(_orbit_tally(d, range(size, size + 1), cap, by_key=False))
 
 
 def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomial:
@@ -334,7 +318,7 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
                    (-1)^(m-1) (m-1)! prod_{B in P} p^|union of B's hyperedges|
 
     is summed over every set partition of its members, with no
-    connectivity or closeness pruning and no grouping of polymers by shape
+    connectivity or closeness pruning and no grouping of polymers by type
     or orbit; those are what the cluster engines do, and what this checks.
 
     The set partitions of range(s) are tabled once per size s as tuples of
@@ -353,7 +337,7 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
     signed: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     acc: dict[int, int] = {}
     count = 0
-    for mask, size, _emask in _connected_set_masks(edge_masks, k):
+    for mask, size, _emask, _key in _connected_set_masks(edge_masks, k):
         count += 1
         if cap is not None and count > cap:
             raise CapExceededError(
@@ -395,7 +379,7 @@ def _spanning_triple_sets(v: int, max_edges: int) -> Iterator[tuple[int, ...]]:
     """
     triples = list(combinations(range(v), 3))
     pair_masks = [sum(1 << (i * v + j) for i, j in combinations(t, 2)) for t in triples]
-    for mask, size, _pairs in _connected_set_masks(pair_masks, max_edges):
+    for mask, size, _pairs, _key in _connected_set_masks(pair_masks, max_edges):
         members = _mask_to_members(mask)
         if size >= 2 and len({u for i in members for u in triples[i]}) == v:
             yield tuple(sum(1 << u for u in triples[i]) for i in members)
@@ -426,7 +410,7 @@ def structural_series_grouped(
     _check_series_args(max_p_power, r)
     out: dict[tuple[int, int, int], Fraction] = {}
     for v in range(4, max_p_power + 3):
-        shapes: dict[tuple[int, ...], int] = {}
+        keys: dict[tuple[int, ...], int] = {}
         for edge_set in _spanning_triple_sets(v, max_p_power):
             # the copies of the structure: conflicting pairs of its triples
             copy_masks = [
@@ -435,12 +419,11 @@ def structural_series_grouped(
                 if (edge_set[i] & edge_set[j]).bit_count() >= 2
             ]
             full_edges = (1 << len(edge_set)) - 1
-            for mask, _size, emask in _connected_set_masks(copy_masks, len(copy_masks)):
+            for _mask, _size, emask, key in _connected_set_masks(copy_masks, len(copy_masks)):
                 if emask == full_edges:
-                    key = _shape(mask, copy_masks)
-                    shapes[key] = shapes.get(key, 0) + 1
+                    keys[key] = keys.get(key, 0) + 1
         vfact = math.factorial(v)
-        for (power, size), c in _shape_sums(shapes, max_p_power).items():
+        for (power, size), c in _cluster_sums(keys, max_p_power).items():
             out[(v, power, size)] = c / vfact
     return {k: c for k, c in out.items() if c != 0}
 
@@ -454,19 +437,19 @@ def per_n_power_sums(n: int, max_p_power: int, r: int = 3) -> dict[tuple[int, in
     """{(p_power, cluster_size): coefficient} of all cluster contributions
     with p-power at most max_p_power, at a concrete n.
 
-    These are the expansion terms cut at p^max_p_power, from the shape
-    tally and partition sums `expansion_term` runs, so the samples run on
-    the kernel that `expand` runs.  The k copies of a
-    polymer within the budget are distinct pairs of the at most
-    max_p_power hyperedges in its union, so one walk up to size
-    C(max_p_power, 2) covers every order, and a shape's length is its size.
+    These are the expansion terms cut at p^max_p_power, from the key
+    tally and type sums `expansion_term` runs, so the samples run on the
+    kernel that `expand` runs.  The k copies of a polymer within the
+    budget are distinct pairs of the at most max_p_power hyperedges in its
+    union, so one walk up to size C(max_p_power, 2) covers every order, and
+    a key's length is its size.
     """
     if n < r:
         return {}
     d = dependency_graph_for(n, r)
     top = max(max_p_power * (max_p_power - 1) // 2, 1)
-    shapes = _orbit_tally(d, range(1, top + 1), max_p_power=max_p_power)
-    return {key: c for key, c in _shape_sums(shapes, max_p_power).items() if c}
+    keys = _orbit_tally(d, range(1, top + 1), max_p_power=max_p_power)
+    return {key: c for key, c in _cluster_sums(keys, max_p_power).items() if c}
 
 
 def _solve_falling_basis(samples: list[tuple[int, Fraction]], degree: int) -> list[Fraction]:

@@ -59,6 +59,18 @@ class TestSubcommands:
         code, data = run(tmp_path, "delta", "6", "3", "--i", "1")
         assert code == 0 and data["moment_sum"] == {"2": [90, 1]}
 
+    def test_delta_past_the_copy_count_walks_nothing(self, tmp_path, monkeypatch):
+        # n = 5 has 30 copies, so no polymer has 31: the sum is 0 at once,
+        # without walking the smaller sets
+        from linhyp import expansion
+
+        def unreachable(*_args, **_kwargs):
+            raise AssertionError("walked the connected sets")
+
+        monkeypatch.setattr(expansion, "_connected_set_masks", unreachable)
+        code, data = run(tmp_path, "delta", "5", "3", "--i", "31")
+        assert code == 0 and data["moment_sum"] == {}
+
     def test_cumulants(self, tmp_path):
         code, data = run(tmp_path, "cumulants", "5", "3", "--k", "1")
         assert code == 0 and data["cumulant_sum"] == {"2": [-30, 1]}

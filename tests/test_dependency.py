@@ -142,14 +142,14 @@ class TestPolymers:
         # frontier growth with a visited set, on real and synthetic graphs
         for d in (dependency_graph_for(4, 3), path_graph(6)):
             for k in (1, 2, 3, 4):
-                fast = {(m, s) for m, s, _ in _connected_set_masks(d.copy_edge_masks, k)}
+                fast = {(m, s) for m, s, _, _ in _connected_set_masks(d.copy_edge_masks, k)}
                 ref = connected_sets_reference(adjacency(d), k)
                 assert fast == ref
 
     def test_stream_is_duplicate_free(self):
         d = dependency_graph_for(5, 3)
         seen = set()
-        for mask, _s, _e in _connected_set_masks(d.copy_edge_masks, 3):
+        for mask, _s, _e, _key in _connected_set_masks(d.copy_edge_masks, 3):
             assert mask not in seen
             seen.add(mask)
 
@@ -171,7 +171,7 @@ class TestPolymers:
         for root in range(len(d)):
             walked = [
                 (m, s)
-                for m, s, _ in _connected_set_masks(d.copy_edge_masks, 3, roots=[root])
+                for m, s, _, _ in _connected_set_masks(d.copy_edge_masks, 3, roots=[root])
             ]
             assert len(walked) == len(set(walked))
             assert set(walked) == {(m, s) for m, s in ref if m >> root & 1}
@@ -183,7 +183,7 @@ class TestPolymers:
         for root in (0, 17, 89):
             walked = {
                 (m, s, u)
-                for m, s, u in _connected_set_masks(em, 3, edge_budget=4, roots=[root])
+                for m, s, u, _ in _connected_set_masks(em, 3, edge_budget=4, roots=[root])
             }
             expect = set()
             for m, s in ref:
@@ -193,6 +193,34 @@ class TestPolymers:
                 if m >> root & 1 and union.bit_count() <= 4:
                     expect.add((m, s, union))
             assert walked == expect
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("mode", ["all-roots", "pinned", "budgeted"])
+    def test_walk_key_decodes_to_the_members_masks(self, n, mode):
+        # the key is the members' masks in walk order, hyperedges labelled
+        # by first meeting; rebuilding that order member by member and
+        # decoding the key with it gives back exactly the members' masks
+        d = dependency_graph_for(n, 3)
+        em = d.copy_edge_masks
+        roots = [0, len(d) - 1] if mode != "all-roots" else None
+        budget = 4 if mode == "budgeted" else None
+        walked = 0
+        for root in roots or [None]:
+            pinned = None if root is None else [root]
+            for m, s, u, key in _connected_set_masks(em, 4, edge_budget=budget, roots=pinned):
+                members = [em[i] for i in _mask_to_members(m)]
+                # the walk starts from its root, or from the lowest member
+                first = em[root] if root is not None else members[0]
+                assert key[0] == (1 << first.bit_count()) - 1
+                rest = [x for x in members if x != first]
+                found = walk_order(key, rest, (first,), _mask_to_members(first))
+                assert found is not None, (m, key)
+                order, met = found
+                decoded = [sum(1 << met[i] for i in _mask_to_members(k)) for k in key]
+                assert decoded == order and sorted(decoded) == sorted(members)
+                assert len(key) == s and sum(1 << e for e in met) == u
+                walked += 1
+        assert walked > 0
 
     def test_orbits_only_on_the_complete_host(self):
         # one orbit per overlap size, representative first in the copy order
@@ -313,13 +341,36 @@ def polymers_up_to(
     if k < 1:
         raise ValidationError(f"max polymer size must be >= 1, got {k}")
     count = 0
-    for mask, _size, _em in _connected_set_masks(d.copy_edge_masks, k):
+    for mask, _size, _em, _key in _connected_set_masks(d.copy_edge_masks, k):
         count += 1
         if cap is not None and count > cap:
             raise CapExceededError(
                 f"polymer enumeration exceeded cap {cap}", cap=cap, max_size=k
             )
         yield Polymer(members=_mask_to_members(mask))
+
+
+def walk_order(key, candidates, order, met):
+    """(masks, hyperedges): `order` extended by every mask of `candidates`,
+    in an order whose masks, relabelled by first meeting, are `key`, and
+    its hyperedges in that first-meeting order (`met` holds those of
+    `order`); None when no order fits.  This is the walk's order, up to
+    members that relabel alike."""
+    if len(order) == len(key):
+        return None if candidates else (list(order), list(met))
+    for c in candidates:
+        new_met = list(met)
+        label = 0
+        for e in _mask_to_members(c):
+            if e not in new_met:
+                new_met.append(e)
+            label |= 1 << new_met.index(e)
+        if label == key[len(order)]:
+            rest = [x for x in candidates if x != c]
+            found = walk_order(key, rest, order + (c,), new_met)
+            if found is not None:
+                return found
+    return None
 
 
 def connected_sets_reference(adj_masks: Sequence[int], max_size: int) -> set[tuple[int, int]]:
@@ -420,7 +471,7 @@ def clusters_disjoint(
     if k < 1:
         raise ValidationError(f"max cluster size must be >= 1, got {k}")
     count = 0
-    for mask, _size, _em in _connected_set_masks(d.copy_edge_masks, k):
+    for mask, _size, _em, _key in _connected_set_masks(d.copy_edge_masks, k):
         for part in connected_partitions(d, _mask_to_members(mask)):
             count += 1
             if cap is not None and count > cap:

@@ -92,7 +92,8 @@ class TestExpansionTerms:
     def test_order4_n6_and_cap_counts_polymers(self, cumulants_d6):
         # the order-4 term is cumulant_sum(d6, 4) - cumulant_sum(d6, 3), the
         # independent per-polymer engine over all set partitions; 79380
-        # polymers of size 4 share 47 shapes, and the cap counts polymers
+        # polymers of size 4 fall into 5 copy-graph types, and the cap
+        # counts polymers
         d = dependency_graph_for(6, 3)
         expect = Polynomial({4: 3060, 5: 73800, 6: -290160, 7: 349200, 8: -135900})
         assert cumulants_d6[4] - cumulants_d6[3] == expect
@@ -169,6 +170,121 @@ class TestCumulantClusterIdentity:
         assert cumulant_sum(d, 1) == Polynomial({2: -30})
 
 
+#: connected graphs with k = 1..6 edges (OEIS A002905)
+CONNECTED_GRAPHS_BY_EDGES = [1, 1, 3, 5, 12, 30]
+
+
+@pytest.fixture(scope="module")
+def copy_graph_types():
+    """{k: the copy-graph types with k copies}: every connected graph with k
+    edges, grown one edge at a time and merged by `_copy_graph_type`.  A
+    connected graph loses a non-bridge edge, or a leaf with its edge, and
+    stays connected, so the growth reaches every one."""
+    types = {1: {expansion._copy_graph_type((0b11,))}}
+    for k in range(2, len(CONNECTED_GRAPHS_BY_EDGES) + 1):
+        grown = set()
+        for form in types[k - 1]:
+            nv = max(form).bit_length()
+            for a in range(nv):
+                for b in range(a + 1, nv + 1):
+                    if 1 << a | 1 << b not in form:
+                        grown.add(expansion._copy_graph_type(form + (1 << a | 1 << b,)))
+        types[k] = grown
+    return types
+
+
+def relabelled(form, perm):
+    """The edge masks of `form` with vertex v renamed perm[v]."""
+    return tuple(
+        sum(1 << perm[v] for v in range(len(perm)) if m >> v & 1) for m in form
+    )
+
+
+def all_set_partitions(items):
+    """Set partitions of the tuple `items`, by placing the first item."""
+    if not items:
+        yield []
+        return
+    for part in all_set_partitions(items[1:]):
+        yield [(items[0],)] + part
+        for i in range(len(part)):
+            yield part[:i] + [(items[0],) + part[i]] + part[i + 1 :]
+
+
+class TestCopyGraphTypes:
+    def test_types_are_the_connected_graphs(self, copy_graph_types):
+        counts = [len(copy_graph_types[k]) for k in sorted(copy_graph_types)]
+        assert counts == CONNECTED_GRAPHS_BY_EDGES and sum(counts) == 52
+
+    def test_types_are_pairwise_non_isomorphic(self, copy_graph_types):
+        # brute force: the least form over every vertex order
+        from itertools import permutations
+
+        seen = set()
+        for forms in copy_graph_types.values():
+            for form in forms:
+                nv = max(form).bit_length()
+                brute = min(
+                    tuple(sorted(relabelled(form, perm))) for perm in permutations(range(nv))
+                )
+                assert brute not in seen
+                seen.add(brute)
+
+    def test_form_ignores_labels_and_member_order(self, copy_graph_types):
+        import random
+
+        rng = random.Random(21)
+        for forms in copy_graph_types.values():
+            for form in forms:
+                assert expansion._copy_graph_type(form) == form
+                for _ in range(5):
+                    perm = list(range(max(form).bit_length()))
+                    rng.shuffle(perm)
+                    key = list(relabelled(form, perm))
+                    rng.shuffle(key)
+                    assert expansion._copy_graph_type(tuple(key)) == form
+
+    def test_weight_is_the_signed_joint_cumulant(self, copy_graph_types):
+        # two independent formulas per type: phi over the partitions into
+        # connected blocks (the table), against all set partitions with
+        # Moebius coefficients (-1)^(m-1) (m-1)!, the joint cumulant kappa;
+        # both carry the sign (-1)^k of the cluster weight, so kappa is the
+        # table entry
+        import math
+
+        for forms in copy_graph_types.values():
+            for form in forms:
+                kappa = Polynomial.zero()
+                for part in all_set_partitions(tuple(range(len(form)))):
+                    m = len(part)
+                    power = 0
+                    for block in part:
+                        union = 0
+                        for i in block:
+                            union |= form[i]
+                        power += union.bit_count()
+                    kappa = kappa + Polynomial({power: (-1) ** (m - 1) * math.factorial(m - 1)})
+                assert Polynomial(expansion._type_weight(form)) == kappa, form
+
+    def test_each_type_is_evaluated_once(self, monkeypatch):
+        # the 22 walk keys of the order-4 sets at n = 6 fall into 5 types,
+        # and a second term reads the table
+        calls = []
+        evaluate = expansion._partition_contributions
+
+        def counted(form):
+            calls.append(form)
+            return evaluate(form)
+
+        monkeypatch.setattr(expansion, "_type_weights", {})
+        monkeypatch.setattr(expansion, "_partition_contributions", counted)
+        d = dependency_graph_for(6, 3)
+        keys = expansion._orbit_tally(d, range(4, 5))
+        assert len(keys) == 22
+        term = expansion_term(d, 4)
+        assert expansion_term(d, 4) == term and len(calls) == len(set(calls)) == 5
+
+
 def cumulant_oracle(d, k):
     """Sum over the polymers of size <= k of (-1)^|C| times the joint
     cumulant of C, each cumulant from the moment oracle's own partition
@@ -208,8 +324,9 @@ class TestCumulantSum:
             raise AssertionError("cumulant_sum reached a cluster-engine helper")
 
         for name in (
-            "_shape",
-            "_shape_sums",
+            "_copy_graph_type",
+            "_cluster_sums",
+            "_type_weight",
             "_partition_contributions",
             "_phi_of_blocks",
             "_orbit_tally",

@@ -41,7 +41,7 @@ class TestJointMoment:
 
     def test_exponent_bounds_over_polymers(self):
         d = dependency_graph_for(5, 3)
-        for mask, size, _em in _connected_set_masks(d.copy_edge_masks, 3):
+        for mask, size, _em, _key in _connected_set_masks(d.copy_edge_masks, 3):
             m = joint_moment(_mask_to_members(mask), d.copies).degree()
             assert 2 <= m <= 2 * size
             if size >= 2:
@@ -75,7 +75,7 @@ class TestJointCumulant:
         # sum over partitions of products of cumulants gives the moment
         d = dependency_graph_for(6, 3)
         checked = 0
-        for mask, size, _em in _connected_set_masks(d.copy_edge_masks, 4):
+        for mask, size, _em, _key in _connected_set_masks(d.copy_edge_masks, 4):
             if size < 2:
                 continue
             members = _mask_to_members(mask)
