@@ -71,7 +71,10 @@ def _exact_p(text: str) -> Fraction:
 
 
 def _parse_decimal(text: str) -> Fraction:
-    """Decimal string; used on the Monte Carlo / asymptotic paths."""
+    """Decimal string; used on the Monte Carlo / asymptotic paths.  Its text
+    and exponent are held to the int-parse limit, as a rational's digits
+    are, before any Fraction is built, so no exact sum runs on a longer
+    denominator."""
     from fractions import Fraction
 
     if "/" in text:
@@ -79,6 +82,16 @@ def _parse_decimal(text: str) -> Fraction:
             f"expected a decimal like 0.001, got {text!r} "
             "(rationals are reserved for the exact paths)"
         )
+    limit = sys.int_info.default_max_str_digits
+    if len(text) > limit:
+        raise ValidationError(f"decimal of {len(text)} characters exceeds the limit of {limit}")
+    _mantissa, e, exponent = text.lower().partition("e")
+    try:
+        scale = abs(int(exponent)) if e else 0
+    except ValueError:
+        scale = 0  # malformed: Fraction says why
+    if scale > limit:
+        raise ValidationError(f"decimal exponent of {text!r} exceeds {limit} in magnitude")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -49,10 +49,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from collections import Counter
+from functools import cache
 from itertools import chain, combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import mask_connected, set_partition_masks, set_partitions
+from .combinat import mask_connected, set_partitions
 from .dependency import (
     DependencyGraph,
     _connected_set_masks,
@@ -79,9 +80,13 @@ HARD_CORE_EDGE_CAP = 12
 #: inside the cross-check contract.
 MAX_SYMBOLIC_P_POWER = 4
 
-#: {copy-graph type: {p-power: sum of phi over its admissible partitions}},
-#: filled the first time the process meets a type
-_type_weights: dict[tuple[int, ...], dict[int, Fraction]] = {}
+
+def _subset_unions(masks: Iterable[int]) -> list[int]:
+    """unions[S] = the union of the masks whose positions are the bits of S."""
+    unions = [0]
+    for m in masks:
+        unions += [u | m for u in unions]
+    return unions
 
 
 def _phi_of_blocks(unions: Sequence[int]) -> Fraction:
@@ -101,26 +106,19 @@ def _partition_contributions(masks: Sequence[int]) -> Iterable[tuple[int, Fracti
     the hyperedge masks of its copies.
 
     Two copies are adjacent exactly when their masks intersect, so the
-    masks alone decide which blocks are connected.  The trivial partition
-    always qualifies, with phi 1.
+    masks alone decide which blocks are connected, and each block's
+    hyperedge union is read off the subset-union table.  The trivial
+    partition always qualifies, with phi 1.
     """
-    size = len(masks)
-    adj = [0] * size
-    for i in range(size):
-        for j in range(i + 1, size):
-            if masks[i] & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    for part in set_partitions(range(size)):
-        if not all(mask_connected(adj, sum(1 << i for i in block)) for block in part):
-            continue
-        unions = []
-        for block in part:
-            bm = 0
-            for i in block:
-                bm |= masks[i]
-            unions.append(bm)
-        yield (sum(u.bit_count() for u in unions), _phi_of_blocks(unions))
+    adj = [
+        sum(1 << j for j, other in enumerate(masks) if j != i and m & other)
+        for i, m in enumerate(masks)
+    ]
+    unions = _subset_unions(masks)
+    for blocks in set_partitions(len(masks)):
+        if all(mask_connected(adj, b) for b in blocks):
+            block_unions = [unions[b] for b in blocks]
+            yield (sum(u.bit_count() for u in block_unions), _phi_of_blocks(block_unions))
 
 
 def _copy_graph_type(key: Sequence[int]) -> tuple[int, ...]:
@@ -141,15 +139,13 @@ def _copy_graph_type(key: Sequence[int]) -> tuple[int, ...]:
     return min(tuple(sorted(bit[a] | bit[b] for a, b in ends)) for bit in relabellings)
 
 
+@cache
 def _type_weight(form: tuple[int, ...]) -> dict[int, Fraction]:
     """{p-power: sum of phi} over the admissible partitions of one polymer
     of the given copy-graph type, evaluated once per type per process."""
-    weight = _type_weights.get(form)
-    if weight is None:
-        weight = {}
-        for power, phi in _partition_contributions(form):
-            weight[power] = weight.get(power, 0) + phi
-        _type_weights[form] = weight
+    weight: dict[int, Fraction] = {}
+    for power, phi in _partition_contributions(form):
+        weight[power] = weight.get(power, 0) + phi
     return weight
 
 
@@ -321,10 +317,10 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
     connectivity or closeness pruning and no grouping of polymers by type
     or orbit; those are what the cluster engines do, and what this checks.
 
-    The set partitions of range(s) are tabled once per size s as tuples of
-    block bitmasks (`set_partition_masks`), and each gets its integer
-    coefficient (-1)^s (-1)^(m-1) (m-1)! once per call.  Per polymer, a table
-    over the 2^s member subsets holds the popcount of each subset's
+    Each set partition of range(s), a tuple of block bitmasks
+    (`set_partitions`), gets its integer coefficient
+    (-1)^s (-1)^(m-1) (m-1)! once per size per call.  Per polymer, the
+    subset-union table gives the popcount of each member subset's
     hyperedge union, so a partition's p-power is the sum of its blocks'
     entries.  Coefficients are tallied as integers and turned into
     Fractions once, at the end.  The cap counts polymers.
@@ -348,13 +344,9 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
             sign = -1 if size & 1 else 1
             rows = signed[size] = [
                 (blocks, sign * (-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1))
-                for blocks in set_partition_masks(size)
+                for blocks in set_partitions(size)
             ]
-        # unions[S] = union of the hyperedge masks of the members in subset S
-        unions = [0]
-        for i in _mask_to_members(mask):
-            em = edge_masks[i]
-            unions += [u | em for u in unions]
+        unions = _subset_unions(edge_masks[i] for i in _mask_to_members(mask))
         pops = [u.bit_count() for u in unions]
         for blocks, coeff in rows:
             power = 0

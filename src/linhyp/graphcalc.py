@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .combinat import mask_connected, set_partition_masks
+from .combinat import mask_connected, set_partitions
 from .errors import ValidationError
 from .polynomial import Polynomial, falling_factorial_poly
 
@@ -59,13 +59,6 @@ class SimpleGraph:
         return mask_connected(self.adjacency_masks(), (1 << self.v) - 1)
 
 
-# The memo table is keyed on the labelled minor (v, edge set).  The labelled
-# key space for the graphs this package meets (<= 8 vertices) is tiny, and
-# avoiding permutation canonicalisation keeps the exhaustive test suites
-# and the expansion hot loops fast.
-_chromatic_memo: dict[tuple[int, frozenset], Polynomial] = {}
-
-
 def _pick_edge(v: int, edges: frozenset[tuple[int, int]]) -> tuple[int, int]:
     """An edge at a maximum-degree vertex; keeps minors small."""
     deg = [0] * (v + 1)
@@ -79,13 +72,13 @@ def _pick_edge(v: int, edges: frozenset[tuple[int, int]]) -> tuple[int, int]:
     raise AssertionError("hub has degree > 0 but no incident edge found")
 
 
+# Memoised on the labelled minor (v, edge set), with no canonical form, for
+# the exhaustive suites; the expansion needs one Ursell weight per admissible
+# partition of each copy-graph type (75 in `expand 6 3 --k 5`).
+@cache
 def _chromatic(v: int, edges: frozenset[tuple[int, int]]) -> Polynomial:
     if not edges:
         return Polynomial({v: 1})
-    key = (v, edges)
-    cached = _chromatic_memo.get(key)
-    if cached is not None:
-        return cached
     a, b = _pick_edge(v, edges)
     deleted = edges - {(a, b)}
     # contract b into a, merge multi-edges, relabel down to {1..v-1}
@@ -102,9 +95,7 @@ def _chromatic(v: int, edges: frozenset[tuple[int, int]]) -> Polynomial:
         cx, cy = relabel[x], relabel[y]
         if cx != cy:
             contracted.add((min(cx, cy), max(cx, cy)))
-    result = _chromatic(v, deleted) - _chromatic(v - 1, frozenset(contracted))
-    _chromatic_memo[key] = result
-    return result
+    return _chromatic(v, deleted) - _chromatic(v - 1, frozenset(contracted))
 
 
 def chromatic_polynomial(g: SimpleGraph) -> Polynomial:
@@ -178,10 +169,10 @@ def _falling_coeffs(k: int) -> tuple[tuple[int, int], ...]:
 def _independent_partition_counts(g: SimpleGraph) -> dict[int, int]:
     """{m: number of partitions of the vertices into m independent sets}.
 
-    The set partitions of the vertices are tabled once per v as tuples of
-    block bitmasks (`set_partition_masks`, bit u - 1 for vertex u).  Per
-    graph, a table over the 2^v vertex masks says which sets are
-    independent, and a partition counts when all of its blocks are.
+    Each set partition of the vertices is a tuple of block bitmasks
+    (`set_partitions`, bit u - 1 for vertex u).  Per graph, a table over
+    the 2^v vertex masks says which sets are independent, and a partition
+    counts when all of its blocks are.
     """
     masks = g.adjacency_masks()
     # independent[S] iff no edge joins two vertices of S, over the low bit of S
@@ -190,7 +181,7 @@ def _independent_partition_counts(g: SimpleGraph) -> dict[int, int]:
         low = s & -s
         independent[s] = independent[s ^ low] and not masks[low.bit_length() - 1] & s
     counts: dict[int, int] = {}
-    for blocks in set_partition_masks(g.v):
+    for blocks in set_partitions(g.v):
         for b in blocks:
             if not independent[b]:
                 break

@@ -18,8 +18,8 @@ from .errors import CapExceededError, ValidationError
 #: Ceiling on the forbidden copies of one host (r = 3 passes it at n = 25).
 #: It bounds time, not memory: a DependencyGraph holds one hyperedge mask
 #: per copy, but the copies come from a scan over all pairs of the C(n, r)
-#: edges.  At n = 24, r = 3 (63,756 copies) the graph takes 0.7-0.9 s to
-#: build and `expand 24 3 --k 2` 1.0-1.4 s, on a 2-core machine.
+#: edges.  At n = 24, r = 3 (63,756 copies) the graph took 0.5-0.8 s to
+#: build and `expand 24 3 --k 2` 0.9-1.4 s (8 runs on 2 shared cores).
 COPY_CAP = 1 << 16
 
 

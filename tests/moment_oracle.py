@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from linhyp.combinat import set_partitions
 from linhyp.errors import ValidationError
 from linhyp.hypergraph import ForbiddenCopy
 from linhyp.polynomial import Polynomial
+from reference import set_partitions
+
 
 class FactorisationPreconditionError(ValidationError):
     """The polymer family handed to the factorisation check is not pairwise

@@ -2,8 +2,9 @@
 the linearity test on it, the brute-force count of linear edge subsets,
 the brute-force density measures of the forbidden family, two readouts of
 a symbolic series, the pairwise adjacency of a dependency graph, the
-connectivity of a copy set in it and the vertex span of a copy.  No
-engine or CLI path calls these, so they live here, outside the package.
+connectivity of a copy set in it, the vertex span of a copy and the
+list-form set partitions of any items.  No engine or CLI path calls
+these, so they live here, outside the package.
 """
 
 from __future__ import annotations
@@ -11,13 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from linhyp.combinat import mask_connected
 from linhyp.dependency import DependencyGraph
 from linhyp.errors import ValidationError
 from linhyp.hypergraph import ForbiddenCopy
 from linhyp.polynomial import Polynomial, SeriesTerm, falling_factorial, falling_factorial_poly
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -171,3 +174,36 @@ def is_connected(d: DependencyGraph, members: Sequence[int]) -> bool:
 def span(c: ForbiddenCopy) -> tuple[int, ...]:
     """The sorted vertices of the copy's two hyperedges."""
     return tuple(sorted(set(c.e1) | set(c.e2)))
+
+
+def set_partitions(items: Sequence[T]) -> Iterator[list[tuple[T, ...]]]:
+    """All set partitions of `items`, as lists of blocks (tuples).
+
+    Enumerated via restricted-growth strings in lexicographic order, the
+    order of the package's block-mask table `linhyp.combinat.set_partitions`.
+    The empty sequence has exactly one partition: the empty one.
+    """
+    n = len(items)
+    if n == 0:
+        yield []
+        return
+    # rgs[i] = block index of items[i]; rgs[0] = 0; rgs[i] <= max(rgs[:i]) + 1
+    rgs = [0] * n
+    maxes = [0] * n  # maxes[i] = max(rgs[:i+1])
+    while True:
+        nblocks = maxes[n - 1] + 1
+        blocks: list[list[T]] = [[] for _ in range(nblocks)]
+        for i, b in enumerate(rgs):
+            blocks[b].append(items[i])
+        yield [tuple(b) for b in blocks]
+        # advance to the next restricted-growth string
+        i = n - 1
+        while i > 0 and rgs[i] == maxes[i - 1] + 1:
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        maxes[i] = max(maxes[i - 1], rgs[i])
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            maxes[j] = maxes[i]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -347,6 +348,29 @@ class TestErrors:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"]["type"] == "validation"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["asymptotic", "10", "3", "--p", "1e-100000"],
+            ["montecarlo", "50", "3", "--p", "1e-100000", "--trials", "1", "--seed", "0"],
+            ["asymptotic", "10", "3", "--p", "0." + "1" * 4300],
+        ],
+    )
+    def test_decimal_past_the_digit_limit_exits_promptly(self, argv, capsys):
+        # p = 1e-100000 kept exact makes sums over 100,000-digit denominators
+        # (6 s for `asymptotic 10 3`); the text and its exponent are held to
+        # the interpreter's 4300-digit int-parse limit while parsing
+        started = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - started < 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation" and "4300" in err["message"]
+
+    def test_decimal_at_the_digit_limit_evaluates(self, tmp_path):
+        code, data = run(tmp_path, "asymptotic", "10", "3", "--p", "1e-4300")
+        assert code == 0
+        assert data["refined_r3"]["diagnostics"]["p_exponent"] == pytest.approx(4300)
 
     def test_p_format_mixing_rejected(self, tmp_path, capsys):
         assert main(["oracle", "4", "3", "--p", "0.5"]) == 2

@@ -12,7 +12,6 @@ from typing import Iterator, Sequence
 
 import pytest
 
-from linhyp.combinat import set_partitions
 from linhyp.dependency import (
     DependencyGraph,
     _connected_set_masks,
@@ -21,7 +20,7 @@ from linhyp.dependency import (
 )
 from linhyp.errors import CapExceededError, ValidationError
 from linhyp.hypergraph import ForbiddenCopy, enumerate_forbidden_copies
-from reference import adjacency, adjacent, is_connected
+from reference import adjacency, adjacent, is_connected, set_partitions
 
 
 def path_graph(k):

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from linhyp.combinat import set_partitions
 from linhyp.dependency import DependencyGraph, _connected_set_masks, dependency_graph_for
 from linhyp import expansion
 from linhyp.errors import CapExceededError, LinhypError, ValidationError
@@ -36,7 +35,7 @@ from linhyp.hypergraph import enumerate_forbidden_copies
 from linhyp.oracle import exact_linearity_polynomial
 from linhyp.polynomial import Polynomial, SeriesTerm, falling_factorial
 from moment_oracle import joint_cumulant, joint_moment
-from reference import adjacent, evaluate_series, is_connected
+from reference import adjacent, evaluate_series, is_connected, set_partitions
 from test_dependency import polymers_up_to
 
 
@@ -276,7 +275,7 @@ class TestCopyGraphTypes:
             calls.append(form)
             return evaluate(form)
 
-        monkeypatch.setattr(expansion, "_type_weights", {})
+        expansion._type_weight.cache_clear()
         monkeypatch.setattr(expansion, "_partition_contributions", counted)
         d = dependency_graph_for(6, 3)
         keys = expansion._orbit_tally(d, range(4, 5))

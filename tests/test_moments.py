@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from linhyp.combinat import set_partitions
 from linhyp.dependency import _connected_set_masks, _mask_to_members, dependency_graph_for
 from linhyp.errors import ValidationError
 from linhyp.hypergraph import ForbiddenCopy, enumerate_forbidden_copies
@@ -15,7 +14,7 @@ from moment_oracle import (
     joint_cumulant,
     joint_moment,
 )
-from reference import is_connected, span
+from reference import is_connected, set_partitions, span
 
 
 def copy(a, b):

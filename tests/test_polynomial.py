@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from linhyp.combinat import set_partition_masks, set_partitions
+from linhyp import combinat
 from linhyp.polynomial import (
     Polynomial,
     SeriesTerm,
@@ -14,7 +14,7 @@ from linhyp.polynomial import (
     falling_factorial_poly,
     log_fraction,
 )
-from reference import evaluate_series, series_monomial_coeff
+from reference import evaluate_series, series_monomial_coeff, set_partitions
 
 
 class TestPolynomial:
@@ -88,8 +88,12 @@ class TestLogFraction:
 
 
 class TestSetPartitions:
-    @pytest.mark.parametrize("n,bell", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
+    @pytest.mark.parametrize(
+        "n,bell",
+        [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877), (8, 4140)],
+    )
     def test_counts_are_bell_numbers(self, n, bell):
+        assert len(combinat.set_partitions(n)) == bell
         assert sum(1 for _ in set_partitions(tuple(range(n)))) == bell
 
     def test_partitions_are_partitions(self):
@@ -102,10 +106,11 @@ class TestSetPartitions:
             assert key not in seen
             seen.add(key)
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(9))
     def test_block_masks_follow_set_partitions(self, n):
+        # the same partitions in the same restricted-growth order, block by block
         expect = [
             tuple(sum(1 << i for i in block) for block in part)
             for part in set_partitions(tuple(range(n)))
         ]
-        assert list(set_partition_masks(n)) == expect
+        assert list(combinat.set_partitions(n)) == expect
