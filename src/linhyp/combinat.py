@@ -1,5 +1,5 @@
-"""The set-partition table and the bitmask connectivity test shared across
-the package."""
+"""The set-partition table, the independent-set table and the bitmask
+connectivity test shared across the package."""
 
 from __future__ import annotations
 
@@ -25,6 +25,16 @@ def set_partitions(n: int) -> tuple[tuple[int, ...], ...]:
         grown += [part[:b] + (part[b] | bit,) + part[b + 1 :] for b in range(len(part))]
         grown.append(part + (bit,))
     return tuple(grown)
+
+
+def independent_set_table(adj: Sequence[int]) -> list[bool]:
+    """independent[S] for every vertex mask S below 2^len(adj): whether no
+    two vertices of S are adjacent, built up over the low bit of S."""
+    independent = [True] * (1 << len(adj))
+    for s in range(1, len(independent)):
+        low = s & -s
+        independent[s] = independent[s ^ low] and not adj[low.bit_length() - 1] & s
+    return independent
 
 
 def mask_connected(adj: Sequence[int], mask: int) -> bool:

@@ -53,7 +53,7 @@ from functools import cache
 from itertools import chain, combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import mask_connected, set_partitions
+from .combinat import independent_set_table, mask_connected, set_partitions
 from .dependency import (
     DependencyGraph,
     _connected_set_masks,
@@ -196,14 +196,16 @@ def _orbit_tally(
     onto the sets through any other.  So a walked set of size k stands for
     exactly |O| / k polymers.  Any other graph is walked from every root,
     and a walked set is one polymer.  The weights are tallied as integers
-    over the common denominator `scale`.
+    over the common denominator `scale`, lcm(1..top).
 
-    The cap counts polymers: it is hit when the walked weight exceeds
-    cap * scale, exactly when the polymer count exceeds cap.  The key
-    tallies are cluster terms and report the hit by order, the union
-    tallies are moment sums and report it by size.  With `max_p_power` the
-    walk prunes the sets whose hyperedge union exceeds the budget, and the
-    cap counts the polymers within it.
+    The cap counts every polymer the walk passes through, at every size up
+    to the largest, as `cumulant_sum`'s does: it is hit when the walked
+    weight exceeds cap * scale, exactly when that polymer count exceeds
+    cap.  The key tallies are cluster terms and report the hit by the
+    largest order, the union tallies are moment sums and report it by the
+    largest size.  With `max_p_power` the walk prunes the sets whose
+    hyperedge union exceeds the budget, and the cap counts the polymers
+    within it.
     """
     low, top = sizes[0], sizes[-1]
     if low > len(d):
@@ -212,7 +214,7 @@ def _orbit_tally(
         scale = 1
         groups = [(None, [1] * (top + 1))]
     else:
-        scale = math.lcm(*sizes)
+        scale = math.lcm(*range(1, top + 1))
         groups = [
             ((rep,), [0] + [orbit * scale // k for k in range(1, top + 1)])
             for rep, orbit in d.orbits
@@ -226,16 +228,16 @@ def _orbit_tally(
         for _mask, size, emask, key in _connected_set_masks(
             edge_masks, top, edge_budget=max_p_power, roots=roots
         ):
-            if size < low:
-                continue
             weight = weights[size]
             walked += weight
             if limit is not None and walked > limit:
                 raise CapExceededError(
-                    f"{noun} enumeration for {unit} {size} exceeded cap {cap}",
+                    f"{noun} enumeration for {unit} {top} exceeded cap {cap}",
                     cap=cap,
-                    **{unit: size},
+                    **{unit: top},
                 )
+            if size < low:
+                continue
             if not by_key:
                 key = emask.bit_count()
             tally[key] = tally.get(key, 0) + weight
@@ -544,10 +546,11 @@ def inclusion_exclusion_polynomial(n: int, r: int) -> Polynomial:
     """Alternating sum of joint moments over all copy subsets, exact.
 
     Subsets are aggregated by their hyperedge union: one signed-count pass
-    per copy updates a table indexed by union mask, walking targets in
-    descending order so each source still holds its pre-pass value.  The
-    table entries stay bounded by 2^(edge count), so int64 is safe and the
-    passes vectorise.
+    per copy updates a table indexed by union mask.  A pass is one
+    `np.subtract.at` from the nonzero entries into their unions with the
+    copy, and it reads a copied slice of those sources, so each one gives
+    its pre-pass value.  The table entries stay bounded by 2^(edge count),
+    so int64 is safe.
     """
     import numpy as np
 
@@ -599,25 +602,15 @@ def hard_core_polynomial(n: int, r: int) -> Polynomial:
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
     size = 1 << ne
-    # conflict-free indicator per edge mask, incrementally over the low bit
-    free = [0] * size
-    free[0] = 1
-    for m in range(1, size):
-        low = m & -m
-        rest = m ^ low
-        i = low.bit_length() - 1
-        free[m] = free[rest] and not (conflict[i] & rest)
-    # t[E] = signed count of copy subsets with union exactly E
-    t = [0] * size
-    for m in range(size):
-        pm = m.bit_count()
-        sub = m
-        while True:
-            if free[sub]:
-                t[m] += -1 if (pm - sub.bit_count()) & 1 else 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
+    # t[E] = signed count of copy subsets with union exactly E, which is the
+    # sum of (-1)^|E - S| over the conflict-free edge sets S inside E: one
+    # in-place Moebius pass per edge bit over the conflict-free indicator
+    t = [int(free) for free in independent_set_table(conflict)]
+    for i in range(ne):
+        bit = 1 << i
+        for m in range(size):
+            if m & bit:
+                t[m] -= t[m ^ bit]
     # connected inversion: g[E] restricted to conflict-connected supports
     g = [0] * size
     for m in sorted(range(1, size), key=lambda x: x.bit_count()):

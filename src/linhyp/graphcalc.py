@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .combinat import mask_connected, set_partitions
+from .combinat import independent_set_table, mask_connected, set_partitions
 from .errors import ValidationError
 from .polynomial import Polynomial, falling_factorial_poly
 
@@ -59,43 +59,33 @@ class SimpleGraph:
         return mask_connected(self.adjacency_masks(), (1 << self.v) - 1)
 
 
-def _pick_edge(v: int, edges: frozenset[tuple[int, int]]) -> tuple[int, int]:
-    """An edge at a maximum-degree vertex; keeps minors small."""
-    deg = [0] * (v + 1)
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    hub = max(range(1, v + 1), key=lambda u: deg[u])
-    for a, b in edges:
-        if a == hub or b == hub:
-            return (a, b)
-    raise AssertionError("hub has degree > 0 but no incident edge found")
+def _drop_bit(mask: int, i: int) -> int:
+    """`mask` with bit i removed and the bits above it moved down one."""
+    return mask & ((1 << i) - 1) | (mask >> (i + 1)) << i
 
 
-# Memoised on the labelled minor (v, edge set), with no canonical form, for
-# the exhaustive suites; the expansion needs one Ursell weight per admissible
-# partition of each copy-graph type (75 in `expand 6 3 --k 5`).
+# Memoised on the labelled minor's neighbour masks, with no canonical form,
+# for the exhaustive suites; the expansion needs one Ursell weight per
+# admissible partition of each copy-graph type (75 in `expand 6 3 --k 5`).
 @cache
-def _chromatic(v: int, edges: frozenset[tuple[int, int]]) -> Polynomial:
-    if not edges:
-        return Polynomial({v: 1})
-    a, b = _pick_edge(v, edges)
-    deleted = edges - {(a, b)}
-    # contract b into a, merge multi-edges, relabel down to {1..v-1}
-    relabel = {}
-    nxt = 1
-    for u in range(1, v + 1):
-        if u == b:
-            continue
-        relabel[u] = nxt
-        nxt += 1
-    relabel[b] = relabel[a]
-    contracted = set()
-    for x, y in deleted:
-        cx, cy = relabel[x], relabel[y]
-        if cx != cy:
-            contracted.add((min(cx, cy), max(cx, cy)))
-    return _chromatic(v, deleted) - _chromatic(v - 1, frozenset(contracted))
+def _chromatic(masks: tuple[int, ...]) -> Polynomial:
+    """Deletion and contraction of the edge from a maximum-degree vertex
+    (the hub, which keeps minors small) to its lowest neighbour: the hub
+    takes the neighbour's neighbours, and the neighbour's bit is dropped."""
+    hub = max(range(len(masks)), key=lambda u: masks[u].bit_count())
+    if not masks[hub]:
+        return Polynomial({len(masks): 1})
+    nbr = (masks[hub] & -masks[hub]).bit_length() - 1
+    deleted = list(masks)
+    deleted[hub] ^= 1 << nbr
+    deleted[nbr] ^= 1 << hub
+    joined = deleted[hub] | deleted[nbr]
+    contracted = tuple(
+        _drop_bit(joined if u == hub else m | (m >> nbr & 1) << hub, nbr)
+        for u, m in enumerate(deleted)
+        if u != nbr
+    )
+    return _chromatic(tuple(deleted)) - _chromatic(contracted)
 
 
 def chromatic_polynomial(g: SimpleGraph) -> Polynomial:
@@ -103,7 +93,7 @@ def chromatic_polynomial(g: SimpleGraph) -> Polynomial:
     labelled minors."""
     if g.v < 1:
         raise ValidationError("graph needs at least one vertex")
-    return _chromatic(g.v, g.edges)
+    return _chromatic(tuple(g.adjacency_masks()))
 
 
 def _signed_component_counts(v: int, edges: list[tuple[int, int]]) -> dict[int, int]:
@@ -171,15 +161,11 @@ def _independent_partition_counts(g: SimpleGraph) -> dict[int, int]:
 
     Each set partition of the vertices is a tuple of block bitmasks
     (`set_partitions`, bit u - 1 for vertex u).  Per graph, a table over
-    the 2^v vertex masks says which sets are independent, and a partition
-    counts when all of its blocks are.
+    the 2^v vertex masks says which sets are independent
+    (`independent_set_table`), and a partition counts when all of its
+    blocks are.
     """
-    masks = g.adjacency_masks()
-    # independent[S] iff no edge joins two vertices of S, over the low bit of S
-    independent = [True] * (1 << g.v)
-    for s in range(1, 1 << g.v):
-        low = s & -s
-        independent[s] = independent[s ^ low] and not masks[low.bit_length() - 1] & s
+    independent = independent_set_table(g.adjacency_masks())
     counts: dict[int, int] = {}
     for blocks in set_partitions(g.v):
         for b in blocks:

@@ -204,14 +204,11 @@ def _run_trials(pair_ids: np.ndarray, n: int, p: float, seed: int, trials: int) 
         idx = rng.integers(0, ne, size=int(drawn.sum()))
         owner = np.repeat(np.arange(drawn.size, dtype=np.int64), drawn)
         repeated = _repeated_owners(owner * ne + idx, ne, drawn.size)
-        conflict = _nonlinear(pair_ids, n, idx, drawn)
-        hits += int(np.count_nonzero(~repeated & ~conflict))
-        redraw = drawn[repeated]
-        if redraw.size:
-            idx = np.concatenate(
-                [rng.choice(ne, size=k, replace=False, shuffle=False) for k in redraw]
+        if repeated.any():
+            idx[repeated[owner]] = np.concatenate(
+                [rng.choice(ne, size=k, replace=False, shuffle=False) for k in drawn[repeated]]
             )
-            hits += int(np.count_nonzero(~_nonlinear(pair_ids, n, idx, redraw)))
+        hits += int(np.count_nonzero(~_nonlinear(pair_ids, n, idx, drawn)))
     return hits
 
 
@@ -245,13 +242,13 @@ def monte_carlo(
       exceed MC_PAIR_TABLE_CAP entries, or with n > MC_MAX_N (where the
       int32 pair keys would overflow), raises CapExceededError with
       context {edges, cap} before any table is built.
-    * A trial that drew some edge twice is redrawn with
-      `choice(N, m, replace=False)` from the block's generator, after the
-      vectorised pass, in trial order.  The sampler stays exact: given
-      that the m draws with replacement are distinct, their set is a
-      uniform m-subset (every ordered draw of m distinct edges has the
-      same probability), and the redraw is a uniform m-subset as well, so
-      the mixture of the two cases is one too.
+    * A trial that drew some edge twice is redrawn in place with
+      `choice(N, m, replace=False)` from the block's generator, in trial
+      order, before the block's one pair-key check.  The sampler stays
+      exact: given that the m draws with replacement are distinct, their
+      set is a uniform m-subset (every ordered draw of m distinct edges
+      has the same probability), and the redraw is a uniform m-subset as
+      well, so the mixture of the two cases is one too.
 
     Identical (seed, parameters) give an identical report; the key dtypes
     are not part of RNG_NAME, because no check result depends on them.

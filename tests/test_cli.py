@@ -72,6 +72,27 @@ class TestSubcommands:
         code, data = run(tmp_path, "delta", "5", "3", "--i", "31")
         assert code == 0 and data["moment_sum"] == {}
 
+    def test_delta_cap_counts_the_smaller_sets(self, capsys, monkeypatch):
+        # the one set of all 30 copies is reached only through every smaller
+        # connected set; the cap counts those too, so the first set walked,
+        # one copy standing for its orbit of 30, is already over cap 1
+        from linhyp import expansion
+
+        walk = expansion._connected_set_masks
+        walked = []
+
+        def counted(*args, **kwargs):
+            for item in walk(*args, **kwargs):
+                walked.append(item)
+                yield item
+
+        monkeypatch.setattr(expansion, "_connected_set_masks", counted)
+        assert main(["delta", "5", "3", "--i", "30", "--cap", "1"]) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "cap_exceeded"
+        assert err["context"] == {"cap": 1, "size": 30}
+        assert len(walked) == 1
+
     def test_cumulants(self, tmp_path):
         code, data = run(tmp_path, "cumulants", "5", "3", "--k", "1")
         assert code == 0 and data["cumulant_sum"] == {"2": [-30, 1]}

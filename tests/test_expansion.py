@@ -92,14 +92,15 @@ class TestExpansionTerms:
         # the order-4 term is cumulant_sum(d6, 4) - cumulant_sum(d6, 3), the
         # independent per-polymer engine over all set partitions; 79380
         # polymers of size 4 fall into 5 copy-graph types, and the cap
-        # counts polymers
+        # counts every polymer the walk passes through on its way to them,
+        # 90 + 720 + 7200 + 79380
         d = dependency_graph_for(6, 3)
         expect = Polynomial({4: 3060, 5: 73800, 6: -290160, 7: 349200, 8: -135900})
         assert cumulants_d6[4] - cumulants_d6[3] == expect
         with pytest.raises(CapExceededError) as err:
-            expansion_term(d, 4, cap=79379)
+            expansion_term(d, 4, cap=87389)
         assert err.value.context["order"] == 4
-        assert expansion_term(d, 4, cap=79380) == expect
+        assert expansion_term(d, 4, cap=87390) == expect
 
     def test_orders_match_bruteforce_n4(self):
         d = dependency_graph_for(4, 3)
@@ -406,10 +407,12 @@ class TestOrbitWalk:
 
     @pytest.mark.parametrize("graph", [dependency_graph_for, all_roots_graph])
     def test_cap_counts_polymers_across_orbits(self, graph):
-        # two orbits at (7, 4); the polymer count comes from the all-roots
-        # walk, and the cap counts polymers on either walk
+        # two orbits at (7, 4); the polymer counts of sizes 1..3 come from
+        # the all-roots walk, and the cap counts the polymers of every size
+        # up to 3 on either walk: 525 + 15225 + 574735
         d = graph(7, 4)
-        count = int(sum(moment_sum(all_roots_graph(7, 4), 3).coeffs.values()))
+        every = all_roots_graph(7, 4)
+        count = sum(int(sum(moment_sum(every, k).coeffs.values())) for k in (1, 2, 3))
         for engine, key in ((expansion_term, "order"), (moment_sum, "size")):
             with pytest.raises(CapExceededError) as err:
                 engine(d, 3, cap=count - 1)
@@ -603,11 +606,16 @@ class TestSymbolicSeries:
 
 
 class TestUntruncatedForms:
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_all_three_forms_equal(self, n):
-        oracle = exact_linearity_polynomial(n, 3)
-        assert inclusion_exclusion_polynomial(n, 3) == oracle
-        assert hard_core_polynomial(n, 3) == oracle
+    # r = 3, and the r >= 4 hosts within the 12-edge cap, where copies
+    # overlap in up to r - 1 vertices
+    @pytest.mark.parametrize(
+        "n, r",
+        [pytest.param(4, 3, id="4"), pytest.param(5, 3, id="5"), (5, 4), (6, 5), (7, 6), (12, 11)],
+    )
+    def test_all_three_forms_equal(self, n, r):
+        oracle = exact_linearity_polynomial(n, r)
+        assert inclusion_exclusion_polynomial(n, r) == oracle
+        assert hard_core_polynomial(n, r) == oracle
 
     def test_hard_core_cap(self):
         with pytest.raises(CapExceededError):
