@@ -28,7 +28,9 @@ from .hypergraph import ForbiddenCopy
 
 class DependencyGraph:
     """Indexed copies and their hyperedge masks, one bit per hyperedge: two
-    copies are adjacent exactly when their masks intersect.
+    copies are adjacent exactly when their masks intersect.  Bit i stands
+    for hyperedge `edges[i]`, numbered in the order the copies first list
+    them.
 
     `orbits` is None unless `dependency_graph_for` built the graph over the
     complete host; there it holds one (representative index, orbit size)
@@ -42,11 +44,11 @@ class DependencyGraph:
         edge_ids: dict[tuple[int, ...], int] = {}
         for c in self.copies:
             for e in c.edge_pair:
-                if e not in edge_ids:
-                    edge_ids[e] = len(edge_ids)
+                edge_ids.setdefault(e, len(edge_ids))
         self.copy_edge_masks: list[int] = [
             (1 << edge_ids[c.e1]) | (1 << edge_ids[c.e2]) for c in self.copies
         ]
+        self.edges: list[tuple[int, ...]] = list(edge_ids)
 
     def __len__(self) -> int:
         return len(self.copies)

@@ -30,11 +30,12 @@ the independent check.
 
 The symbolic-in-n series is produced two independent ways that must agree:
 
-* Strategy A, structural enumeration: labelled spanning structures on a
-  canonical vertex set [v], grown on the connected-set walk over the
-  vertex-pair masks of the triples on [v], are counted directly, so a class
-  contributes (labelled count / v!) * [n]_v, and automorphism factors
-  never need to be computed.
+* Strategy A, structural enumeration: one budgeted walk from every root
+  of the dependency graph of K_D (D the span bound below) counts the
+  polymers within the budget, binned by the number v of vertices they
+  span.  Bin v, divided by C(D, v), holds the labelled spanning counts on
+  [v], so a class contributes (labelled count / v!) * [n]_v, and
+  automorphism factors never need to be computed.
 * Strategy B, interpolation: the per-n sums are the expansion terms cut
   at p^b (the type tally `expansion_term` runs, walked once for every
   order up to C(b, 2)), evaluated exactly at n = 0, 1, ..., D + 1, where
@@ -50,7 +51,7 @@ import math
 from fractions import Fraction
 from collections import Counter
 from functools import cache
-from itertools import chain, combinations, permutations, product
+from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .combinat import independent_set_table, mask_connected, set_partitions
@@ -62,16 +63,16 @@ from .dependency import (
 )
 from .errors import CapExceededError, LinhypError, ValidationError
 from .graphcalc import SimpleGraph, ursell
-from .hypergraph import check_edge_cap, enumerate_forbidden_copies
+from .hypergraph import check_edge_cap
 from .polynomial import Polynomial, SeriesTerm
 
 #: Hyperedge-count cap for the alternating-sum and polymer-model forms.
 INCLUSION_EXCLUSION_EDGE_CAP = 20
 HARD_CORE_EDGE_CAP = 12
 
-#: Symbolic-series budget.  Vertex spans reach max_p_power + 2, the
-#: structural strategy walks the conflict-connected sets of at most
-#: max_p_power triples on [v], and the interpolation samples
+#: Symbolic-series budget.  Vertex spans reach D = max_p_power + 2, the
+#: structural strategy walks the polymers whose union holds at most
+#: max_p_power triples on K_D from every root, and the interpolation samples
 #: n = 0..max_p_power + 3, of which only n = 4..max_p_power + 3 hold any
 #: cluster.  A sample is one budgeted walk from one root per copy orbit,
 #: covering the orders 1..C(max_p_power, 2) at once, and a set through the
@@ -359,24 +360,8 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
 
 
 # ---------------------------------------------------------------------------
-# symbolic series, strategy A: structural enumeration on canonical vertex sets
+# symbolic series, strategy A: one walk on K_D, binned by vertex span
 # ---------------------------------------------------------------------------
-
-
-def _spanning_triple_sets(v: int, max_edges: int) -> Iterator[tuple[int, ...]]:
-    """Vertex masks of every set of 2..max_edges triples on [v] that spans
-    [v] and is connected under conflict (two triples sharing 2 vertices).
-
-    Two triples conflict exactly when they share a vertex pair, so the sets
-    are the connected sets of the walk over each triple's vertex-pair mask
-    (pair bit i * v + j).
-    """
-    triples = list(combinations(range(v), 3))
-    pair_masks = [sum(1 << (i * v + j) for i, j in combinations(t, 2)) for t in triples]
-    for mask, size, _pairs, _key in _connected_set_masks(pair_masks, max_edges):
-        members = _mask_to_members(mask)
-        if size >= 2 and len({u for i in members for u in triples[i]}) == v:
-            yield tuple(sum(1 << u for u in triples[i]) for i in members)
 
 
 def _check_series_args(max_p_power: int, r: int) -> None:
@@ -395,30 +380,40 @@ def structural_series_grouped(
 ) -> dict[tuple[int, int, int], Fraction]:
     """Strategy A: {(n_falling, p_power, cluster_size): coefficient}.
 
-    Every labelled spanning structure on [v] is counted exactly once under
-    its exact hyperedge union, so the coefficient of [n]_v is the weighted
-    labelled count divided by v!.  The unions are the sets from
-    `_spanning_triple_sets`, and the structures over one union are its
-    copy sets (conflicting pairs of its triples) that cover every triple.
+    One budgeted walk from every root of the dependency graph of K_D,
+    D = r + (b - 1)(r - 2) the vertex-span bound (see
+    `interpolated_series_grouped`), lists every polymer whose hyperedge
+    union is within the budget b; its copies are pairs of at most b
+    hyperedges, so its size is at most C(b, 2).  Each walk key is binned by
+    the number v of vertices its hyperedges cover.  A polymer on [n] that
+    spans v vertices sits on one of C(n, v) = [n]_v / v! vertex sets, and
+    K_D holds C(D, v) of those sets, so bin v's cluster sums, divided by
+    C(D, v) * v!, are the coefficients of [n]_v: the labelled spanning
+    counts on [v], cut at the budget, over v!.
     """
     _check_series_args(max_p_power, r)
+    span = r + (max_p_power - 1) * (r - 2)
+    d = dependency_graph_for(span, r)
+    covers = [sum(1 << u for u in e) for e in d.edges]
+    top = max_p_power * (max_p_power - 1) // 2
+    spans: dict[int, int] = {}
+    bins: dict[int, dict[tuple[int, ...], int]] = {}
+    for _mask, _size, emask, key in _connected_set_masks(
+        d.copy_edge_masks, top, edge_budget=max_p_power
+    ):
+        v = spans.get(emask)
+        if v is None:
+            cover = 0
+            for e in _mask_to_members(emask):
+                cover |= covers[e]
+            v = spans[emask] = cover.bit_count()
+        keys = bins.setdefault(v, {})
+        keys[key] = keys.get(key, 0) + 1
     out: dict[tuple[int, int, int], Fraction] = {}
-    for v in range(4, max_p_power + 3):
-        keys: dict[tuple[int, ...], int] = {}
-        for edge_set in _spanning_triple_sets(v, max_p_power):
-            # the copies of the structure: conflicting pairs of its triples
-            copy_masks = [
-                (1 << i) | (1 << j)
-                for i, j in combinations(range(len(edge_set)), 2)
-                if (edge_set[i] & edge_set[j]).bit_count() >= 2
-            ]
-            full_edges = (1 << len(edge_set)) - 1
-            for _mask, _size, emask, key in _connected_set_masks(copy_masks, len(copy_masks)):
-                if emask == full_edges:
-                    keys[key] = keys.get(key, 0) + 1
-        vfact = math.factorial(v)
+    for v, keys in sorted(bins.items()):
+        scale = math.comb(span, v) * math.factorial(v)
         for (power, size), c in _cluster_sums(keys, max_p_power).items():
-            out[(v, power, size)] = c / vfact
+            out[(v, power, size)] = c / scale
     return {k: c for k, c in out.items() if c != 0}
 
 
@@ -546,7 +541,10 @@ def inclusion_exclusion_polynomial(n: int, r: int) -> Polynomial:
     """Alternating sum of joint moments over all copy subsets, exact.
 
     Subsets are aggregated by their hyperedge union: one signed-count pass
-    per copy updates a table indexed by union mask.  A pass is one
+    per copy, on its hyperedge mask in `dependency_graph_for(n, r)`,
+    updates a table indexed by union mask.  For n > r every host edge lies
+    in some copy, so the mask bits are exactly 0..C(n, r) - 1; at n = r
+    there are no copies and the sum is 1.  A pass is one
     `np.subtract.at` from the nonzero entries into their unions with the
     copy, and it reads a copied slice of those sources, so each one gives
     its pre-pass value.  The table entries stay bounded by 2^(edge count),
@@ -555,52 +553,36 @@ def inclusion_exclusion_polynomial(n: int, r: int) -> Polynomial:
     import numpy as np
 
     ne = check_edge_cap(n, r, INCLUSION_EXCLUSION_EDGE_CAP)
-    edges = list(combinations(range(1, n + 1), r))
-    edge_id = {e: i for i, e in enumerate(edges)}
-    copies = enumerate_forbidden_copies(n, r)
     table = np.zeros(1 << ne, dtype=np.int64)
     table[0] = 1
-    for c in copies:
-        mc = (1 << edge_id[c.e1]) | (1 << edge_id[c.e2])
+    for mc in dependency_graph_for(n, r).copy_edge_masks:
         src = np.nonzero(table)[0]
         np.subtract.at(table, src | mc, table[src])
         # entries are signed sums of +-1 over the 2^|E| sub-unions, so the
         # int64 headroom is enormous; guard anyway in case the cap moves
         assert int(np.abs(table).max()) <= 1 << ne
-    pop = _popcounts(ne)
-    coeffs: dict[int, int] = {}
-    for m in range(ne + 1):
-        total = int(table[pop == m].sum())
-        if total:
-            coeffs[m] = total
-    return Polynomial(coeffs)
-
-
-def _popcounts(nbits: int):
-    import numpy as np
-
-    vals = np.arange(1 << nbits, dtype=np.uint32)
-    return np.bitwise_count(vals).astype(np.int64)
+    pop = np.bitwise_count(np.arange(1 << ne, dtype=np.uint32))
+    return Polynomial({m: int(table[pop == m].sum()) for m in range(ne + 1)})
 
 
 def hard_core_polynomial(n: int, r: int) -> Polynomial:
     """Polymer-model partition function: sum over families of polymers with
     pairwise-disjoint hyperedge sets of the product of signed moments.
 
+    Two host edges conflict when a copy holds both, so the conflict masks
+    are read off the copy masks of `dependency_graph_for(n, r)`, whose bits
+    are the C(n, r) host edges (see `inclusion_exclusion_polynomial`).
     Polymers are aggregated by support: g[E] is the signed count of
     connected copy sets whose hyperedge union is exactly E, obtained from
     the conflict-free sub-configurations of E by subset inversion, and
     families are assembled by a component-first recursion over supports.
     """
     ne = check_edge_cap(n, r, HARD_CORE_EDGE_CAP)
-    edges = list(combinations(range(1, n + 1), r))
-    esets = [frozenset(e) for e in edges]
     conflict = [0] * ne
-    for i in range(ne):
-        for j in range(i + 1, ne):
-            if len(esets[i] & esets[j]) >= 2:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
+    for mask in dependency_graph_for(n, r).copy_edge_masks:
+        i, j = _mask_to_members(mask)
+        conflict[i] |= 1 << j
+        conflict[j] |= 1 << i
     size = 1 << ne
     # t[E] = signed count of copy subsets with union exactly E, which is the
     # sum of (-1)^|E - S| over the conflict-free edge sets S inside E: one

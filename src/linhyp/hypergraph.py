@@ -15,6 +15,11 @@ from itertools import combinations
 
 from .errors import CapExceededError, ValidationError
 
+#: The most digits of an edge count C(n, r) that is computed exactly; every
+#: cap is far below a larger one (math.comb(10^6, 5 * 10^5), 301,027
+#: digits, alone takes over 10 s), so `edge_count` refuses it at once.
+EXACT_COUNT_DIGITS = 100_000
+
 #: Ceiling on the forbidden copies of one host (r = 3 passes it at n = 25).
 #: It bounds time, not memory: a DependencyGraph holds one hyperedge mask
 #: per copy, but the copies come from a scan over all pairs of the C(n, r)
@@ -34,21 +39,6 @@ class ForbiddenCopy:
     e1: tuple[int, ...]
     e2: tuple[int, ...]
     t: int
-
-    @classmethod
-    def from_edges(cls, a, b) -> "ForbiddenCopy":
-        a, b = tuple(sorted(a)), tuple(sorted(b))
-        if a == b:
-            raise ValidationError("a forbidden copy needs two distinct edges")
-        if len(a) != len(b):
-            raise ValidationError("edges of different sizes")
-        r = len(a)
-        t = len(set(a) & set(b))
-        if not 2 <= t <= r - 1:
-            raise ValidationError(f"edges share {t} vertices, need 2..{r - 1}")
-        if a > b:
-            a, b = b, a
-        return cls(e1=a, e2=b, t=t)
 
     @property
     def edge_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -73,12 +63,31 @@ def count_text(count: int) -> str:
         return f"about 10^{math.log10(count):.1f}"
 
 
+def edge_count(n: int, r: int, cap: int, /, **context) -> int:
+    """C(n, r) for a check against `cap`, computed only when it has at most
+    EXACT_COUNT_DIGITS digits.  A larger count, judged by log10 C(n, r)
+    from math.lgamma, raises CapExceededError at once, with context
+    {edges_log10} and `context`."""
+    try:
+        log10 = (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)) / math.log(10)
+    except OverflowError:  # n is past lgamma's float range: count exactly
+        return math.comb(n, r)
+    if log10 >= EXACT_COUNT_DIGITS:
+        raise CapExceededError(
+            f"C({n},{r}) is about 10^{log10:.1f}, too large to count, "
+            f"and over the cap of {cap}",
+            edges_log10=round(log10, 1),
+            **context,
+        )
+    return math.comb(n, r)
+
+
 def check_edge_cap(n: int, r: int, cap: int) -> int:
     """C(n, r), the edges of a host that `check_host` accepts; a count
-    over `cap` raises CapExceededError with context {edges}, before any
-    edge is listed."""
+    over `cap` raises CapExceededError with context {edges} (or
+    {edges_log10}, see `edge_count`), before any edge is listed."""
     check_host(n, r)
-    edges = math.comb(n, r)
+    edges = edge_count(n, r, cap)
     if edges > cap:
         raise CapExceededError(
             f"C({n},{r}) = {count_text(edges)} edges exceeds the {cap}-edge cap",
@@ -104,9 +113,11 @@ def enumerate_forbidden_copies(n: int, r: int) -> list[ForbiddenCopy]:
     lexicographically listed edges come out sorted.  For r=3 the count is
     [n]_4 / 4.  A host with more than COPY_CAP copies (`_copy_count`)
     raises CapExceededError with context {copies, cap} before any is
-    listed.
+    listed; past EXACT_COUNT_DIGITS edge digits the context is
+    {edges_log10, cap} (`edge_count`).
     """
     check_host(n, r)
+    edge_count(n, r, COPY_CAP, cap=COPY_CAP)
     count = _copy_count(n, r)
     if count > COPY_CAP:
         raise CapExceededError(

@@ -22,7 +22,7 @@ from itertools import chain, combinations
 from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, ValidationError
-from .hypergraph import check_edge_cap, check_host, count_text
+from .hypergraph import check_edge_cap, check_host, count_text, edge_count
 from .polynomial import Polynomial
 
 if TYPE_CHECKING:
@@ -241,7 +241,8 @@ def monte_carlo(
       int64, since BLOCK * N can pass 2^31.  A host whose pair table would
       exceed MC_PAIR_TABLE_CAP entries, or with n > MC_MAX_N (where the
       int32 pair keys would overflow), raises CapExceededError with
-      context {edges, cap} before any table is built.
+      context {edges, cap} ({edges_log10, cap} past EXACT_COUNT_DIGITS
+      edge digits, see `hypergraph.edge_count`) before any table is built.
     * A trial that drew some edge twice is redrawn in place with
       `choice(N, m, replace=False)` from the block's generator, in trial
       order, before the block's one pair-key check.  The sampler stays
@@ -262,7 +263,7 @@ def monte_carlo(
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValidationError(f"p must be in (0,1), got {p}")
-    ne = math.comb(n, r)
+    ne = edge_count(n, r, MC_PAIR_TABLE_CAP, cap=MC_PAIR_TABLE_CAP)
     entries = ne * math.comb(r, 2)
     if entries > MC_PAIR_TABLE_CAP:
         raise CapExceededError(

@@ -1,22 +1,26 @@
 """Reference API that only the tests use: an explicit hypergraph value,
 the linearity test on it, the brute-force count of linear edge subsets,
 the brute-force density measures of the forbidden family, two readouts of
-a symbolic series, the pairwise adjacency of a dependency graph, the
-connectivity of a copy set in it, the vertex span of a copy and the
-list-form set partitions of any items.  No engine or CLI path calls
-these, so they live here, outside the package.
+a symbolic series, strategy A's series by its two-level walk over the
+triple sets of each vertex span, the pairwise adjacency of a dependency
+graph, the connectivity of a copy set in it, a forbidden copy built from
+its two edges, the vertex span of a copy and the list-form set partitions
+of any items.  No engine or CLI path calls these, so they live here,
+outside the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from linhyp.combinat import mask_connected
-from linhyp.dependency import DependencyGraph
+from linhyp.dependency import DependencyGraph, _connected_set_masks
 from linhyp.errors import ValidationError
+from linhyp.expansion import _cluster_sums
 from linhyp.hypergraph import ForbiddenCopy
 from linhyp.polynomial import Polynomial, SeriesTerm, falling_factorial, falling_factorial_poly
 
@@ -152,6 +156,42 @@ def series_monomial_coeff(terms: Iterable[SeriesTerm], n_power: int, p_power: in
     return total
 
 
+def structural_series_by_triple_sets(max_p_power: int) -> dict[tuple[int, int, int], Fraction]:
+    """{(n_falling, p_power, cluster_size): coefficient} of the r = 3
+    cluster series cut at p^max_p_power, by two walks per vertex span.
+
+    On [v], v = 4..max_p_power + 2, every combination of 2..max_p_power
+    triples is kept when the triples cover [v] and are connected under
+    sharing 2 vertices.  The structures over one such triple set are the
+    connected sets of its copies (the pairs of its triples that share 2
+    vertices) that cover every triple, counted by walk key; the labelled
+    count over v! is the coefficient of [n]_v.
+    """
+    out: dict[tuple[int, int, int], Fraction] = {}
+    for v in range(4, max_p_power + 3):
+        triples = [frozenset(t) for t in combinations(range(v), 3)]
+        keys: dict[tuple[int, ...], int] = {}
+        for k in range(2, max_p_power + 1):
+            for edge_set in combinations(triples, k):
+                if frozenset().union(*edge_set) != frozenset(range(v)):
+                    continue
+                copy_masks = [
+                    (1 << i) | (1 << j)
+                    for i, j in combinations(range(k), 2)
+                    if len(edge_set[i] & edge_set[j]) >= 2
+                ]
+                adj = [sum(m ^ (1 << i) for m in copy_masks if m >> i & 1) for i in range(k)]
+                if not mask_connected(adj, (1 << k) - 1):
+                    continue
+                for _mask, _size, emask, key in _connected_set_masks(copy_masks, len(copy_masks)):
+                    if emask == (1 << k) - 1:
+                        keys[key] = keys.get(key, 0) + 1
+        for (power, size), c in _cluster_sums(keys, max_p_power).items():
+            if c:
+                out[(v, power, size)] = c / math.factorial(v)
+    return out
+
+
 def adjacent(d: DependencyGraph, i: int, j: int) -> bool:
     """True iff copies i and j of d are distinct and share a hyperedge."""
     return i != j and bool(set(d.copies[i].edge_pair) & set(d.copies[j].edge_pair))
@@ -169,6 +209,20 @@ def is_connected(d: DependencyGraph, members: Sequence[int]) -> bool:
         return False
     local = [sum(1 << b for b, y in enumerate(members) if adjacent(d, x, y)) for x in members]
     return mask_connected(local, (1 << len(members)) - 1)
+
+
+def forbidden_copy(a: Sequence[int], b: Sequence[int]) -> ForbiddenCopy:
+    """The copy of two r-sets that share 2..r-1 vertices, stored in the
+    canonical order e1 < e2; any other pair is a ValidationError."""
+    a, b = tuple(sorted(a)), tuple(sorted(b))
+    if a == b:
+        raise ValidationError("a forbidden copy needs two distinct edges")
+    if len(a) != len(b):
+        raise ValidationError("edges of different sizes")
+    t = len(set(a) & set(b))
+    if not 2 <= t <= len(a) - 1:
+        raise ValidationError(f"edges share {t} vertices, need 2..{len(a) - 1}")
+    return ForbiddenCopy(e1=min(a, b), e2=max(a, b), t=t)
 
 
 def span(c: ForbiddenCopy) -> tuple[int, ...]:

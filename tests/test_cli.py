@@ -284,6 +284,28 @@ class TestErrors:
         assert err["context"]["cap"] == str(COPY_CAP)
         assert len(err["context"]["copies"]) > limit
 
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["oracle", "1000000", "500000"], {"edges_log10"}),
+            (
+                ["montecarlo", "1000000", "500000", "--p", "0.1", "--trials", "1", "--seed", "0"],
+                {"edges_log10", "cap"},
+            ),
+            (["copies", "100000000", "50000000"], {"edges_log10", "cap"}),
+        ],
+        ids=["oracle", "montecarlo", "copies"],
+    )
+    def test_cap_of_a_host_too_large_to_count(self, capsys, argv, keys):
+        # C(n, r) has 301,027 and 30,102,996 digits here: past
+        # EXACT_COUNT_DIGITS the cap error gives log10 C(n, r) at once
+        started = time.monotonic()
+        assert main(argv) == 3
+        assert time.monotonic() - started < 2
+        context = json.loads(capsys.readouterr().err)["error"]["context"]
+        assert set(context) == keys
+        assert context["edges_log10"] > hypergraph.EXACT_COUNT_DIGITS
+
     def test_compare_cap_is_the_expand_cap_error(self, capsys):
         assert main(["compare", "6", "3", "--p", "1/100", "--cap", "10"]) == 3
         compare_err = capsys.readouterr().err

@@ -19,8 +19,8 @@ from linhyp.dependency import (
     dependency_graph_for,
 )
 from linhyp.errors import CapExceededError, ValidationError
-from linhyp.hypergraph import ForbiddenCopy, enumerate_forbidden_copies
-from reference import adjacency, adjacent, is_connected, set_partitions
+from linhyp.hypergraph import enumerate_forbidden_copies
+from reference import adjacency, adjacent, forbidden_copy, is_connected, set_partitions
 
 
 def path_graph(k):
@@ -30,7 +30,7 @@ def path_graph(k):
     copies share a triple, others do not.
     """
     copies = [
-        ForbiddenCopy.from_edges((i, i + 1, i + 2), (i + 1, i + 2, i + 3))
+        forbidden_copy((i, i + 1, i + 2), (i + 1, i + 2, i + 3))
         for i in range(1, k + 1)
     ]
     d = DependencyGraph(copies)
@@ -45,9 +45,9 @@ def path_graph(k):
 def triangle_graph():
     """Three copies pairwise sharing a triple."""
     copies = [
-        ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 4)),
-        ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 5)),
-        ForbiddenCopy.from_edges((2, 3, 4), (2, 3, 5)),
+        forbidden_copy((1, 2, 3), (2, 3, 4)),
+        forbidden_copy((1, 2, 3), (2, 3, 5)),
+        forbidden_copy((2, 3, 4), (2, 3, 5)),
     ]
     d = DependencyGraph(copies)
     assert adjacency(d) == [0b110, 0b101, 0b011]
@@ -86,13 +86,13 @@ class TestBuild:
         assert [len(nbrs) for nbrs in _parse_dump(d.dump_adjacency())] == [4] * 6
 
     def test_single_copy(self):
-        d = DependencyGraph([ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 4))])
+        d = DependencyGraph([forbidden_copy((1, 2, 3), (2, 3, 4))])
         assert len(d) == 1 and adjacency(d) == [0]
         assert d.dump_adjacency() == "0: \n"
 
     def test_disjoint_edge_sets_not_adjacent(self):
-        a = ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 4))
-        b = ForbiddenCopy.from_edges((1, 5, 6), (5, 6, 7))
+        a = forbidden_copy((1, 2, 3), (2, 3, 4))
+        b = forbidden_copy((1, 5, 6), (5, 6, 7))
         d = DependencyGraph([a, b])
         assert adjacency(d) == [0, 0]
         assert d.dump_adjacency() == "0: \n1: \n"
@@ -245,7 +245,7 @@ def _as_polymers(d, k):
 class TestClusters:
     def test_single_vertex(self):
         d = DependencyGraph(
-            [ForbiddenCopy.from_edges((1, 2, 3), (2, 3, 4))]
+            [forbidden_copy((1, 2, 3), (2, 3, 4))]
         )
         got = list(clusters_disjoint(d, 1))
         assert len(got) == 1

