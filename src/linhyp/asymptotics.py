@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .hypergraph import check_host
+from .hypergraph import EXACT_COUNT_DIGITS, check_host, log10_edges_at_least
 from .polynomial import falling_factorial, log_fraction
 
 REGIME_R3 = "refined_r3"
@@ -146,6 +146,11 @@ def log_linearity_general(n: int, r: int, p: Fraction) -> AsymptoticEstimate:
         log_binom, log_p = k * math.log(n / k), log_fraction(p)
         if log_binom + log_p > LOG_FLOAT_MAX + 1 + 1e-12 * (log_binom - log_p):
             raise _outside_float_range(f"{REGIME_MID} p_times_binom")
+    elif log10_edges_at_least(n, r) >= EXACT_COUNT_DIGITS:
+        # C(n,r) is too large to count (`hypergraph.edge_count`), so it is
+        # not built: for every p above 10^-49000 and n below 10^49000, p C(n,r)
+        # is then past the float range and above n, so in the mid regime
+        raise _outside_float_range(f"{REGIME_MID} p_times_binom")
     big_n = Fraction(math.comb(n, r))
     r2 = falling_factorial(r, 2)
     pn = p * big_n

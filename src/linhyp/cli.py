@@ -34,6 +34,7 @@ from .errors import CapExceededError, LinhypError, ValidationError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from fractions import Fraction
 
 EXIT_OK = 0
@@ -326,82 +327,73 @@ def _cmd_asymptotic(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _compare_polynomials(n: int, r: int, cap: int | None) -> dict:
-    """The p-independent polynomials of a compare row, built once per run:
-    the exact oracle (within its edge cap), the truncations T2, T3 and T4
-    as running sums of one pass over orders 1-3, and cumulant k3.
-    The enumeration cap applies to both cluster passes."""
+def _compare_columns(
+    n: int, r: int, cap: int | None, trials: int, seed: int
+) -> list[tuple[str, bool, Callable[[Fraction], float | None]]]:
+    """The columns of a compare row in CSV order, as (name, in_csv,
+    value_at_p).  Every p-independent step runs here, once per run: the
+    exact oracle (within its edge cap), the truncations T2, T3 and T4 as
+    running sums of one pass over orders 1-3, and cumulant k3, the
+    all-roots cumulant sum, which equals T4 by the cumulant-cluster
+    identity and is kept out of the CSV.  The enumeration cap applies to
+    both cluster passes.  One Monte Carlo report per p serves both of its
+    cells."""
+    from functools import cache
     from itertools import accumulate
 
+    from .asymptotics import log_linearity_general, log_linearity_r3
     from .dependency import dependency_graph_for
     from .expansion import cumulant_sum, expansion_terms
-    from .oracle import exact_linearity_polynomial
-
-    polys: dict = {"exact": None}
-    try:
-        polys["exact"] = exact_linearity_polynomial(n, r)
-    except CapExceededError:
-        pass  # past the oracle's edge cap the exact cell stays empty
-    d = dependency_graph_for(n, r)
-    orders = (term for _order, term in expansion_terms(d, 4, cap=cap))
-    polys.update(zip(("log_T2", "log_T3", "log_T4"), accumulate(orders)))
-    polys["cumulant_k3"] = cumulant_sum(d, 3, cap=cap)
-    return polys
-
-
-def _compare_row(polys: dict, n: int, r: int, p: Fraction, trials: int, seed: int) -> dict:
-    from .asymptotics import log_linearity_general, log_linearity_r3
-    from .oracle import monte_carlo
+    from .oracle import exact_linearity_polynomial, monte_carlo
     from .polynomial import log_fraction
 
-    row: dict = {"p": float(p)}
-    exact = polys["exact"](p) if polys["exact"] is not None else 0
-    row["log_exact"] = log_fraction(exact) if exact > 0 else None
-    for key in ("log_T2", "log_T3", "log_T4", "cumulant_k3"):
-        row[key] = float(polys[key](p))
-    if r == 3:
-        row["log_closed_r3"] = log_linearity_r3(n, p).log_prob
-    else:
-        row["log_closed_r3"] = None
-    row["log_closed_general"] = log_linearity_general(n, r, p).log_prob
-    if trials > 0:
-        rep = monte_carlo(n, r, p, trials=trials, seed=seed)
-        row["mc_estimate"] = rep.estimate
-        row["mc_stderr"] = rep.std_error
-    else:
-        row["mc_estimate"] = None
-        row["mc_stderr"] = None
-    return row
+    try:
+        exact = exact_linearity_polynomial(n, r)
+    except CapExceededError:
+        exact = None  # past the oracle's edge cap the exact cell stays empty
+    d = dependency_graph_for(n, r)
+    t2, t3, t4 = accumulate(term for _order, term in expansion_terms(d, 4, cap=cap))
+    k3 = cumulant_sum(d, 3, cap=cap)
 
+    def log_exact(p):
+        return None if exact is None else log_fraction(exact(p))
 
-CSV_COLUMNS = (
-    "p",
-    "log_exact",
-    "log_T2",
-    "log_T3",
-    "log_T4",
-    "log_closed_r3",
-    "log_closed_general",
-    "mc_estimate",
-    "mc_stderr",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS)
+    def as_float(poly):
+        return lambda p: float(poly(p))
+
+    @cache
+    def sample(p):
+        return monte_carlo(n, r, p, trials=trials, seed=seed)
+
+    return [
+        ("p", True, float),
+        ("log_exact", True, log_exact),
+        ("log_T2", True, as_float(t2)),
+        ("log_T3", True, as_float(t3)),
+        ("log_T4", True, as_float(t4)),
+        ("cumulant_k3", False, as_float(k3)),
+        ("log_closed_r3", True, lambda p: log_linearity_r3(n, p).log_prob if r == 3 else None),
+        ("log_closed_general", True, lambda p: log_linearity_general(n, r, p).log_prob),
+        ("mc_estimate", True, lambda p: sample(p).estimate if trials else None),
+        ("mc_stderr", True, lambda p: sample(p).std_error if trials else None),
+    ]
 
 
 def _cmd_compare(args) -> tuple[dict, int]:
     ps = _sweep_points(args.sweep) if args.sweep else [_exact_p(args.p)]
-    polys = _compare_polynomials(args.n, args.r, args.cap)
-    rows = [_compare_row(polys, args.n, args.r, p, args.trials, args.seed) for p in ps]
+    columns = _compare_columns(args.n, args.r, args.cap, args.trials, args.seed)
+    rows = [{name: value(p) for name, _in_csv, value in columns} for p in ps]
     if args.csv:
-        lines = [CSV_HEADER]
+        names = [name for name, in_csv, _value in columns if in_csv]
+        lines = [",".join(names)]
         for row in rows:
-            cells = ("" if row[key] is None else repr(row[key]) for key in CSV_COLUMNS)
-            lines.append(",".join(cells))
+            lines.append(",".join("" if row[name] is None else repr(row[name]) for name in names))
         _write_text(args.csv, "\n".join(lines) + "\n")
     return {"rows": rows, "csv": args.csv}, EXIT_OK
 
 
-def _run_identity_suite() -> tuple[dict[str, bool], bool]:
+def _identity_checks() -> list[tuple[str, Callable[[], bool]]]:
+    """verify's identities in report order, as (name, check)."""
     from .dependency import dependency_graph_for
     from .expansion import (
         cumulant_sum,
@@ -424,46 +416,43 @@ def _run_identity_suite() -> tuple[dict[str, bool], bool]:
     )
     from .oracle import exact_linearity_polynomial
 
-    results: dict[str, bool] = {}
-    results["ursell_complete_graphs"] = all(
-        ursell_direct(SimpleGraph.complete(m)) == complete_graph_ursell(m)
-        for m in range(1, 8)
-    )
-    results["independent_partition_identity"] = all(
-        independent_partition_identity(g)
-        for v in range(1, 6)
-        for g in connected_graphs(v)
-    )
+    def chromatic_forms_agree(g) -> bool:
+        a = chromatic_polynomial(g)
+        return a == chromatic_via_whitney(g) and a == chromatic_via_partitions(g)
 
-    def triple_agree() -> bool:
-        for v in range(1, 6):
-            for g in all_graphs(v):
-                a = chromatic_polynomial(g)
-                if a != chromatic_via_whitney(g) or a != chromatic_via_partitions(g):
-                    return False
-        return True
+    def cumulant_cluster_identity() -> bool:
+        d5 = dependency_graph_for(5, 3)
+        return all(truncated_expansion(d5, k + 1) == cumulant_sum(d5, k) for k in (1, 2, 3))
 
-    results["chromatic_triple_agreement"] = triple_agree()
-    d5 = dependency_graph_for(5, 3)
-    results["cumulant_cluster_identity"] = all(
-        truncated_expansion(d5, k + 1) == cumulant_sum(d5, k) for k in (1, 2, 3)
-    )
-    results["alternating_sum_consistency"] = all(
-        exact_linearity_polynomial(n, 3) == inclusion_exclusion_polynomial(n, 3)
-        and exact_linearity_polynomial(n, 3) == hard_core_polynomial(n, 3)
-        for n in (4, 5)
-    )
-    results["independent_case_reduction"] = all(
-        independent_truncated_series(order) == log_taylor_truncated(order)
-        for order in range(1, 6)
-    )
-    return results, all(results.values())
+    return [
+        ("ursell_complete_graphs", lambda: all(
+            ursell_direct(SimpleGraph.complete(m)) == complete_graph_ursell(m)
+            for m in range(1, 8)
+        )),
+        ("independent_partition_identity", lambda: all(
+            independent_partition_identity(g) for v in range(1, 6) for g in connected_graphs(v)
+        )),
+        ("chromatic_triple_agreement", lambda: all(
+            chromatic_forms_agree(g) for v in range(1, 6) for g in all_graphs(v)
+        )),
+        ("cumulant_cluster_identity", cumulant_cluster_identity),
+        ("alternating_sum_consistency", lambda: all(
+            exact_linearity_polynomial(n, 3) == inclusion_exclusion_polynomial(n, 3)
+            and exact_linearity_polynomial(n, 3) == hard_core_polynomial(n, 3)
+            for n in (4, 5)
+        )),
+        ("independent_case_reduction", lambda: all(
+            independent_truncated_series(order) == log_taylor_truncated(order)
+            for order in range(1, 6)
+        )),
+    ]
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    results, ok = _run_identity_suite()
+    results = {name: check() for name, check in _identity_checks()}
     for name, passed in results.items():
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
+    ok = all(results.values())
     return {"identities": results, "all_passed": ok}, EXIT_OK if ok else EXIT_IDENTITY
 
 

@@ -7,6 +7,14 @@ from functools import cache
 from typing import Sequence
 
 
+#: The most items whose set-partition row `expansion.cumulant_sum` builds:
+#: Bell(8) = 4,140 partitions, each summed once per polymer of that size.
+#: Rows grow about fivefold per item (Bell(10) = 115,975), and Bell(15),
+#: about 1.4e9, no longer fits in memory, so a larger polymer size is
+#: refused before its row is built.
+MAX_PARTITION_ITEMS = 8
+
+
 @cache
 def set_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """The set partitions of range(n), each a tuple of block bitmasks (bit i

@@ -54,7 +54,7 @@ from functools import cache
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import independent_set_table, mask_connected, set_partitions
+from .combinat import MAX_PARTITION_ITEMS, independent_set_table, mask_connected, set_partitions
 from .dependency import (
     DependencyGraph,
     _connected_set_masks,
@@ -344,6 +344,13 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
             )
         rows = signed.get(size)
         if rows is None:
+            if size > MAX_PARTITION_ITEMS:
+                raise CapExceededError(
+                    f"cumulant sum reached polymers of size {size}, past the "
+                    f"{MAX_PARTITION_ITEMS} members whose set partitions it lists",
+                    size=size,
+                    max_partition_items=MAX_PARTITION_ITEMS,
+                )
             sign = -1 if size & 1 else 1
             rows = signed[size] = [
                 (blocks, sign * (-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1))

@@ -63,20 +63,30 @@ def count_text(count: int) -> str:
         return f"about 10^{math.log10(count):.1f}"
 
 
+def log10_edges_at_least(n: int, r: int) -> int:
+    """A lower bound on log10 C(n, r) from bit lengths alone, for any
+    n >= r >= 0: with k = min(r, n - r), C(n, r) >= (n/k)^k, and n/k is at
+    least 2 and at least 2^(len(n) - 1 - len(k)); 0.301 < log10 2."""
+    k = min(r, n - r)
+    return k * max(1, n.bit_length() - 1 - k.bit_length()) * 301 // 1000
+
+
 def edge_count(n: int, r: int, cap: int, /, **context) -> int:
     """C(n, r) for a check against `cap`, computed only when it has at most
     EXACT_COUNT_DIGITS digits.  A larger count, judged by log10 C(n, r)
     from math.lgamma, raises CapExceededError at once, with context
-    {edges_log10} and `context`."""
+    {edges_log10} and `context`.  Past lgamma's float range the judge is
+    `log10_edges_at_least`, given as {edges_log10_at_least}."""
     try:
         log10 = (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)) / math.log(10)
-    except OverflowError:  # n is past lgamma's float range: count exactly
-        return math.comb(n, r)
+        size, bound = f"about 10^{log10:.1f}", {"edges_log10": round(log10, 1)}
+    except OverflowError:  # n is past lgamma's float range
+        log10 = log10_edges_at_least(n, r)
+        size, bound = f"at least 10^{count_text(log10)}", {"edges_log10_at_least": log10}
     if log10 >= EXACT_COUNT_DIGITS:
         raise CapExceededError(
-            f"C({n},{r}) is about 10^{log10:.1f}, too large to count, "
-            f"and over the cap of {cap}",
-            edges_log10=round(log10, 1),
+            f"C({n},{r}) is {size}, too large to count, and over the cap of {cap}",
+            **bound,
             **context,
         )
     return math.comb(n, r)
@@ -85,7 +95,8 @@ def edge_count(n: int, r: int, cap: int, /, **context) -> int:
 def check_edge_cap(n: int, r: int, cap: int) -> int:
     """C(n, r), the edges of a host that `check_host` accepts; a count
     over `cap` raises CapExceededError with context {edges} (or
-    {edges_log10}, see `edge_count`), before any edge is listed."""
+    {edges_log10} or {edges_log10_at_least}, see `edge_count`), before any
+    edge is listed."""
     check_host(n, r)
     edges = edge_count(n, r, cap)
     if edges > cap:
@@ -114,7 +125,7 @@ def enumerate_forbidden_copies(n: int, r: int) -> list[ForbiddenCopy]:
     [n]_4 / 4.  A host with more than COPY_CAP copies (`_copy_count`)
     raises CapExceededError with context {copies, cap} before any is
     listed; past EXACT_COUNT_DIGITS edge digits the context is
-    {edges_log10, cap} (`edge_count`).
+    {edges_log10, cap} or {edges_log10_at_least, cap} (`edge_count`).
     """
     check_host(n, r)
     edge_count(n, r, COPY_CAP, cap=COPY_CAP)

@@ -241,8 +241,9 @@ def monte_carlo(
       int64, since BLOCK * N can pass 2^31.  A host whose pair table would
       exceed MC_PAIR_TABLE_CAP entries, or with n > MC_MAX_N (where the
       int32 pair keys would overflow), raises CapExceededError with
-      context {edges, cap} ({edges_log10, cap} past EXACT_COUNT_DIGITS
-      edge digits, see `hypergraph.edge_count`) before any table is built.
+      context {edges, cap} ({edges_log10, cap} or {edges_log10_at_least,
+      cap} past EXACT_COUNT_DIGITS edge digits, see `hypergraph.edge_count`)
+      before any table is built.
     * A trial that drew some edge twice is redrawn in place with
       `choice(N, m, replace=False)` from the block's generator, in trial
       order, before the block's one pair-key check.  The sampler stays

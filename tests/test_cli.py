@@ -20,6 +20,10 @@ from linhyp.oracle import exact_linearity_polynomial
 from linhyp.polynomial import log_fraction
 
 
+#: n = 10^400 and r = n / 2: C(n, r) has more than 10^399 digits.
+HUGE_HOST = (str(10**400), str(5 * 10**399))
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out.json"
     code = main([*argv, "--output", str(out)])
@@ -159,6 +163,25 @@ class TestSubcommands:
         # Monte Carlo columns were not requested: empty, never zero
         assert lines[1].endswith(",,")
 
+    @pytest.mark.parametrize("n, r", [(5, 3), (6, 3), (6, 4)])
+    def test_compare_sweep_columns(self, tmp_path, n, r):
+        # every row carries the column table's names, the CSV its in_csv
+        # names, and cumulant_k3 equals log_T4 (the cumulant-cluster identity)
+        columns = cli._compare_columns(n, r, None, 0, 0)
+        csv_path = tmp_path / "sweep.csv"
+        code, data = run(
+            tmp_path, "compare", str(n), str(r), "--sweep", "0.0005,0.02,4",
+            "--trials", "200", "--seed", "1", "--csv", str(csv_path),
+        )
+        assert code == 0 and len(data["rows"]) == 4
+        names = [name for name, _in_csv, _value in columns]
+        header = csv_path.read_text().splitlines()[0]
+        assert header == ",".join(name for name, in_csv, _value in columns if in_csv)
+        assert "cumulant_k3" in names and "cumulant_k3" not in header.split(",")
+        for row in data["rows"]:
+            assert sorted(row) == sorted(names)
+            assert row["cumulant_k3"] == row["log_T4"]
+
     def test_compare_sweep_row_equals_single_point(self, tmp_path):
         # the sweep evaluates polynomials built once per run; its row at
         # p = 0.0005 must be the row a single-point run computes
@@ -293,18 +316,40 @@ class TestErrors:
                 {"edges_log10", "cap"},
             ),
             (["copies", "100000000", "50000000"], {"edges_log10", "cap"}),
+            # past lgamma's float range, and r past the smaller side that
+            # math.comb accepts: bit lengths bound log10 C(n, r) from below
+            (["copies", *HUGE_HOST], {"edges_log10_at_least", "cap"}),
+            (["oracle", *HUGE_HOST], {"edges_log10_at_least"}),
+            (["expand", *HUGE_HOST, "--k", "3"], {"edges_log10_at_least", "cap"}),
+            (["compare", *HUGE_HOST, "--p", "1/100"], {"edges_log10_at_least", "cap"}),
+            (
+                ["montecarlo", *HUGE_HOST, "--p", "0.1", "--trials", "1", "--seed", "0"],
+                {"edges_log10_at_least", "cap"},
+            ),
         ],
-        ids=["oracle", "montecarlo", "copies"],
+        ids=["oracle", "montecarlo", "copies", "copies-huge", "oracle-huge", "expand-huge",
+             "compare-huge", "montecarlo-huge"],
     )
     def test_cap_of_a_host_too_large_to_count(self, capsys, argv, keys):
-        # C(n, r) has 301,027 and 30,102,996 digits here: past
-        # EXACT_COUNT_DIGITS the cap error gives log10 C(n, r) at once
+        # C(n, r) has 301,027, 30,102,996 and more than 10^399 digits here:
+        # past EXACT_COUNT_DIGITS the cap error gives log10 C(n, r) at once
         started = time.monotonic()
         assert main(argv) == 3
         assert time.monotonic() - started < 2
         context = json.loads(capsys.readouterr().err)["error"]["context"]
         assert set(context) == keys
-        assert context["edges_log10"] > hypergraph.EXACT_COUNT_DIGITS
+        assert all(context[key] > hypergraph.EXACT_COUNT_DIGITS for key in keys - {"cap"})
+
+    def test_cumulant_size_past_the_partition_rows(self, capsys):
+        # the walk reaches polymers of 9 copies at once, one past the
+        # largest whose set partitions cumulant_sum lists
+        started = time.monotonic()
+        assert main(["cumulants", "6", "3", "--k", str(10**400)]) == 3
+        assert time.monotonic() - started < 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "cap_exceeded"
+        assert err["context"] == {"size": 9, "max_partition_items": 8}
+        assert "size 9" in err["message"]
 
     def test_compare_cap_is_the_expand_cap_error(self, capsys):
         assert main(["compare", "6", "3", "--p", "1/100", "--cap", "10"]) == 3
@@ -383,6 +428,9 @@ class TestErrors:
             ["asymptotic", str(10**100), "3", "--p", "0.5"],
             # ... raised before C(n, r), which has 30 million digits, is built
             ["asymptotic", "100000000", "50000000", "--p", "0.5"],
+            # ... and past lgamma's float range, where C(n, r) is too large
+            # to count
+            ["asymptotic", *HUGE_HOST, "--p", "0.1"],
         ],
     )
     def test_bad_input_is_a_json_validation_error(self, argv, capsys):
@@ -504,7 +552,7 @@ def no_engines(monkeypatch):
 
     for target in (
         "linhyp.dependency.dependency_graph_for",
-        "linhyp.cli._compare_polynomials",
+        "linhyp.cli._compare_columns",
         "linhyp.oracle.monte_carlo",
     ):
         monkeypatch.setattr(target, unreachable)

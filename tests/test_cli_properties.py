@@ -4,12 +4,19 @@ Every argv either succeeds or exits with a documented code and a JSON
 error object on stderr, never a traceback, and its output does not depend
 on --workers.  Sizes stay small (n <= 6, orders <= 3 or 4, trials <= 200)
 so that no single run is slow; `verify` takes no arguments and has its
-own tests.
+own tests.  A second property runs hosts of up to a thousand digits, and
+sizes of 10^400, each in a child process with a bounded address space:
+every such run is refused or answered within 2 s.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -108,3 +115,57 @@ def test_cli_contract(command, data):
     (code1, out1, err1), (code2, out2, err2) = results
     assert code1 == code2 and err1 == err2
     assert normalised(out1) == normalised(out2)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: The size options of the hosts' subcommands, which the huge-size runs
+#: also give 10^400.
+SIZE_FLAGS = ("--k", "--i", "--cap")
+HUGE_SIZE = str(10**400)
+
+#: Runs the CLI on the given argv in a child process that first bounds its
+#: own address space to 1 GiB.
+BOUNDED_CLI = (
+    "import resource, runpy\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "runpy.run_module('linhyp.cli', run_name='__main__')\n"
+)
+
+
+@st.composite
+def huge_argvs(draw, command):
+    """A host n = 10^j, 2 <= j <= 1000, with r = 3, n // 2 or n - 3, and
+    the command's options, its sizes sometimes 10^400."""
+    n = 10 ** draw(st.integers(2, 1000))
+    argv = [command, str(n), str(draw(st.sampled_from([3, n // 2, n - 3])))]
+    for flag, values, chance in OPTIONS[command]:
+        if flag in SIZE_FLAGS:
+            values = st.one_of(values, st.just(HUGE_SIZE))
+        if draw(st.integers(0, 9)) < chance:
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(set(OPTIONS) - {"series"}))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_huge_sizes_are_refused_promptly(command, data):
+    argv = data.draw(huge_argvs(command))
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-c", BOUNDED_CLI, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.monotonic() - started < 2
+    assert done.returncode in (0, 2, 3), done.stderr[-2000:]
+    if done.returncode:
+        # a count in the context may have more digits than int() parses
+        error = json.loads(done.stderr, parse_int=str)["error"]
+        assert error["type"] == ERROR_TYPES[done.returncode]
+    else:
+        assert done.stderr == ""

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from linhyp.combinat import MAX_PARTITION_ITEMS
 from linhyp.dependency import DependencyGraph, _connected_set_masks, dependency_graph_for
 from linhyp import expansion
 from linhyp.errors import CapExceededError, LinhypError, ValidationError
@@ -38,6 +39,7 @@ from moment_oracle import joint_cumulant, joint_moment
 from reference import (
     adjacent,
     evaluate_series,
+    forbidden_copy,
     is_connected,
     set_partitions,
     structural_series_by_triple_sets,
@@ -317,6 +319,23 @@ class TestCumulantSum:
             cumulant_sum(d, 3, cap=count - 1)
         assert err.value.context == {"cap": count - 1, "max_size": 3}
         assert cumulant_sum(d, 3, cap=count) == cumulant_sum(d, 3)
+
+    @staticmethod
+    def copy_path(length: int) -> DependencyGraph:
+        """`length` copies in a row: the triples {i, i+1, i+2} overlap their
+        neighbours in two vertices and the triples two along in one."""
+        edges = [(i, i + 1, i + 2) for i in range(1, length + 2)]
+        return DependencyGraph([forbidden_copy(a, b) for a, b in zip(edges, edges[1:])])
+
+    def test_partition_row_limit(self):
+        # a polymer of MAX_PARTITION_ITEMS copies is summed, a larger one is
+        # refused before its partition row is built, however large k is
+        k = MAX_PARTITION_ITEMS
+        d = self.copy_path(k)
+        assert cumulant_sum(d, 10**400) == cumulant_sum(d, k) == cumulant_oracle(d, k)
+        with pytest.raises(CapExceededError) as err:
+            cumulant_sum(self.copy_path(k + 1), 10**400)
+        assert err.value.context == {"size": k + 1, "max_partition_items": k}
 
     def test_reads_no_orbit_shape_or_ursell_helper(self, monkeypatch):
         # the cross-check must not share the kernel it checks: with every
