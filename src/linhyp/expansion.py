@@ -20,22 +20,22 @@ sum is evaluated once per process (`_type_weight`).  `expansion_term` and
 both symbolic-series strategies count polymers this way.
 
 On the complete host the contribution is also unchanged by relabelling
-the vertices, so `expansion_term`, `moment_sum` and the per-n samples
-walk only the polymers through one root per copy orbit and weigh each by
-|orbit| / size (see `_orbit_tally`, the one walk under all three); at
-n = 6, r = 3 that is 3,528 walked order-4 sets with 22 keys in 5 types
-instead of 79,380 polymers, and at n = 7 the order-5 sets have 104 keys
-in 12 types.  `cumulant_sum` walks every root, ignores the keys and stays
-the independent check.
+the vertices, so `expansion_term`, `moment_sum`, the per-n samples and
+strategy A walk only the polymers through one root per copy orbit and
+weigh each by |orbit| / size (see `_orbit_tally`, the one walk under all
+four); at n = 6, r = 3 that is 3,528 walked order-4 sets with 22 keys in
+5 types instead of 79,380 polymers, and at n = 7 the order-5 sets have
+104 keys in 12 types.  `cumulant_sum` walks every root, ignores the keys
+and stays the independent check.
 
 The symbolic-in-n series is produced two independent ways that must agree:
 
-* Strategy A, structural enumeration: one budgeted walk from every root
-  of the dependency graph of K_D (D the span bound below) counts the
-  polymers within the budget, binned by the number v of vertices they
-  span.  Bin v, divided by C(D, v), holds the labelled spanning counts on
-  [v], so a class contributes (labelled count / v!) * [n]_v, and
-  automorphism factors never need to be computed.
+* Strategy A, structural enumeration: one budgeted orbit walk on the
+  dependency graph of K_D (D the span bound below) counts the polymers
+  within the budget, binned by the number v of vertices they span.  Bin
+  v, divided by C(D, v), holds the labelled spanning counts on [v], so a
+  class contributes (labelled count / v!) * [n]_v, and automorphism
+  factors never need to be computed.
 * Strategy B, interpolation: the per-n sums are the expansion terms cut
   at p^b (the type tally `expansion_term` runs, walked once for every
   order up to C(b, 2)), evaluated exactly at n = 0, 1, ..., D + 1, where
@@ -43,6 +43,12 @@ The symbolic-in-n series is produced two independent ways that must agree:
   the falling-factorial basis from their forward differences
   (`_solve_falling_basis`); the sample at n = D + 1 checks the fit.  The
   sums vanish for n <= r, so only n = r + 1..D + 1 cost anything.
+
+Both strategies share the orbit walk, the type table and the partition
+sums, so those are checked by `cumulant_sum` and by the all-roots walk on
+a graph without orbits, not by the agreement.  What the agreement checks
+is the step from a fixed host to a polynomial in n: span binning on K_D
+against forward-difference interpolation over the samples at each n.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from fractions import Fraction
 from collections import Counter
 from functools import cache
 from itertools import chain, permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .combinat import MAX_PARTITION_ITEMS, independent_set_table, mask_connected, set_partitions
 from .dependency import (
@@ -72,13 +78,13 @@ HARD_CORE_EDGE_CAP = 12
 
 #: Symbolic-series budget.  Vertex spans reach D = max_p_power + 2, the
 #: structural strategy walks the polymers whose union holds at most
-#: max_p_power triples on K_D from every root, and the interpolation samples
-#: n = 0..max_p_power + 3, of which only n = 4..max_p_power + 3 hold any
-#: cluster.  A sample is one budgeted walk from one root per copy orbit,
-#: covering the orders 1..C(max_p_power, 2) at once, and a set through the
-#: root spans at most max_p_power - 2 vertices beyond the root's 4, so its
-#: cost grows like n^(max_p_power-2); 4 keeps both strategies comfortably
-#: inside the cross-check contract.
+#: max_p_power triples on K_D from one root per copy orbit, and the
+#: interpolation samples n = 0..max_p_power + 3, of which only
+#: n = 4..max_p_power + 3 hold any cluster.  A sample is the same walk on
+#: K_n, covering the orders 1..C(max_p_power, 2) at once, and a set through
+#: the root spans at most max_p_power - 2 vertices beyond the root's 4, so
+#: its cost grows like n^(max_p_power-2); 4 keeps both strategies
+#: comfortably inside the cross-check contract.
 MAX_SYMBOLIC_P_POWER = 4
 
 
@@ -178,35 +184,39 @@ def _orbit_tally(
     sizes: range,
     cap: int | None = None,
     max_p_power: int | None = None,
-    by_key: bool = True,
-) -> dict[object, Fraction]:
-    """{key: number of polymers} over the polymers whose size is in
-    `sizes`, from one walk up to the largest size.  The key is the
-    polymer's walk-order key (`dependency._connected_set_masks`), or
-    without `by_key` the p-power of its hyperedge union.  A lowest size
-    above the copy count has no polymers and walks nothing.
+    label: Callable[[int, tuple[int, ...]], Hashable] | None = None,
+    cap_names: tuple[str, str] = ("cluster", "order"),
+) -> dict[Hashable, Fraction]:
+    """{label: number of polymers} over the polymers whose size is in
+    `sizes`, from one walk up to the largest size.  A polymer's label is
+    `label(union_edge_mask, walk_key)`, by default its walk-order key
+    (`dependency._connected_set_masks`).  A lowest size above the copy
+    count has no polymers and walks nothing.
 
     On the complete host (`d.orbits` set by `dependency_graph_for`) only
     one root per copy orbit is walked.  For a polymer function f that is
-    unchanged by relabelling the vertices, as both keys are,
+    unchanged by relabelling the vertices,
 
         sum_S f(S) = sum_c sum_{S containing c} f(S) / |S|
                    = sum_O |O| * sum_{S containing rep(O)} f(S) / |S|,
 
     because the symmetric group maps the sets through one copy of an orbit
     onto the sets through any other.  So a walked set of size k stands for
-    exactly |O| / k polymers.  Any other graph is walked from every root,
-    and a walked set is one polymer.  The weights are tallied as integers
-    over the common denominator `scale`, lcm(1..top).
+    exactly |O| / k polymers.  The tally is exact for every such f read off
+    the labels, so a label must not change when the vertices are
+    relabelled, up to what its reader reads: the copy-graph type of a walk
+    key, the vertex span or the p-power of a hyperedge union.  Any other
+    graph is walked from every root, and a walked set is one polymer.  The
+    weights are tallied as integers over the common denominator `scale`,
+    lcm(1..top).
 
     The cap counts every polymer the walk passes through, at every size up
     to the largest, as `cumulant_sum`'s does: it is hit when the walked
     weight exceeds cap * scale, exactly when that polymer count exceeds
-    cap.  The key tallies are cluster terms and report the hit by the
-    largest order, the union tallies are moment sums and report it by the
-    largest size.  With `max_p_power` the walk prunes the sets whose
-    hyperedge union exceeds the budget, and the cap counts the polymers
-    within it.
+    cap.  The error names the largest size by `cap_names`, (noun, unit):
+    cluster terms report their order, moment sums their size.  With
+    `max_p_power` the walk prunes the sets whose hyperedge union exceeds
+    the budget, and the cap counts the polymers within it.
     """
     low, top = sizes[0], sizes[-1]
     if low > len(d):
@@ -221,10 +231,10 @@ def _orbit_tally(
             for rep, orbit in d.orbits
         ]
     limit = None if cap is None else cap * scale
-    noun, unit = ("cluster", "order") if by_key else ("polymer", "size")
+    noun, unit = cap_names
     edge_masks = d.copy_edge_masks
     walked = 0
-    tally: dict[object, int] = {}
+    tally: dict[Hashable, int] = {}
     for roots, weights in groups:
         for _mask, size, emask, key in _connected_set_masks(
             edge_masks, top, edge_budget=max_p_power, roots=roots
@@ -239,8 +249,8 @@ def _orbit_tally(
                 )
             if size < low:
                 continue
-            if not by_key:
-                key = emask.bit_count()
+            if label is not None:
+                key = label(emask, key)
             tally[key] = tally.get(key, 0) + weight
     return {key: Fraction(c, scale) for key, c in tally.items()}
 
@@ -303,7 +313,14 @@ def moment_sum(d: DependencyGraph, size: int, cap: int | None = None) -> Polynom
     """
     if size < 1:
         raise ValidationError(f"size must be >= 1, got {size}")
-    return Polynomial(_orbit_tally(d, range(size, size + 1), cap, by_key=False))
+    tally = _orbit_tally(
+        d,
+        range(size, size + 1),
+        cap,
+        label=lambda emask, _key: emask.bit_count(),
+        cap_names=("polymer", "size"),
+    )
+    return Polynomial(tally)
 
 
 def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomial:
@@ -387,35 +404,36 @@ def structural_series_grouped(
 ) -> dict[tuple[int, int, int], Fraction]:
     """Strategy A: {(n_falling, p_power, cluster_size): coefficient}.
 
-    One budgeted walk from every root of the dependency graph of K_D,
-    D = r + (b - 1)(r - 2) the vertex-span bound (see
-    `interpolated_series_grouped`), lists every polymer whose hyperedge
-    union is within the budget b; its copies are pairs of at most b
-    hyperedges, so its size is at most C(b, 2).  Each walk key is binned by
-    the number v of vertices its hyperedges cover.  A polymer on [n] that
-    spans v vertices sits on one of C(n, v) = [n]_v / v! vertex sets, and
-    K_D holds C(D, v) of those sets, so bin v's cluster sums, divided by
-    C(D, v) * v!, are the coefficients of [n]_v: the labelled spanning
-    counts on [v], cut at the budget, over v!.
+    One budgeted walk on the dependency graph of K_D, D = r + (b - 1)(r - 2)
+    the vertex-span bound (see `interpolated_series_grouped`), counts every
+    polymer whose hyperedge union is within the budget b; its copies are
+    pairs of at most b hyperedges, so its size is at most C(b, 2).  The
+    walk is `_orbit_tally`'s, from one root per copy orbit, and each walked
+    set is labelled (v, walk key), v the number of vertices its hyperedges
+    cover.  The span does not change when the vertices are relabelled, so
+    the |O| / k orbit weights count the polymers of each bin exactly: at
+    b = 5, 23,124 walked sets on K_7 stand for the 1,050,189 polymers.  A
+    polymer on [n] that spans v vertices sits on one of C(n, v) = [n]_v / v!
+    vertex sets, and K_D holds C(D, v) of those sets, so bin v's cluster
+    sums, divided by C(D, v) * v!, are the coefficients of [n]_v: the
+    labelled spanning counts on [v], cut at the budget, over v!.
+
+    Strategy B (`interpolated_series_grouped`) runs the same walk and type
+    table on the hosts n = 0..D + 1, so what keeps the two independent is
+    span binning on K_D against forward-difference interpolation.
     """
     _check_series_args(max_p_power, r)
     span = r + (max_p_power - 1) * (r - 2)
     d = dependency_graph_for(span, r)
-    covers = [sum(1 << u for u in e) for e in d.edges]
+
+    def spanned(emask: int, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        return len(set().union(*(d.edges[e] for e in _mask_to_members(emask)))), key
+
     top = max_p_power * (max_p_power - 1) // 2
-    spans: dict[int, int] = {}
-    bins: dict[int, dict[tuple[int, ...], int]] = {}
-    for _mask, _size, emask, key in _connected_set_masks(
-        d.copy_edge_masks, top, edge_budget=max_p_power
-    ):
-        v = spans.get(emask)
-        if v is None:
-            cover = 0
-            for e in _mask_to_members(emask):
-                cover |= covers[e]
-            v = spans[emask] = cover.bit_count()
-        keys = bins.setdefault(v, {})
-        keys[key] = keys.get(key, 0) + 1
+    tally = _orbit_tally(d, range(1, top + 1), max_p_power=max_p_power, label=spanned)
+    bins: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for (v, key), c in tally.items():
+        bins.setdefault(v, {})[key] = c
     out: dict[tuple[int, int, int], Fraction] = {}
     for v, keys in sorted(bins.items()):
         scale = math.comb(span, v) * math.factorial(v)

@@ -73,15 +73,21 @@ def log10_edges_at_least(n: int, r: int) -> int:
 
 def edge_count(n: int, r: int, cap: int, /, **context) -> int:
     """C(n, r) for a check against `cap`, computed only when it has at most
-    EXACT_COUNT_DIGITS digits.  A larger count, judged by log10 C(n, r)
-    from math.lgamma, raises CapExceededError at once, with context
-    {edges_log10} and `context`.  Past lgamma's float range the judge is
-    `log10_edges_at_least`, given as {edges_log10_at_least}."""
+    EXACT_COUNT_DIGITS digits.  The judge is the larger of log10 C(n, r)
+    from math.lgamma and `log10_edges_at_least`: past lgamma's float range
+    there is no estimate, and near it lgamma(n + 1) and lgamma(n - r + 1)
+    can round to the same float, so the estimate reads 0 for a count of
+    any size (n = 10^300, r = 10^10).  A larger count raises
+    CapExceededError at once, with context {edges_log10} when the estimate
+    decides, {edges_log10_at_least} when the bound does, and `context`."""
     try:
         log10 = (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)) / math.log(10)
         size, bound = f"about 10^{log10:.1f}", {"edges_log10": round(log10, 1)}
     except OverflowError:  # n is past lgamma's float range
-        log10 = log10_edges_at_least(n, r)
+        log10 = -math.inf
+    at_least = log10_edges_at_least(n, r)
+    if at_least > log10:
+        log10 = at_least
         size, bound = f"at least 10^{count_text(log10)}", {"edges_log10_at_least": log10}
     if log10 >= EXACT_COUNT_DIGITS:
         raise CapExceededError(
@@ -137,6 +143,8 @@ def enumerate_forbidden_copies(n: int, r: int) -> list[ForbiddenCopy]:
             copies=count,
             cap=COPY_CAP,
         )
+    if not count:  # n = r: one edge, of r vertices however large r is
+        return []
     copies = []
     edges = list(combinations(range(1, n + 1), r))
     edge_sets = [set(e) for e in edges]

@@ -71,7 +71,10 @@ def _linear_set_counts(n: int, r: int) -> dict[int, int]:
     {edge count: edge sets}.  Vertex a takes every set of disjoint
     (r-1)-subsets of its free neighbours (b > a, pair ab unused) whose
     inner pairs are unused, adds those pairs and drops the pairs at a.
+    The host n = r has one edge and nothing to sweep, however large n is.
     """
+    if n == r:
+        return {0: 1, 1: 1}
     row = (1 << n) - 1
     tallies = {0: {0: 1}}
     for a in range(n):

@@ -15,6 +15,7 @@ import pytest
 import linhyp
 from linhyp import cli, hypergraph
 from linhyp.cli import main
+from linhyp.errors import ValidationError
 from linhyp.hypergraph import COPY_CAP
 from linhyp.oracle import exact_linearity_polynomial
 from linhyp.polynomial import log_fraction
@@ -22,6 +23,11 @@ from linhyp.polynomial import log_fraction
 
 #: n = 10^400 and r = n / 2: C(n, r) has more than 10^399 digits.
 HUGE_HOST = (str(10**400), str(5 * 10**399))
+
+#: n = 10^300 and r = 10^10: inside lgamma's float range, but lgamma(n + 1)
+#: and lgamma(n - r + 1) are the same float, so only the bit-length bound
+#: sees that C(n, r) has more than 2.8 * 10^12 digits.
+NEAR_FLOAT_LIMIT_HOST = (str(10**300), str(10**10))
 
 
 def run(tmp_path, *argv):
@@ -326,19 +332,74 @@ class TestErrors:
                 ["montecarlo", *HUGE_HOST, "--p", "0.1", "--trials", "1", "--seed", "0"],
                 {"edges_log10_at_least", "cap"},
             ),
+            # inside lgamma's range, where its estimate of log10 C(n, r) is 0
+            (["copies", *NEAR_FLOAT_LIMIT_HOST], {"edges_log10_at_least", "cap"}),
+            (["oracle", *NEAR_FLOAT_LIMIT_HOST], {"edges_log10_at_least"}),
+            (
+                ["expand", *NEAR_FLOAT_LIMIT_HOST, "--k", "3"],
+                {"edges_log10_at_least", "cap"},
+            ),
+            (
+                ["compare", *NEAR_FLOAT_LIMIT_HOST, "--p", "1/100"],
+                {"edges_log10_at_least", "cap"},
+            ),
+            (
+                ["montecarlo", *NEAR_FLOAT_LIMIT_HOST, "--p", "0.1", "--trials", "1",
+                 "--seed", "0"],
+                {"edges_log10_at_least", "cap"},
+            ),
         ],
         ids=["oracle", "montecarlo", "copies", "copies-huge", "oracle-huge", "expand-huge",
-             "compare-huge", "montecarlo-huge"],
+             "compare-huge", "montecarlo-huge", "copies-near-limit", "oracle-near-limit",
+             "expand-near-limit", "compare-near-limit", "montecarlo-near-limit"],
     )
     def test_cap_of_a_host_too_large_to_count(self, capsys, argv, keys):
-        # C(n, r) has 301,027, 30,102,996 and more than 10^399 digits here:
-        # past EXACT_COUNT_DIGITS the cap error gives log10 C(n, r) at once
+        # C(n, r) has 301,027, 30,102,996, more than 10^399 and more than
+        # 2.8 * 10^12 digits here: past EXACT_COUNT_DIGITS the cap error
+        # gives log10 C(n, r), or a lower bound on it, at once
         started = time.monotonic()
         assert main(argv) == 3
         assert time.monotonic() - started < 2
         context = json.loads(capsys.readouterr().err)["error"]["context"]
         assert set(context) == keys
         assert all(context[key] > hypergraph.EXACT_COUNT_DIGITS for key in keys - {"cap"})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["copies", "--list"],
+            ["oracle", "--p", "1/2"],
+            ["expand", "--k", "3"],
+            ["delta", "--i", "2"],
+            ["cumulants", "--k", "2"],
+            ["compare", "--p", "1/2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_edge_host_of_any_size_answers_at_once(self, tmp_path, argv):
+        # n = r = 10^10: one edge of 10^10 vertices, which is never listed,
+        # no copies and P = 1
+        started = time.monotonic()
+        code, data = run(tmp_path, argv[0], str(10**10), str(10**10), *argv[1:])
+        assert code == 0
+        assert time.monotonic() - started < 2
+        assert data.get("count", 0) == 0 and data.get("copies", []) == []
+        if argv[0] == "oracle":
+            assert data["polynomial"] == {"0": [1, 1]}
+            assert data["value"] == {"num": 1, "den": 1}
+
+    def test_sweep_count_past_the_limit_exits_promptly(self, capsys):
+        # 10^8 points would need gigabytes before the first row is built
+        started = time.monotonic()
+        assert main(["compare", "6", "3", "--sweep", "0.0001,0.5,100000000"]) == 2
+        assert time.monotonic() - started < 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert f"count <= {cli.MAX_SWEEP_POINTS}" in err["message"]
+        limit = cli.MAX_SWEEP_POINTS
+        assert len(cli._sweep_points(f"0.0001,0.5,{limit}")) == limit
+        with pytest.raises(ValidationError):
+            cli._sweep_points(f"0.0001,0.5,{limit + 1}")
 
     def test_cumulant_size_past_the_partition_rows(self, capsys):
         # the walk reaches polymers of 9 copies at once, one past the

@@ -4,9 +4,9 @@ Every argv either succeeds or exits with a documented code and a JSON
 error object on stderr, never a traceback, and its output does not depend
 on --workers.  Sizes stay small (n <= 6, orders <= 3 or 4, trials <= 200)
 so that no single run is slow; `verify` takes no arguments and has its
-own tests.  A second property runs hosts of up to a thousand digits, and
-sizes of 10^400, each in a child process with a bounded address space:
-every such run is refused or answered within 2 s.
+own tests.  A second property runs hosts of up to a thousand digits,
+sizes of 10^400 and sweeps of 10^8 points, each in a child process with
+a bounded address space: every such run is refused or answered within 2 s.
 """
 
 import contextlib
@@ -119,10 +119,11 @@ def test_cli_contract(command, data):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: The size options of the hosts' subcommands, which the huge-size runs
-#: also give 10^400.
-SIZE_FLAGS = ("--k", "--i", "--cap")
+#: The options the huge-size runs also give a huge value: each size 10^400,
+#: and the sweep 10^8 points.
 HUGE_SIZE = str(10**400)
+HUGE_VALUES = {"--k": HUGE_SIZE, "--i": HUGE_SIZE, "--cap": HUGE_SIZE,
+               "--sweep": "0.0001,0.5,100000000"}
 
 #: Runs the CLI on the given argv in a child process that first bounds its
 #: own address space to 1 GiB.
@@ -135,13 +136,13 @@ BOUNDED_CLI = (
 
 @st.composite
 def huge_argvs(draw, command):
-    """A host n = 10^j, 2 <= j <= 1000, with r = 3, n // 2 or n - 3, and
-    the command's options, its sizes sometimes 10^400."""
+    """A host n = 10^j, 2 <= j <= 1000, with r = 3, 10^10, n // 2 or n - 3,
+    and the command's options, sometimes given their HUGE_VALUES."""
     n = 10 ** draw(st.integers(2, 1000))
-    argv = [command, str(n), str(draw(st.sampled_from([3, n // 2, n - 3])))]
+    argv = [command, str(n), str(draw(st.sampled_from([3, 10**10, n // 2, n - 3])))]
     for flag, values, chance in OPTIONS[command]:
-        if flag in SIZE_FLAGS:
-            values = st.one_of(values, st.just(HUGE_SIZE))
+        if flag in HUGE_VALUES:
+            values = st.one_of(values, st.just(HUGE_VALUES[flag]))
         if draw(st.integers(0, 9)) < chance:
             argv += [flag] if values is None else [flag, draw(values)]
     return argv

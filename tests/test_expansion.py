@@ -444,8 +444,17 @@ class TestOrbitWalk:
             assert err.value.context == {"cap": count - 1, key: 3}
             assert engine(d, 3, cap=count) == engine(d, 3)
 
-    def test_per_n_power_sums_walks_each_orbit_once(self, monkeypatch):
-        # one budgeted walk covers every order: one pinned walk per orbit
+    @pytest.mark.parametrize("b", [2, 3, 4])
+    def test_structural_series(self, monkeypatch, b):
+        # strategy A's span bins from one root per orbit of K_D, against the
+        # same bins from every root
+        orbit = structural_series_grouped(b)
+        monkeypatch.setattr(expansion, "dependency_graph_for", all_roots_graph)
+        assert orbit == structural_series_grouped(b)
+
+    @staticmethod
+    def pinned_walks(monkeypatch, engine):
+        """The roots of every walk `engine` starts."""
         walks = []
 
         def counted(*args, **kwargs):
@@ -453,8 +462,18 @@ class TestOrbitWalk:
             return _connected_set_masks(*args, **kwargs)
 
         monkeypatch.setattr(expansion, "_connected_set_masks", counted)
-        per_n_power_sums(6, 4)
-        assert sorted(walks) == [(rep,) for rep, _size in dependency_graph_for(6, 3).orbits]
+        engine()
+        return sorted(walks)
+
+    def test_per_n_power_sums_walks_each_orbit_once(self, monkeypatch):
+        # one budgeted walk covers every order: one pinned walk per orbit
+        walks = self.pinned_walks(monkeypatch, lambda: per_n_power_sums(6, 4))
+        assert walks == [(rep,) for rep, _size in dependency_graph_for(6, 3).orbits]
+
+    def test_structural_series_walks_each_orbit_once(self, monkeypatch):
+        # strategy A at b = 4 walks K_6, whose copies form one orbit
+        walks = self.pinned_walks(monkeypatch, lambda: structural_series_grouped(4))
+        assert walks == [(rep,) for rep, _size in dependency_graph_for(6, 3).orbits] == [(0,)]
 
 
 class TestSymbolicSeries:
@@ -486,6 +505,24 @@ class TestSymbolicSeries:
                     expect[(b, s)] = expect.get((b, s), Fraction(0)) + v
             expect = {k: v for k, v in expect.items() if v != 0}
             assert per_n == expect
+
+    def test_strategies_agree_at_p5(self, monkeypatch):
+        # past today's budget: both strategies give the disjoint-cluster
+        # series' p^5 coefficient, 3/2 [n]_4 + 563/20 [n]_5 + 197/5 [n]_6
+        # + 91/10 [n]_7 (4-6 s with a cold type table)
+        monkeypatch.setattr(expansion, "MAX_SYMBOLIC_P_POWER", 5)
+        grouped = structural_series_grouped(5)
+        assert grouped == interpolated_series_grouped(5)
+        p5: dict = {}
+        for (a, b, _s), c in grouped.items():
+            if b == 5:
+                p5[a] = p5.get(a, 0) + c
+        assert p5 == {
+            4: Fraction(3, 2),
+            5: Fraction(563, 20),
+            6: Fraction(197, 5),
+            7: Fraction(91, 10),
+        }
 
     def test_span_bins_match_triple_set_reference(self):
         # strategy A's per-span bins on K_D, against the two-level walk over
