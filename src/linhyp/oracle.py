@@ -6,11 +6,12 @@ edges.  The Monte Carlo estimator runs its trials serially in blocks of
 BLOCK trials.  Block b owns one substream of the philox4x64 counter-based
 generator (key = seed, counter = b << 64) and checks its trials with
 vectorised sorts, so a report is reproducible bit for bit from the seed
-and the parameters.  The vertex-pair keys are int32, so the sampler caps
-the host (MC_PAIR_TABLE_CAP, MC_MAX_N) before it allocates anything; the
-key dtype changes no report.  numpy loads on the first call of the
-sampler, not on import, so the subcommands that do not sample start
-without it.
+and the parameters.  The sampler caps its pair table (MC_PAIR_TABLE_CAP)
+before it allocates anything, which also keeps the int32 vertex-pair keys
+from overflowing, and answers the one-edge host n = r without a table.
+It builds the table and the keys in place, with no copy of either.
+numpy loads on the first call of the sampler, not on import, so the
+subcommands that do not sample start without it.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ RNG_NAME = f"philox4x64-block{BLOCK}"
 #: Ceiling on the sampler's pair table, C(n,r) * C(r,2) int32 entries
 #: (256 MiB); a larger host is a CapExceededError before any allocation.
 MC_PAIR_TABLE_CAP = 1 << 26
-
-#: The largest n whose pair keys owner * n^2 + pair id (owner < BLOCK) fit
-#: in int32, i.e. BLOCK * n^2 <= 2^31.
-MC_MAX_N = math.isqrt(2**31 // BLOCK)
 
 
 def exact_linearity_polynomial(n: int, r: int) -> Polynomial:
@@ -152,25 +149,31 @@ class McReport:
 
 def _pair_table(n: int, r: int) -> np.ndarray:
     """Pair ids a*n + b (a < b) of each host edge, one row per edge in
-    lexicographic order, shape (C(n,r), C(r,2)), as int32 (monte_carlo
-    caps n so that every pair key fits)."""
+    lexicographic order, shape (C(n,r), C(r,2)), as int32 (see _nonlinear
+    for why every pair key fits).  The table is preallocated and filled
+    one column at a time from strided views of the vertex array, so the
+    build peaks at the vertex array plus the table."""
     import numpy as np
 
     ne = math.comb(n, r)
     flat = chain.from_iterable(combinations(range(n), r))
     verts = np.fromiter(flat, dtype=np.int32, count=ne * r).reshape(ne, r)
-    # triu_indices lists the pairs in combinations(range(r), 2) order; take
-    # keeps the table row-major (verts[:, ia] would not), which the row
-    # gathers of _nonlinear need to stay fast
-    ia, ib = np.triu_indices(r, 1)
-    return np.take(verts, ia, axis=1) * n + np.take(verts, ib, axis=1)
+    # C order keeps the rows contiguous, which the row gathers of
+    # _nonlinear need to stay fast; the columns follow combinations(range(r), 2)
+    table = np.empty((ne, math.comb(r, 2)), dtype=np.int32)
+    for col, (a, b) in enumerate(combinations(range(r), 2)):
+        np.multiply(verts[:, a], n, out=table[:, col])
+        table[:, col] += verts[:, b]
+    return table
 
 
 def _repeated_owners(keys: np.ndarray, stride: int, owners: int) -> np.ndarray:
-    """Mask of the owners whose keys (owner*stride + value) repeat a value."""
+    """Mask of the owners whose keys (owner*stride + value) repeat a value.
+    Sorts `keys`, a C-contiguous array of any shape, in place."""
     import numpy as np
 
-    keys = np.sort(keys, axis=None)
+    keys = keys.reshape(-1)
+    keys.sort()
     bad = np.zeros(owners, dtype=bool)
     bad[keys[1:][keys[1:] == keys[:-1]] // stride] = True
     return bad
@@ -179,8 +182,15 @@ def _repeated_owners(keys: np.ndarray, stride: int, owners: int) -> np.ndarray:
 def _nonlinear(pair_ids: np.ndarray, n: int, idx: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Mask of the non-linear trials, i.e. those in which some vertex pair
     repeats, among trials whose edges idx are laid out trial by trial,
-    sizes[t] edges for trial t.  The keys owner*n^2 + pair id are int32:
-    owner < BLOCK and monte_carlo caps BLOCK * n^2 at 2^31."""
+    sizes[t] edges for trial t.
+
+    The keys owner*n^2 + pair id are int32.  They stay below
+    BLOCK * n^2 <= 2^31 as long as n <= isqrt(2^31 // BLOCK) = 2048, and
+    the pair-table cap keeps n there.  For 3 <= r < n the table has
+    C(n,r) * C(r,2) = C(n,2) * C(n-2,r-2) >= C(n,2) * (n-2) = 3 C(n,3)
+    entries, and at n >= 2049 that is at least 3 C(2049,3), about 4.3e9,
+    far over MC_PAIR_TABLE_CAP = 2^26; the one-edge host n = r builds no
+    table."""
     import numpy as np
 
     keys = np.take(pair_ids, idx, axis=0)
@@ -205,10 +215,13 @@ def _run_trials(pair_ids: np.ndarray, n: int, p: float, seed: int, trials: int) 
         if drawn.size == 0:
             continue
         idx = rng.integers(0, ne, size=int(drawn.sum()))
-        owner = np.repeat(np.arange(drawn.size, dtype=np.int64), drawn)
-        repeated = _repeated_owners(owner * ne + idx, ne, drawn.size)
+        keys = np.repeat(np.arange(drawn.size, dtype=np.int64), drawn)
+        keys *= ne
+        keys += idx
+        repeated = _repeated_owners(keys, ne, drawn.size)
+        del keys  # free before the pair check builds its own keys
         if repeated.any():
-            idx[repeated[owner]] = np.concatenate(
+            idx[np.repeat(repeated, drawn)] = np.concatenate(
                 [rng.choice(ne, size=k, replace=False, shuffle=False) for k in drawn[repeated]]
             )
         hits += int(np.count_nonzero(~_nonlinear(pair_ids, n, idx, drawn)))
@@ -239,14 +252,16 @@ def monte_carlo(
       distinct vertex pairs, so by pigeonhole a trial with
       m > C(n,2) // C(r,2) is a miss; it draws no edges, and a block's
       key array holds at most BLOCK * C(n,2) entries at any p.
+    * The one-edge host n = r is always linear: it gives hits = trials at
+      once, however large n is, and draws nothing.
     * The pair keys trial * n^2 + pair id are built with np.take and
-      sorted as int32; the repeated-edge keys trial * N + edge index stay
-      int64, since BLOCK * N can pass 2^31.  A host whose pair table would
-      exceed MC_PAIR_TABLE_CAP entries, or with n > MC_MAX_N (where the
-      int32 pair keys would overflow), raises CapExceededError with
-      context {edges, cap} ({edges_log10, cap} or {edges_log10_at_least,
-      cap} past EXACT_COUNT_DIGITS edge digits, see `hypergraph.edge_count`)
-      before any table is built.
+      sorted in place as int32 (`_nonlinear` shows why they fit); the
+      repeated-edge keys trial * N + edge index are one int64 array, built
+      and sorted in place, since BLOCK * N can pass 2^31.  A host whose
+      pair table would exceed MC_PAIR_TABLE_CAP entries raises
+      CapExceededError with context {edges, cap} ({edges_log10, cap} or
+      {edges_log10_at_least, cap} past EXACT_COUNT_DIGITS edge digits, see
+      `hypergraph.edge_count`) before any table is built.
     * A trial that drew some edge twice is redrawn in place with
       `choice(N, m, replace=False)` from the block's generator, in trial
       order, before the block's one pair-key check.  The sampler stays
@@ -267,23 +282,19 @@ def monte_carlo(
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValidationError(f"p must be in (0,1), got {p}")
-    ne = edge_count(n, r, MC_PAIR_TABLE_CAP, cap=MC_PAIR_TABLE_CAP)
-    entries = ne * math.comb(r, 2)
-    if entries > MC_PAIR_TABLE_CAP:
-        raise CapExceededError(
-            f"C({n},{r}) = {count_text(ne)} edges need {count_text(entries)} "
-            f"pair-table entries, over the sampler's cap of {MC_PAIR_TABLE_CAP}",
-            edges=ne,
-            cap=MC_PAIR_TABLE_CAP,
-        )
-    if n > MC_MAX_N:
-        raise CapExceededError(
-            f"n = {n} is over the sampler's cap of {MC_MAX_N}: its int32 pair keys "
-            f"need {BLOCK} * n^2 <= 2^31",
-            edges=ne,
-            cap=MC_MAX_N,
-        )
-    hits = _run_trials(_pair_table(n, r), n, float(p), seed, trials)
+    if n == r:
+        hits = trials
+    else:
+        ne = edge_count(n, r, MC_PAIR_TABLE_CAP, cap=MC_PAIR_TABLE_CAP)
+        entries = ne * math.comb(r, 2)
+        if entries > MC_PAIR_TABLE_CAP:
+            raise CapExceededError(
+                f"C({n},{r}) = {count_text(ne)} edges need {count_text(entries)} "
+                f"pair-table entries, over the sampler's cap of {MC_PAIR_TABLE_CAP}",
+                edges=ne,
+                cap=MC_PAIR_TABLE_CAP,
+            )
+        hits = _run_trials(_pair_table(n, r), n, float(p), seed, trials)
     estimate = hits / trials
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
     return McReport(

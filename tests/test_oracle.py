@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +14,6 @@ from linhyp.errors import CapExceededError, ValidationError
 from linhyp.hypergraph import COPY_CAP, _copy_count, enumerate_forbidden_copies
 from linhyp.oracle import (
     BLOCK,
-    MC_MAX_N,
     MC_PAIR_TABLE_CAP,
     _pair_table,
     exact_linearity_polynomial,
@@ -146,6 +146,16 @@ def test_cap_errors_past_the_float_range():
     assert info.value.context == {"edges": math.comb(n, 3)}
 
 
+@pytest.fixture
+def no_pair_table(monkeypatch):
+    """Fails the test if the sampler builds its pair table."""
+
+    def unreachable(*_):
+        raise AssertionError("the pair table was built")
+
+    monkeypatch.setattr(oracle, "_pair_table", unreachable)
+
+
 class TestMonteCarlo:
     def test_always_linear_instance(self):
         rep = monte_carlo(3, 3, Fraction(1, 2), trials=500, seed=1)
@@ -208,7 +218,9 @@ class TestMonteCarlo:
         expect = [[a * n + b for a, b in combinations(e, 2)] for e in combinations(range(n), r)]
         assert table.tolist() == expect
 
-    @pytest.mark.parametrize("n, r", [(5, 3), (50, 3), (12, 5), (9, 9)])
+    @pytest.mark.parametrize(
+        "n, r", [(5, 3), (50, 3), (12, 5), (9, 9), (12, 4), (20, 5), (9, 8)]
+    )
     def test_pair_table_equals_per_pair_columns(self, n, r):
         import numpy as np
 
@@ -220,6 +232,42 @@ class TestMonteCarlo:
         assert table.dtype == columns.dtype == "int32"
         assert table.flags.c_contiguous
         assert np.array_equal(table, columns)
+
+    @pytest.mark.parametrize("n, r", [(12, 4), (20, 5), (50, 3), (200, 3)])
+    def test_pair_table_peaks_at_vertices_plus_table(self, n, r):
+        """numpy reports its array data to tracemalloc, so the traced peak
+        of the build is machine-independent: the int32 vertex array and the
+        table, plus 16 KiB of slack (about 3 KiB is used).  Built through
+        np.take and a*n + b temporaries it was 3x the table at (200, 3)."""
+        tracemalloc.start()
+        try:
+            _pair_table(n, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= math.comb(n, r) * (r + math.comb(r, 2)) * 4 + 16 * 1024
+
+    def test_block_peak_is_bounded_by_its_keys(self):
+        """One full block at n = 50, p = 0.0019 holds about 19,000 drawn
+        edges; its traced peak stays under 2.5x the bytes of its int32 pair
+        keys (2.2x in place, 3.7x when the keys were copied to be sorted)."""
+        import numpy as np
+
+        n, r, p, seed = 50, 3, 0.0019, 3
+        table = _pair_table(n, r)
+        ne, width = table.shape
+        oracle._run_trials(table, n, p, seed + 1, BLOCK)  # load numpy.random first
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=0))
+        m = rng.binomial(ne, p, size=BLOCK)
+        drawn = m[(m > 1) & (m <= math.comb(n, 2) // width)]
+        key_bytes = int(drawn.sum()) * width * 4
+        tracemalloc.start()
+        try:
+            oracle._run_trials(table, n, p, seed, BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * key_bytes
 
     @pytest.mark.parametrize(
         "n, r, p, trials, seed, hits",
@@ -239,29 +287,39 @@ class TestMonteCarlo:
         assert rep.hits == hits
         assert rep.rng_name == "philox4x64-block512"
 
-    @pytest.mark.parametrize(
-        "n, r, cap",
-        [
-            pytest.param(2049, 3, MC_PAIR_TABLE_CAP, id="pair-table"),
-            pytest.param(MC_MAX_N + 1, MC_MAX_N + 1, MC_MAX_N, id="int32-keys"),
-        ],
-    )
-    def test_host_cap_fires_before_the_table(self, monkeypatch, n, r, cap):
-        def unreachable(*_):
-            raise AssertionError("the pair table was built past the cap")
-
-        monkeypatch.setattr(oracle, "_pair_table", unreachable)
+    @pytest.mark.parametrize("n, r", [pytest.param(2049, 3, id="pair-table")])
+    def test_host_cap_fires_before_the_table(self, no_pair_table, n, r):
         with pytest.raises(CapExceededError) as info:
             monte_carlo(n, r, Fraction(1, 1000), trials=1, seed=0)
-        assert info.value.context == {"edges": math.comb(n, r), "cap": cap}
+        assert info.value.context == {"edges": math.comb(n, r), "cap": MC_PAIR_TABLE_CAP}
+
+    @pytest.mark.parametrize("n", [2049, 10**4, 10**6])
+    @pytest.mark.parametrize(
+        "r_of_n",
+        [lambda n: 3, lambda n: n // 2, lambda n: n - 2, lambda n: n - 1],
+        ids=["3", "n//2", "n-2", "n-1"],
+    )
+    def test_table_cap_refuses_every_host_past_the_int32_keys(self, no_pair_table, n, r_of_n):
+        """Every host with n >= 2049 and r < n is over the table cap, so the
+        int32 pair keys (below BLOCK * n^2 <= 2^31 for n <= 2048) never
+        overflow."""
+        with pytest.raises(CapExceededError) as info:
+            monte_carlo(n, r_of_n(n), Fraction(1, 1000), trials=1, seed=0)
+        assert info.value.context["cap"] == MC_PAIR_TABLE_CAP
+
+    @pytest.mark.parametrize("n", [3, 2049, 10**10])
+    def test_one_edge_host_is_answered(self, no_pair_table, n):
+        rep = monte_carlo(n, n, Fraction(1, 10), trials=7, seed=0)
+        assert (rep.hits, rep.estimate, rep.std_error) == (7, 1.0, 0.0)
 
     def test_int32_keys_reach_the_largest_host(self):
-        """At n = MC_MAX_N the last trial of a full block has the top pair
-        key BLOCK * n^2 - 1 = 2^31 - 1; its conflict must be found, and
-        charged to that trial alone."""
+        """At the largest n with BLOCK * n^2 <= 2^31 the last trial of a full
+        block has the top pair key BLOCK * n^2 - 1 = 2^31 - 1; its conflict
+        must be found, and charged to that trial alone."""
         import numpy as np
 
-        n = MC_MAX_N
+        n = math.isqrt(2**31 // BLOCK)
+        assert n == 2048
         top = (n - 2) * n + (n - 1)
         pair_ids = np.array([[top, 0, 1], [top, 2, 3], [4, 5, 6]], dtype=np.int32)
         sizes = np.array([1] * (BLOCK - 1) + [2])
