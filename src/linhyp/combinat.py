@@ -1,5 +1,6 @@
-"""The set-partition table, the independent-set table and the bitmask
-connectivity test shared across the package."""
+"""The set-partition table, the independent-set table of the
+independent-partition chromatic form, and the bitmask connectivity test
+shared across the package."""
 
 from __future__ import annotations
 

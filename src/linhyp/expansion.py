@@ -57,10 +57,10 @@ import math
 from fractions import Fraction
 from collections import Counter
 from functools import cache
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .combinat import MAX_PARTITION_ITEMS, independent_set_table, mask_connected, set_partitions
+from .combinat import MAX_PARTITION_ITEMS, mask_connected, set_partitions
 from .dependency import (
     DependencyGraph,
     _connected_set_masks,
@@ -591,16 +591,22 @@ def inclusion_exclusion_polynomial(n: int, r: int) -> Polynomial:
 
 
 def hard_core_polynomial(n: int, r: int) -> Polynomial:
-    """Polymer-model partition function: sum over families of polymers with
-    pairwise-disjoint hyperedge sets of the product of signed moments.
+    """Polymer-model partition function: the sum, over families of polymers
+    with pairwise-disjoint supports, of the product of their weights times
+    p^(edges the supports cover).
 
-    Two host edges conflict when a copy holds both, so the conflict masks
-    are read off the copy masks of `dependency_graph_for(n, r)`, whose bits
-    are the C(n, r) host edges (see `inclusion_exclusion_polynomial`).
-    Polymers are aggregated by support: g[E] is the signed count of
-    connected copy sets whose hyperedge union is exactly E, obtained from
-    the conflict-free sub-configurations of E by subset inversion, and
-    families are assembled by a component-first recursion over supports.
+    Two host edges conflict when a copy holds both; the conflict masks are
+    read off the copy masks of `dependency_graph_for(n, r)`, whose bits are
+    the C(n, r) host edges (see `inclusion_exclusion_polynomial`).  A
+    polymer is a connected set of copies and its support the union of their
+    hyperedges.  The copy sets with union exactly E are the spanning edge
+    sets of the conflict graph induced on E, so the weight of E, the signed
+    count of the connected ones, is the Ursell weight of that graph when it
+    is connected and E holds at least two edges, and 0 otherwise (Scott &
+    Sokal, J. Stat. Phys. 118, 2005).  z[E], the weight of the families
+    covering exactly E, is filled bottom-up from z[{}] = 1 as the sum of
+    weight[S] * z[E - S] over the supports S holding E's lowest edge, and
+    Z is the sum of z[E] p^|E|.
     """
     ne = check_edge_cap(n, r, HARD_CORE_EDGE_CAP)
     conflict = [0] * ne
@@ -609,58 +615,29 @@ def hard_core_polynomial(n: int, r: int) -> Polynomial:
         conflict[i] |= 1 << j
         conflict[j] |= 1 << i
     size = 1 << ne
-    # t[E] = signed count of copy subsets with union exactly E, which is the
-    # sum of (-1)^|E - S| over the conflict-free edge sets S inside E: one
-    # in-place Moebius pass per edge bit over the conflict-free indicator
-    t = [int(free) for free in independent_set_table(conflict)]
-    for i in range(ne):
-        bit = 1 << i
-        for m in range(size):
-            if m & bit:
-                t[m] -= t[m ^ bit]
-    # connected inversion: g[E] restricted to conflict-connected supports
-    g = [0] * size
-    for m in sorted(range(1, size), key=lambda x: x.bit_count()):
-        low = m & -m
-        val = t[m]
-        # subtract families whose component containing the lowest edge is E1
-        sub = (m ^ low)
-        e1 = sub
-        while True:
-            part = e1 | low
-            if part != m:
-                val -= g[part] * t[m ^ part]
-            if e1 == 0:
-                break
-            e1 = (e1 - 1) & sub
-        g[m] = val
-    # assemble families of edge-disjoint supports
-    memo: dict[int, dict[int, int]] = {0: {0: 1}}
-
-    def family(avail: int) -> dict[int, int]:
-        got = memo.get(avail)
-        if got is not None:
-            return got
-        low = avail & -avail
-        rest = avail ^ low
-        acc = dict(family(rest))
-        sub = rest
-        while True:
-            part = sub | low
-            if g[part]:
-                tail = family(avail ^ part)
-                w = g[part]
-                pw = part.bit_count()
-                for power, cnt in tail.items():
-                    key = power + pw
-                    acc[key] = acc.get(key, 0) + w * cnt
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        memo[avail] = acc
-        return acc
-
-    return Polynomial(family(size - 1))
+    weight = [0] * size
+    for support in range(size):
+        if support & (support - 1) and mask_connected(conflict, support):
+            edges = _mask_to_members(support)
+            induced = [
+                (a + 1, b + 1)
+                for a, b in combinations(range(len(edges)), 2)
+                if conflict[edges[a]] >> edges[b] & 1
+            ]
+            weight[support] = int(ursell(SimpleGraph.from_edges(len(edges), induced)))
+    z = [1] + [0] * (size - 1)
+    coeffs = [1] + [0] * ne
+    for covered in range(1, size):
+        low = covered & -covered
+        # the supports inside `covered` that hold its lowest edge, from the
+        # largest down; the support of the lowest edge alone weighs 0
+        support = covered
+        while support != low:
+            if weight[support]:
+                z[covered] += weight[support] * z[covered ^ support]
+            support = (support ^ low) - 1 & covered
+        coeffs[covered.bit_count()] += z[covered]
+    return Polynomial(dict(enumerate(coeffs)))
 
 
 # ---------------------------------------------------------------------------

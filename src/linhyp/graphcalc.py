@@ -66,15 +66,18 @@ def _drop_bit(mask: int, i: int) -> int:
 
 # Memoised on the labelled minor's neighbour masks, with no canonical form,
 # for the exhaustive suites; the expansion needs one Ursell weight per
-# admissible partition of each copy-graph type (75 in `expand 6 3 --k 5`).
+# admissible partition of each copy-graph type (75 in `expand 6 3 --k 5`)
+# and the polymer-model form one per conflict-connected support (958 at
+# n = 5, r = 3).  Chromatic polynomials are integral, so the recursion
+# stays in ints: entry k of the tuple is the coefficient of lambda^k.
 @cache
-def _chromatic(masks: tuple[int, ...]) -> Polynomial:
+def _chromatic(masks: tuple[int, ...]) -> tuple[int, ...]:
     """Deletion and contraction of the edge from a maximum-degree vertex
     (the hub, which keeps minors small) to its lowest neighbour: the hub
     takes the neighbour's neighbours, and the neighbour's bit is dropped."""
     hub = max(range(len(masks)), key=lambda u: masks[u].bit_count())
     if not masks[hub]:
-        return Polynomial({len(masks): 1})
+        return (0,) * len(masks) + (1,)
     nbr = (masks[hub] & -masks[hub]).bit_length() - 1
     deleted = list(masks)
     deleted[hub] ^= 1 << nbr
@@ -85,7 +88,8 @@ def _chromatic(masks: tuple[int, ...]) -> Polynomial:
         for u, m in enumerate(deleted)
         if u != nbr
     )
-    return _chromatic(tuple(deleted)) - _chromatic(contracted)
+    minus = _chromatic(contracted) + (0,)
+    return tuple(a - b for a, b in zip(_chromatic(tuple(deleted)), minus))
 
 
 def chromatic_polynomial(g: SimpleGraph) -> Polynomial:
@@ -93,7 +97,7 @@ def chromatic_polynomial(g: SimpleGraph) -> Polynomial:
     labelled minors."""
     if g.v < 1:
         raise ValidationError("graph needs at least one vertex")
-    return _chromatic(tuple(g.adjacency_masks()))
+    return Polynomial(dict(enumerate(_chromatic(tuple(g.adjacency_masks())))))
 
 
 def _signed_component_counts(v: int, edges: list[tuple[int, int]]) -> dict[int, int]:
@@ -193,9 +197,10 @@ def ursell(g: SimpleGraph) -> Fraction:
     Disconnected input is an upstream bug and rejected rather than mapped
     to zero.
     """
-    if not g.is_connected():
+    masks = tuple(g.adjacency_masks())
+    if not masks or not mask_connected(masks, (1 << g.v) - 1):
         raise ValidationError("Ursell weight is only used on connected graphs")
-    return chromatic_polynomial(g).coeff(1)
+    return Fraction(_chromatic(masks)[1])
 
 
 def ursell_direct(g: SimpleGraph) -> Fraction:

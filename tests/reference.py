@@ -3,9 +3,10 @@ the linearity test on it, the brute-force count of linear edge subsets,
 the brute-force density measures of the forbidden family, two readouts of
 a symbolic series, strategy A's series by its two-level walk over the
 triple sets of each vertex span, the pairwise adjacency of a dependency
-graph, the connectivity of a copy set in it, a forbidden copy built from
-its two edges, the vertex span of a copy and the list-form set partitions
-of any items.  No engine or CLI path calls these, so they live here,
+graph, the connectivity of a copy set in it, the signed count of its
+connected copy sets by hyperedge union, a forbidden copy built from its
+two edges, the vertex span of a copy and the list-form set partitions of
+any items.  No engine or CLI path calls these, so they live here,
 outside the package.
 """
 
@@ -209,6 +210,22 @@ def is_connected(d: DependencyGraph, members: Sequence[int]) -> bool:
         return False
     local = [sum(1 << b for b, y in enumerate(members) if adjacent(d, x, y)) for x in members]
     return mask_connected(local, (1 << len(members)) - 1)
+
+
+def connected_copy_set_counts(d: DependencyGraph) -> dict[int, int]:
+    """{hyperedge union mask: sum of (-1)^|C| over the connected copy sets C
+    of d with exactly that union}, by listing all 2^len(d) copy sets, with
+    adjacency from `adjacency(d)`."""
+    adj = adjacency(d)
+    unions = [0] * (1 << len(d))
+    counts: dict[int, int] = {}
+    for members in range(1, 1 << len(d)):
+        low = members & -members
+        unions[members] = unions[members ^ low] | d.copy_edge_masks[low.bit_length() - 1]
+        if mask_connected(adj, members):
+            sign = -1 if members.bit_count() % 2 else 1
+            counts[unions[members]] = counts.get(unions[members], 0) + sign
+    return counts
 
 
 def forbidden_copy(a: Sequence[int], b: Sequence[int]) -> ForbiddenCopy:

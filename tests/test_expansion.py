@@ -7,12 +7,19 @@ through size k-1) and by direct brute-force enumeration of polymers and
 their partitions on the small instances.
 """
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from linhyp.combinat import MAX_PARTITION_ITEMS
-from linhyp.dependency import DependencyGraph, _connected_set_masks, dependency_graph_for
+from linhyp.combinat import MAX_PARTITION_ITEMS, mask_connected
+from linhyp.dependency import (
+    DependencyGraph,
+    _connected_set_masks,
+    _mask_to_members,
+    dependency_graph_for,
+)
 from linhyp import expansion
 from linhyp.errors import CapExceededError, LinhypError, ValidationError
 from linhyp.expansion import (
@@ -38,6 +45,7 @@ from linhyp.polynomial import Polynomial, SeriesTerm, falling_factorial
 from moment_oracle import joint_cumulant, joint_moment
 from reference import (
     adjacent,
+    connected_copy_set_counts,
     evaluate_series,
     forbidden_copy,
     is_connected,
@@ -51,8 +59,6 @@ def brute_force_term(d, order):
     """Independent oracle: enumerate copy sets of the exact size directly,
     keep the connected ones, partition them into connected blocks, and
     weigh by hand."""
-    from itertools import combinations
-
     total = Polynomial.zero()
     for members in combinations(range(len(d)), order):
         if not is_connected(d, members):
@@ -378,8 +384,6 @@ class TestMomentSum:
 
     def test_matches_polymer_stream(self):
         # every connected 3-set of copies, found by brute force
-        from itertools import combinations
-
         d = dependency_graph_for(5, 3)
         expect = Polynomial.zero()
         for members in combinations(range(len(d)), 3):
@@ -635,26 +639,54 @@ class TestSymbolicSeries:
 
 
 class TestUntruncatedForms:
-    # r = 3, and the r >= 4 hosts within the 12-edge cap, where copies
-    # overlap in up to r - 1 vertices; (3, 3) and (4, 4) have one edge and
-    # no copies
+    # every host within the 12-edge cap, (3, 3) to (13, 13): r = 3 at
+    # n = 4, 5 (ids "4", "5"), and the r >= 4 hosts, where copies overlap
+    # in up to r - 1 vertices; the hosts n = r have one edge and no copies
     @pytest.mark.parametrize(
         "n, r",
         [
-            pytest.param(4, 3, id="4"),
-            pytest.param(5, 3, id="5"),
-            (5, 4),
-            (6, 5),
-            (7, 6),
-            (12, 11),
-            (3, 3),
-            (4, 4),
+            pytest.param(n, r, id=str(n) if r == 3 < n else f"{n}-{r}")
+            for r in range(3, 14)
+            for n in range(r, 14)
+            if math.comb(n, r) <= expansion.HARD_CORE_EDGE_CAP
         ],
     )
     def test_all_three_forms_equal(self, n, r):
         oracle = exact_linearity_polynomial(n, r)
         assert inclusion_exclusion_polynomial(n, r) == oracle
         assert hard_core_polynomial(n, r) == oracle
+
+    @pytest.mark.parametrize("n, r, copies", [(4, 3, 6), (5, 4, 10), (6, 5, 15)])
+    def test_polymer_weight_is_ursell_of_induced_conflict_graph(self, n, r, copies):
+        # the brute-force signed count of connected copy sets with union
+        # exactly E against the weight the polymer-model form gives E
+        d = dependency_graph_for(n, r)
+        assert len(d) == copies
+        counts = connected_copy_set_counts(d)
+        # host edges adjacent when a copy holds both
+        conflict = [0] * math.comb(n, r)
+        for mask in d.copy_edge_masks:
+            i, j = _mask_to_members(mask)
+            conflict[i] |= 1 << j
+            conflict[j] |= 1 << i
+        for support in range(1 << len(conflict)):
+            edges = _mask_to_members(support)
+            weight = 0
+            if len(edges) >= 2 and mask_connected(conflict, support):
+                induced = [
+                    (a + 1, b + 1)
+                    for a, b in combinations(range(len(edges)), 2)
+                    if conflict[edges[a]] >> edges[b] & 1
+                ]
+                weight = ursell(SimpleGraph.from_edges(len(edges), induced))
+            assert counts.get(support, 0) == weight, support
+
+    def test_weights_come_from_ursell(self, monkeypatch):
+        # one more on every polymer weight must move the partition function
+        true_ursell = expansion.ursell
+        monkeypatch.setattr(expansion, "ursell", lambda g: true_ursell(g) + 1)
+        for n, r in [(4, 3), (5, 3), (5, 4)]:
+            assert hard_core_polynomial(n, r) != exact_linearity_polynomial(n, r)
 
     def test_hard_core_cap(self):
         with pytest.raises(CapExceededError):
