@@ -9,6 +9,12 @@ grouped either by cluster size (the truncation axis of the log-probability
 approximation) or by the p-power of the contribution (what the symbolic
 series is organised around).
 
+What `expand` and `series` output is this disjoint-cluster series.  It
+equals the Taylor series of log P through p^3.  From p^4 on it differs:
+its p^4 coefficient is (1/8)[n]_4 above log P's (-18 against -21 at
+n = 4).  The missing term is the repeated-copy cluster, -1/2 w(c)^2 per
+copy c with w(c) = p^2 its moment, which disjoint clusters leave out.
+
 A polymer's contribution is a function of the isomorphism type of its
 *copy graph*, whose vertices are the polymer's hyperedges and whose edges
 are its copies (each a pair of hyperedges): copy adjacency, each block's
@@ -529,8 +535,10 @@ def _sample_power_sums(
 def symbolic_series(
     max_p_power: int = 4, r: int = 3, cross_check: bool = True
 ) -> list[SeriesTerm]:
-    """Symbolic expansion series: all cluster contributions with p-power at
-    most max_p_power, as exact terms c * [n]_a * p^b.
+    """Symbolic disjoint-cluster series: all cluster contributions with
+    p-power at most max_p_power, as exact terms c * [n]_a * p^b.  It is
+    log P's Taylor series through p^3; at p^4 it is (1/8)[n]_4 above it,
+    as it has no repeated-copy cluster (-1/2 w(c)^2 per copy).
 
     With cross_check (the default) the structural and interpolation
     strategies are both run and any disagreement is a hard failure.

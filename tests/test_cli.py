@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,14 +19,26 @@ from linhyp.hypergraph import COPY_CAP
 from linhyp.oracle import exact_linearity_polynomial
 from linhyp.polynomial import log_fraction
 
+from argv_contract import ROWS, sections
 
-#: n = 10^400 and r = n / 2: C(n, r) has more than 10^399 digits.
-HUGE_HOST = (str(10**400), str(5 * 10**399))
 
-#: n = 10^300 and r = 10^10: inside lgamma's float range, but lgamma(n + 1)
-#: and lgamma(n - r + 1) are the same float, so only the bit-length bound
-#: sees that C(n, r) has more than 2.8 * 10^12 digits.
-NEAR_FLOAT_LIMIT_HOST = (str(10**300), str(10**10))
+def payload(row_id):
+    """The stdout payload of an argv-contract row's golden.  The tests that
+    read goldens pin facts, so a regenerated golden cannot drop one."""
+    return json.loads(sections(row_id)["stdout"])
+
+
+def golden_error(row_id):
+    """The JSON error of a contract row whose golden holds stderr alone."""
+    streams = sections(row_id)
+    assert list(streams) == ["stderr"] and "Traceback" not in streams["stderr"]
+    return json.loads(streams["stderr"])["error"]
+
+
+def numbered(row_ids):
+    """Parametrizes row_id over contract rows, with ids argv0, argv1, ..."""
+    ids = [f"argv{i}" for i in range(len(row_ids))]
+    return pytest.mark.parametrize("row_id", row_ids, ids=ids)
 
 
 def run(tmp_path, *argv):
@@ -37,38 +48,27 @@ def run(tmp_path, *argv):
     return code, data
 
 
-def stable(data):
-    """Payload minus the wall-clock field, which legitimately varies."""
-    return {k: v for k, v in data.items() if k != "duration_seconds"}
-
-
 class TestSubcommands:
-    def test_copies(self, tmp_path):
-        code, data = run(tmp_path, "copies", "6", "3")
-        assert code == 0 and data["count"] == 90
-        assert data["tool_version"]
-        assert data["config"]["n"] == 6
+    def test_copies(self):
+        data = payload("copies-6-3")
+        assert data["count"] == 90 and data["tool_version"] and data["config"]["n"] == 6
 
-    def test_copies_listing(self, tmp_path):
-        code, data = run(tmp_path, "copies", "4", "3", "--list")
-        assert code == 0 and len(data["copies"]) == 6
+    def test_copies_listing(self):
+        assert len(payload("copies-4-3-list")["copies"]) == 6
 
-    def test_expand(self, tmp_path):
-        code, data = run(tmp_path, "expand", "6", "3", "--k", "3")
-        assert code == 0
-        assert data["orders"]["1"] == {"2": [-90, 1]}
-        assert data["orders"]["2"] == {"3": [720, 1], "4": [-720, 1]}
+    def test_expand(self):
+        orders = payload("expand-6-3-k4")["orders"]
+        assert orders["1"] == {"2": [-90, 1]}
+        assert orders["2"] == {"3": [720, 1], "4": [-720, 1]}
 
-    def test_series_small(self, tmp_path):
-        code, data = run(tmp_path, "series", "--max-p-power", "2")
-        assert code == 0
-        assert data["terms"] == [
+    def test_series_small(self):
+        terms = payload("series-r3-p4")["terms"]
+        assert [term for term in terms if term["p_power"] == 2] == [
             {"coeff_num": -1, "coeff_den": 4, "n_falling": 4, "p_power": 2}
         ]
 
-    def test_delta(self, tmp_path):
-        code, data = run(tmp_path, "delta", "6", "3", "--i", "1")
-        assert code == 0 and data["moment_sum"] == {"2": [90, 1]}
+    def test_delta(self):
+        assert payload("delta-6-3-i2")["moment_sum"] == {"3": [720, 1]}
 
     def test_delta_past_the_copy_count_walks_nothing(self, tmp_path, monkeypatch):
         # n = 5 has 30 copies, so no polymer has 31: the sum is 0 at once,
@@ -103,69 +103,44 @@ class TestSubcommands:
         assert err["context"] == {"cap": 1, "size": 30}
         assert len(walked) == 1
 
-    def test_cumulants(self, tmp_path):
-        code, data = run(tmp_path, "cumulants", "5", "3", "--k", "1")
-        assert code == 0 and data["cumulant_sum"] == {"2": [-30, 1]}
+    def test_cumulants(self):
+        assert payload("cumulants-6-3-k3")["cumulant_sum"]["2"] == [-90, 1]
 
-    def test_oracle_value(self, tmp_path):
-        code, data = run(tmp_path, "oracle", "4", "3", "--p", "1/2")
-        assert code == 0
-        assert data["value"] == {"num": 5, "den": 16}
+    def test_oracle_value(self):
+        assert payload("oracle-4-3")["value"] == {"num": 5, "den": 16}
 
-    def test_montecarlo(self, tmp_path):
-        code, data = run(
-            tmp_path, "montecarlo", "4", "3", "--p", "0.5", "--trials", "2000",
-            "--seed", "5",
-        )
-        assert code == 0
-        rep = data["report"]
-        assert rep["trials"] == 2000 and rep["rng_name"] == "philox4x64-block512"
+    def test_montecarlo(self):
+        rep = payload("montecarlo-5-3")["report"]
+        assert rep["trials"] == 4000 and rep["hits"] == 129
+        assert rep["rng_name"] == "philox4x64-block512"
 
-    def test_asymptotic(self, tmp_path):
-        code, data = run(tmp_path, "asymptotic", "50", "3", "--p", "0.002")
-        assert code == 0
+    def test_asymptotic(self):
+        data = payload("asymptotic-50-3")
         assert "refined_r3" in data and "general_r" in data
         assert data["refined_r3"]["log_prob"] < 0
 
-    def test_asymptotic_below_the_float_range(self, tmp_path):
+    def test_asymptotic_below_the_float_range(self):
         # p = 10^-400 is 0.0 as a float; the exponent comes from the rational
-        code, data = run(tmp_path, "asymptotic", "10", "3", "--p", "1e-400")
-        assert code == 0
-        assert data["refined_r3"]["diagnostics"]["p_exponent"] == pytest.approx(400)
-        assert data["refined_r3"]["valid"] is True
+        refined = payload("asymptotic-p-1e-400")["refined_r3"]
+        assert refined["diagnostics"]["p_exponent"] == pytest.approx(400)
+        assert refined["valid"] is True
 
-    def test_compare_single_point(self, tmp_path):
-        code, data = run(
-            tmp_path, "compare", "6", "3", "--p", "1/100", "--trials", "2000",
-            "--seed", "3",
-        )
-        assert code == 0
-        row = data["rows"][0]
+    def test_compare_single_point(self):
+        row = payload("compare-6-3")["rows"][0]
         assert row["log_exact"] is not None
         assert row["log_T2"] is not None and row["mc_estimate"] is not None
 
-    def test_compare_exact_cell_past_the_subset_scan(self, tmp_path):
-        code, data = run(tmp_path, "compare", "8", "3", "--p", "1/100")
-        assert code == 0
+    def test_compare_exact_cell_past_the_subset_scan(self):
         exact = exact_linearity_polynomial(8, 3)(Fraction(1, 100))
-        assert data["rows"][0]["log_exact"] == log_fraction(exact)
+        assert payload("compare-8-3")["rows"][0]["log_exact"] == log_fraction(exact)
 
-    def test_compare_csv_sweep(self, tmp_path):
-        csv_path = tmp_path / "sweep.csv"
-        out = tmp_path / "out.json"
-        code = main(
-            [
-                "compare", "6", "3", "--sweep", "0.001,0.01,3",
-                "--csv", str(csv_path), "--output", str(out),
-            ]
-        )
-        assert code == 0
-        lines = csv_path.read_text().strip().splitlines()
+    def test_compare_csv_sweep(self):
+        lines = sections("compare-sweep-csv")["sweep.csv"].splitlines()
         assert lines[0] == (
             "p,log_exact,log_T2,log_T3,log_T4,log_closed_r3,log_closed_general,"
             "mc_estimate,mc_stderr"
         )
-        assert len(lines) == 4
+        assert len(lines) == 13
         # Monte Carlo columns were not requested: empty, never zero
         assert lines[1].endswith(",,")
 
@@ -197,49 +172,37 @@ class TestSubcommands:
         assert code == 0
         assert sweep["rows"][0] == single["rows"][0]
 
-    def test_verify(self, tmp_path, capsys):
-        code, data = run(tmp_path, "verify")
-        assert code == 0
-        assert data["all_passed"] is True
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert all(line.startswith("PASS") for line in lines if line)
+    def test_verify(self):
+        lines, _, data = sections("verify")["stdout"].partition("{")
+        assert json.loads("{" + data)["all_passed"] is True
+        assert all(line.startswith("PASS") for line in lines.splitlines())
 
 
 class TestDeterminism:
+    @staticmethod
+    def results(tmp_path, argv, workers):
+        """The distinct payloads of `argv` run once per worker count, less
+        the duration, the hash, and the pool size and file name, which are
+        configuration, not results."""
+        texts = set()
+        for i, count in enumerate(workers):
+            out = tmp_path / f"out{i}.json"
+            assert main([*argv, "--output", str(out), "--workers", str(count)]) == 0
+            data = json.loads(out.read_text())
+            for key in ("workers", "output"):
+                data["config"].pop(key)
+            for key in ("duration_seconds", "repro_sha256"):
+                data.pop(key)
+            texts.add(json.dumps(data, sort_keys=True))
+        return texts
+
     def test_montecarlo_byte_identical_across_runs_and_workers(self, tmp_path):
-        texts = []
-        for i, workers in enumerate((1, 1, 4, 8)):
-            out = tmp_path / f"mc{i}.json"
-            code = main(
-                [
-                    "montecarlo", "5", "3", "--p", "0.1", "--trials", "3000",
-                    "--seed", "7", "--output", str(out), "--workers", str(workers),
-                ]
-            )
-            assert code == 0
-            payload = json.loads(out.read_text())
-            # pool size and file name are configuration, not results
-            payload["config"].pop("workers")
-            payload["config"].pop("output")
-            payload.pop("repro_sha256")
-            texts.append(json.dumps(stable(payload), sort_keys=True))
-        assert len(set(texts)) == 1
+        argv = ["montecarlo", "5", "3", "--p", "0.1", "--trials", "3000", "--seed", "7"]
+        assert len(self.results(tmp_path, argv, (1, 1, 4, 8))) == 1
 
     def test_expand_byte_identical_across_workers(self, tmp_path):
-        texts = []
-        for i, workers in enumerate((1, 4, 8)):
-            out = tmp_path / f"ex{i}.json"
-            code = main(
-                ["expand", "6", "3", "--k", "4", "--output", str(out),
-                 "--workers", str(workers)]
-            )
-            assert code == 0
-            payload = json.loads(out.read_text())
-            payload["config"].pop("workers")
-            payload["config"].pop("output")
-            payload.pop("repro_sha256")
-            texts.append(json.dumps(stable(payload), sort_keys=True))
-        assert len(set(texts)) == 1
+        argv = ["expand", "6", "3", "--k", "4"]
+        assert len(self.results(tmp_path, argv, (1, 4, 8))) == 1
 
     def test_repro_hash_stable(self, tmp_path):
         _, a = run(tmp_path, "copies", "5", "3")
@@ -289,18 +252,12 @@ class TestStamping:
 
 
 class TestErrors:
-    def test_validation_exit_code(self, tmp_path, capsys):
-        code = main(["copies", "2", "3"])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "validation"
+    def test_validation_exit_code(self):
+        assert golden_error("invalid-copies-r-above-n")["type"] == "validation"
 
-    def test_cap_exit_code(self, tmp_path, capsys):
-        code = main(["oracle", "10", "3"])
-        assert code == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "cap_exceeded"
-        assert err["error"]["context"] == {"edges": 120}
+    def test_cap_exit_code(self):
+        err = golden_error("cap-oracle-10-3")
+        assert err["type"] == "cap_exceeded" and err["context"] == {"edges": 120}
 
     def test_copy_cap_of_a_huge_host(self, capsys):
         # C(100000, 50000)^2 / 2 copies: counted from four binomials, and
@@ -314,228 +271,97 @@ class TestErrors:
         assert len(err["context"]["copies"]) > limit
 
     @pytest.mark.parametrize(
-        "argv, keys",
-        [
-            (["oracle", "1000000", "500000"], {"edges_log10"}),
-            (
-                ["montecarlo", "1000000", "500000", "--p", "0.1", "--trials", "1", "--seed", "0"],
-                {"edges_log10", "cap"},
-            ),
-            (["copies", "100000000", "50000000"], {"edges_log10", "cap"}),
-            # past lgamma's float range, and r past the smaller side that
-            # math.comb accepts: bit lengths bound log10 C(n, r) from below
-            (["copies", *HUGE_HOST], {"edges_log10_at_least", "cap"}),
-            (["oracle", *HUGE_HOST], {"edges_log10_at_least"}),
-            (["expand", *HUGE_HOST, "--k", "3"], {"edges_log10_at_least", "cap"}),
-            (["compare", *HUGE_HOST, "--p", "1/100"], {"edges_log10_at_least", "cap"}),
-            (
-                ["montecarlo", *HUGE_HOST, "--p", "0.1", "--trials", "1", "--seed", "0"],
-                {"edges_log10_at_least", "cap"},
-            ),
-            # inside lgamma's range, where its estimate of log10 C(n, r) is 0
-            (["copies", *NEAR_FLOAT_LIMIT_HOST], {"edges_log10_at_least", "cap"}),
-            (["oracle", *NEAR_FLOAT_LIMIT_HOST], {"edges_log10_at_least"}),
-            (
-                ["expand", *NEAR_FLOAT_LIMIT_HOST, "--k", "3"],
-                {"edges_log10_at_least", "cap"},
-            ),
-            (
-                ["compare", *NEAR_FLOAT_LIMIT_HOST, "--p", "1/100"],
-                {"edges_log10_at_least", "cap"},
-            ),
-            (
-                ["montecarlo", *NEAR_FLOAT_LIMIT_HOST, "--p", "0.1", "--trials", "1",
-                 "--seed", "0"],
-                {"edges_log10_at_least", "cap"},
-            ),
-        ],
-        ids=["oracle", "montecarlo", "copies", "copies-huge", "oracle-huge", "expand-huge",
-             "compare-huge", "montecarlo-huge", "copies-near-limit", "oracle-near-limit",
-             "expand-near-limit", "compare-near-limit", "montecarlo-near-limit"],
+        "row_id",
+        [row.id for row in ROWS if row.id.startswith("too-large-")],
+        ids=lambda row_id: row_id.removeprefix("too-large-"),
     )
-    def test_cap_of_a_host_too_large_to_count(self, capsys, argv, keys):
+    def test_cap_of_a_host_too_large_to_count(self, row_id):
         # C(n, r) has 301,027, 30,102,996, more than 10^399 and more than
         # 2.8 * 10^12 digits here: past EXACT_COUNT_DIGITS the cap error
-        # gives log10 C(n, r), or a lower bound on it, at once
-        started = time.monotonic()
-        assert main(argv) == 3
-        assert time.monotonic() - started < 2
-        context = json.loads(capsys.readouterr().err)["error"]["context"]
-        assert set(context) == keys
-        assert all(context[key] > hypergraph.EXACT_COUNT_DIGITS for key in keys - {"cap"})
+        # gives log10 C(n, r), or, past lgamma's float range or where its
+        # estimate reads 0, a lower bound on it from bit lengths
+        context = golden_error(row_id)["context"]
+        (key,) = set(context) - {"cap"}
+        assert key in ("edges_log10", "edges_log10_at_least")
+        assert context[key] > hypergraph.EXACT_COUNT_DIGITS
+        assert ("cap" in context) == ("oracle" not in row_id)
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["copies", "--list"],
-            ["oracle", "--p", "1/2"],
-            ["expand", "--k", "3"],
-            ["delta", "--i", "2"],
-            ["cumulants", "--k", "2"],
-            ["compare", "--p", "1/2"],
-        ],
-        ids=lambda argv: argv[0],
+        "row_id",
+        [row.id for row in ROWS if row.id.startswith("one-edge-")],
+        ids=lambda row_id: row_id.removeprefix("one-edge-"),
     )
-    def test_one_edge_host_of_any_size_answers_at_once(self, tmp_path, argv):
+    def test_one_edge_host_of_any_size_answers_at_once(self, row_id):
         # n = r = 10^10: one edge of 10^10 vertices, which is never listed,
         # no copies and P = 1
-        started = time.monotonic()
-        code, data = run(tmp_path, argv[0], str(10**10), str(10**10), *argv[1:])
-        assert code == 0
-        assert time.monotonic() - started < 2
+        data = payload(row_id)
         assert data.get("count", 0) == 0 and data.get("copies", []) == []
-        if argv[0] == "oracle":
+        if "oracle" in row_id:
             assert data["polynomial"] == {"0": [1, 1]}
+        if row_id == "one-edge-oracle":
             assert data["value"] == {"num": 1, "den": 1}
+        if row_id == "one-edge-montecarlo":
+            assert data["report"]["hits"] == data["report"]["trials"] == 1
 
-    def test_sweep_count_past_the_limit_exits_promptly(self, capsys):
+    def test_sweep_count_past_the_limit_exits_promptly(self):
         # 10^8 points would need gigabytes before the first row is built
-        started = time.monotonic()
-        assert main(["compare", "6", "3", "--sweep", "0.0001,0.5,100000000"]) == 2
-        assert time.monotonic() - started < 2
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "validation"
-        assert f"count <= {cli.MAX_SWEEP_POINTS}" in err["message"]
         limit = cli.MAX_SWEEP_POINTS
+        assert f"count <= {limit}" in golden_error("invalid-sweep-points")["message"]
         assert len(cli._sweep_points(f"0.0001,0.5,{limit}")) == limit
         with pytest.raises(ValidationError):
             cli._sweep_points(f"0.0001,0.5,{limit + 1}")
 
-    def test_cumulant_size_past_the_partition_rows(self, capsys):
+    def test_cumulant_size_past_the_partition_rows(self):
         # the walk reaches polymers of 9 copies at once, one past the
         # largest whose set partitions cumulant_sum lists
-        started = time.monotonic()
-        assert main(["cumulants", "6", "3", "--k", str(10**400)]) == 3
-        assert time.monotonic() - started < 2
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "cap_exceeded"
+        err = golden_error("cap-cumulants-partition-rows")
         assert err["context"] == {"size": 9, "max_partition_items": 8}
         assert "size 9" in err["message"]
 
-    def test_compare_cap_is_the_expand_cap_error(self, capsys):
-        assert main(["compare", "6", "3", "--p", "1/100", "--cap", "10"]) == 3
-        compare_err = capsys.readouterr().err
-        assert main(["expand", "6", "3", "--k", "4", "--cap", "10"]) == 3
-        assert compare_err == capsys.readouterr().err
-        assert json.loads(compare_err)["error"]["type"] == "cap_exceeded"
+    def test_compare_cap_is_the_expand_cap_error(self):
+        assert golden_error("cap-compare-10") == golden_error("cap-expand-10")
 
-    def test_expand_cap_partial_opt_in(self, tmp_path, capsys):
-        out = tmp_path / "p.json"
-        code = main(
-            ["expand", "6", "3", "--k", "4", "--cap", "100", "--output", str(out)]
-        )
-        assert code == 3
-        assert not out.exists()  # no partial output without the flag
-        code = main(
-            [
-                "expand", "6", "3", "--k", "4", "--cap", "100",
-                "--allow-partial", "--output", str(out),
-            ]
-        )
-        assert code == 3
-        data = json.loads(out.read_text())
-        assert data["partial"] is True and "1" in data["orders"]
+    def test_expand_cap_partial_opt_in(self):
+        # no partial output without the flag; with it, see the next test
+        assert list(sections("cap-no-partial")) == ["stderr"]
 
-    def test_expand_cap_does_not_depend_on_workers(self, capsys):
-        errors = []
-        for workers in ("1", "2"):
-            code = main(
-                ["expand", "6", "3", "--k", "4", "--cap", "6000", "--workers", workers]
-            )
-            assert code == 3
-            errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1]
-        assert json.loads(errors[0])["error"]["type"] == "cap_exceeded"
+    def test_expand_cap_does_not_depend_on_workers(self):
+        assert golden_error("cap-no-partial") == golden_error("cap-no-partial-workers-2")
 
-    def test_expand_cap_context_names_completed_orders(self, tmp_path, capsys):
-        code, data = run(
-            tmp_path, "expand", "6", "3", "--k", "4", "--cap", "6000", "--allow-partial"
-        )
-        assert code == 3
+    def test_expand_cap_context_names_completed_orders(self):
+        streams = sections("cap-partial")
+        data = json.loads(streams["partial.json"])
+        assert data["partial"] is True
         assert data["cap_context"] == {
             "cap": 6000, "completed_orders": [1, 2], "partial_order": 3
         }
         assert sorted(data["orders"]) == ["1", "2"]
-        error = json.loads(capsys.readouterr().err)["error"]
+        error = json.loads(streams["stderr"])["error"]
         assert error["type"] == "cap_exceeded" and error["context"] == data["cap_context"]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["compare", "6", "3", "--sweep", "0.1,0.2"],
-            ["compare", "6", "3", "--sweep", "0.1,0.2,x"],
-            ["montecarlo", "4", "3", "--p", "0.5", "--trials", "10", "--seed", "-1"],
-            ["oracle", "4", "3", "--p", "3/2"],
-            ["oracle", "4", "3", "--p", "0/1"],
-            ["compare", "4", "3", "--p", "1/1"],
-            ["expand", "5", "3", "--k", "3", "--cap", "-1"],
-            ["copies", "5", "3", "--workers", "0"],
-            ["copies", "5", "3", "--workers", "-3"],
-            ["compare", "4", "3", "--p", "1/100", "--trials", "-5"],
-            ["expand", "6", "3", "--k", "1"],
-            ["expand", "6", "3"],
-            ["compare", "5", "3", "--p", "1/2", "--sweep", "0.1,0.2,2"],
-            ["compare", "5", "3"],
-            ["compare", "5", "3", "--sweep", "1e-13,3e-13,3"],
-            # 1e-400 is 0.0 as a float, so it spans no geometric grid
-            ["compare", "6", "3", "--sweep", "1e-400,0.5,3"],
-            # --cap only where a cap is honoured, --allow-partial only on expand
-            ["series", "--max-p-power", "2", "--cap", "1"],
-            ["oracle", "4", "3", "--cap", "1"],
-            ["copies", "5", "3", "--allow-partial"],
-            ["compare", "6", "3", "--p", "1/100", "--cap", "10", "--allow-partial"],
-            # estimates whose magnitude is past the float range
-            ["asymptotic", "400", "200", "--p", "0.5"],
-            ["asymptotic", str(10**100), "3", "--p", "0.5"],
-            # ... raised before C(n, r), which has 30 million digits, is built
-            ["asymptotic", "100000000", "50000000", "--p", "0.5"],
-            # ... and past lgamma's float range, where C(n, r) is too large
-            # to count
-            ["asymptotic", *HUGE_HOST, "--p", "0.1"],
-        ],
-    )
-    def test_bad_input_is_a_json_validation_error(self, argv, capsys):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = json.loads(captured.err)
-        assert err["error"]["type"] == "validation"
+    @numbered([row.id for row in ROWS if row.code == 2])
+    def test_bad_input_is_a_json_validation_error(self, row_id):
+        assert golden_error(row_id)["type"] == "validation"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["asymptotic", "10", "3", "--p", "1e-100000"],
-            ["montecarlo", "50", "3", "--p", "1e-100000", "--trials", "1", "--seed", "0"],
-            ["asymptotic", "10", "3", "--p", "0." + "1" * 4300],
-        ],
-    )
-    def test_decimal_past_the_digit_limit_exits_promptly(self, argv, capsys):
+    @numbered(["invalid-p-exponent", "invalid-montecarlo-p-exponent", "invalid-p-4301-chars"])
+    def test_decimal_past_the_digit_limit_exits_promptly(self, row_id):
         # p = 1e-100000 kept exact makes sums over 100,000-digit denominators
         # (6 s for `asymptotic 10 3`); the text and its exponent are held to
         # the interpreter's 4300-digit int-parse limit while parsing
-        started = time.monotonic()
-        assert main(argv) == 2
-        assert time.monotonic() - started < 2
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "validation" and "4300" in err["message"]
+        assert "4300" in golden_error(row_id)["message"]
 
-    def test_decimal_at_the_digit_limit_evaluates(self, tmp_path):
-        code, data = run(tmp_path, "asymptotic", "10", "3", "--p", "1e-4300")
-        assert code == 0
-        assert data["refined_r3"]["diagnostics"]["p_exponent"] == pytest.approx(4300)
+    def test_decimal_at_the_digit_limit_evaluates(self):
+        refined = payload("asymptotic-p-1e-4300")["refined_r3"]
+        assert refined["diagnostics"]["p_exponent"] == pytest.approx(4300)
 
-    def test_p_format_mixing_rejected(self, tmp_path, capsys):
-        assert main(["oracle", "4", "3", "--p", "0.5"]) == 2
-        capsys.readouterr()
-        assert (
-            main(["montecarlo", "4", "3", "--p", "1/2", "--trials", "10", "--seed", "0"])
-            == 2
-        )
-        capsys.readouterr()
+    def test_p_format_mixing_rejected(self):
+        assert "decimals are reserved" in golden_error("invalid-oracle-decimal-p")["message"]
+        message = golden_error("invalid-rational-p")["message"]
+        assert "rationals are reserved" in message
 
-    def test_compare_needs_p_or_sweep(self, tmp_path, capsys):
-        assert main(["compare", "5", "3"]) == 2
-        capsys.readouterr()
+    def test_compare_needs_p_or_sweep(self):
+        message = golden_error("invalid-compare-no-p")["message"]
+        assert message == "one of the arguments --p --sweep is required"
 
     @pytest.mark.parametrize(
         "argv",
@@ -568,12 +394,8 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "validation" and str(tmp_path) in err["message"]
 
-    def test_oversized_montecarlo_host_is_a_cap_error(self, capsys):
-        argv = ["montecarlo", "2049", "3", "--p", "0.001", "--trials", "1", "--seed", "0"]
-        assert main(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        err = json.loads(captured.err)["error"]
+    def test_oversized_montecarlo_host_is_a_cap_error(self):
+        err = golden_error("cap-montecarlo-2049-3")
         assert err["type"] == "cap_exceeded"
         assert err["context"] == {"edges": 1431655424, "cap": 2**26}
 

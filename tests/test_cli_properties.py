@@ -9,8 +9,6 @@ sizes of 10^400 and sweeps of 10^8 points, each in a child process with
 a bounded address space: every such run is refused or answered within 2 s.
 """
 
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -22,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from linhyp.cli import main
+from argv_contract import run_in_process
 
 ERROR_TYPES = {2: "validation", 3: "cap_exceeded", 4: "internal_consistency"}
 
@@ -79,13 +77,6 @@ def argvs(draw, command):
     return argv
 
 
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def normalised(stdout):
     """The payload less the fields that may differ between the runs."""
     if not stdout:
@@ -102,7 +93,7 @@ def normalised(stdout):
 @given(data=st.data())
 def test_cli_contract(command, data):
     argv = data.draw(argvs(command))
-    results = [run([*argv, "--workers", w]) for w in ("1", "2")]
+    results = [run_in_process([*argv, "--workers", w]) for w in ("1", "2")]
     for code, stdout, stderr in results:
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in stdout + stderr

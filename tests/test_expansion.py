@@ -560,6 +560,24 @@ class TestSymbolicSeries:
             )
             assert symbolic_at_n == truncated_exact
 
+    def test_disjoint_cluster_series_leaves_log_p_at_p4(self):
+        # the series is log P's Taylor series through p^3; at p^4 it lacks
+        # the repeated-copy cluster, -w(c)^2 / 2 per copy, so log P's p^4
+        # coefficient is lower by (1/8)[n]_4
+        terms = symbolic_series(4)
+        p4 = {}
+        for n in range(4, 9):
+            a = exact_linearity_polynomial(n, 3).coeff
+            log_p = {}  # k b_k = k a_k - sum_{j<k} j b_j a_{k-j}, as a_0 = 1
+            for k in range(1, 5):
+                log_p[k] = a(k) - sum(j * log_p[j] * a(k - j) for j in range(1, k)) / k
+            series = [sum(t.coeff * falling_factorial(n, t.n_falling) for t in terms
+                          if t.p_power == k) for k in range(5)]
+            gap = [log_p[k] - series[k] for k in range(1, 5)]
+            assert gap == [0, 0, 0, -falling_factorial(n, 4) / 8]
+            p4[n] = (log_p[4], series[4])
+        assert p4[4] == (-21, -18) and p4[5] == (-660, -645) and p4[8] == (-78750, -78540)
+
     @pytest.mark.parametrize("n", [12, 16, 20])
     def test_series_slice_equals_budgeted_term_at_large_n(self, n):
         # the size-k slice of the grouped series, evaluated at n, is the
