@@ -63,7 +63,7 @@ import math
 from fractions import Fraction
 from collections import Counter
 from functools import cache
-from itertools import chain, combinations, permutations, product
+from itertools import chain, permutations, product
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .combinat import MAX_PARTITION_ITEMS, mask_connected, set_partitions
@@ -102,16 +102,21 @@ def _subset_unions(masks: Iterable[int]) -> list[int]:
     return unions
 
 
+def _meeting_masks(masks: Sequence[int]) -> tuple[int, ...]:
+    """Neighbour masks of the graph on the items of `masks` in which two
+    items are adjacent when their masks intersect."""
+    return tuple(
+        sum(1 << j for j, other in enumerate(masks) if j != i and m & other)
+        for i, m in enumerate(masks)
+    )
+
+
 def _phi_of_blocks(unions: Sequence[int]) -> Fraction:
     """Ursell weight of the closeness graph of disjoint connected blocks,
     given each block's hyperedge union: two blocks are close exactly when
     some copy of one shares a hyperedge with some copy of the other, i.e.
     when their unions intersect."""
-    m = len(unions)
-    close = [
-        (i + 1, j + 1) for i in range(m) for j in range(i + 1, m) if unions[i] & unions[j]
-    ]
-    return ursell(SimpleGraph.from_edges(m, close))
+    return ursell(SimpleGraph(_meeting_masks(unions)))
 
 
 def _partition_contributions(masks: Sequence[int]) -> Iterable[tuple[int, Fraction]]:
@@ -123,10 +128,7 @@ def _partition_contributions(masks: Sequence[int]) -> Iterable[tuple[int, Fracti
     hyperedge union is read off the subset-union table.  The trivial
     partition always qualifies, with phi 1.
     """
-    adj = [
-        sum(1 << j for j, other in enumerate(masks) if j != i and m & other)
-        for i, m in enumerate(masks)
-    ]
+    adj = _meeting_masks(masks)
     unions = _subset_unions(masks)
     for blocks in set_partitions(len(masks)):
         if all(mask_connected(adj, b) for b in blocks):
@@ -394,15 +396,17 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
 # ---------------------------------------------------------------------------
 
 
-def _check_series_args(max_p_power: int, r: int) -> None:
-    """The arguments both series strategies accept: r = 3 and a budget in
-    2..MAX_SYMBOLIC_P_POWER."""
+def _check_series_args(max_p_power: int, r: int) -> int:
+    """The arguments both series strategies accept, r = 3 and a budget b in
+    2..MAX_SYMBOLIC_P_POWER, and the vertex-span bound D = r + (b - 1)(r - 2)
+    both read (see `interpolated_series_grouped`)."""
     if r != 3:
         raise ValidationError("symbolic closed forms are implemented for r = 3 only")
     if not 2 <= max_p_power <= MAX_SYMBOLIC_P_POWER:
         raise ValidationError(
             f"max_p_power must be in 2..{MAX_SYMBOLIC_P_POWER}, got {max_p_power}"
         )
+    return r + (max_p_power - 1) * (r - 2)
 
 
 def structural_series_grouped(
@@ -428,8 +432,7 @@ def structural_series_grouped(
     table on the hosts n = 0..D + 1, so what keeps the two independent is
     span binning on K_D against forward-difference interpolation.
     """
-    _check_series_args(max_p_power, r)
-    span = r + (max_p_power - 1) * (r - 2)
+    span = _check_series_args(max_p_power, r)
     d = dependency_graph_for(span, r)
 
     def spanned(emask: int, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -511,8 +514,7 @@ def interpolated_series_grouped(
     and the one at n = D + 1 is checked against the fit.  The samples at
     n <= r are 0 (no copy fits), so they cost nothing.
     """
-    _check_series_args(max_p_power, r)
-    degree = r + (max_p_power - 1) * (r - 2)
+    degree = _check_series_args(max_p_power, r)
     ns = list(range(degree + 2))  # degree + 1 fitted, the last checked
     sampled = _sample_power_sums(ns, max_p_power, r)
     keys = sorted({k for s in sampled.values() for k in s})
@@ -627,12 +629,11 @@ def hard_core_polynomial(n: int, r: int) -> Polynomial:
     for support in range(size):
         if support & (support - 1) and mask_connected(conflict, support):
             edges = _mask_to_members(support)
-            induced = [
-                (a + 1, b + 1)
-                for a, b in combinations(range(len(edges)), 2)
-                if conflict[edges[a]] >> edges[b] & 1
-            ]
-            weight[support] = int(ursell(SimpleGraph.from_edges(len(edges), induced)))
+            induced = tuple(
+                sum(1 << b for b, f in enumerate(edges) if conflict[e] >> f & 1)
+                for e in edges
+            )
+            weight[support] = int(ursell(SimpleGraph(induced)))
     z = [1] + [0] * (size - 1)
     coeffs = [1] + [0] * ne
     for covered in range(1, size):

@@ -7,6 +7,13 @@ the production path computes it; a direct spanning-subgraph summation is
 kept as an independent oracle.  That sum and the rank-sum chromatic
 polynomial both read one numpy scan, which finds the component count of
 every edge subset at once (`_signed_component_counts`).
+
+A `SimpleGraph` is its tuple of neighbour masks, bit b-1 of masks[a-1]
+set iff a ~ b; its vertex count and sorted edge list are read off them.
+Deletion-contraction, the independent-set table, the connectivity test
+and `ursell` all read the masks as they are, so a caller that holds a
+graph as bitmasks (the expansion's closeness and conflict graphs) builds
+no edge list.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from typing import Sequence
 
 from .combinat import independent_set_table, mask_connected, set_partitions
 from .errors import ValidationError
@@ -24,39 +32,60 @@ from .polynomial import Polynomial, falling_factorial_poly
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Loopless simple graph on vertices {1..v}; edges as sorted pairs."""
+    """Loopless simple graph on vertices {1..v}, stored as its neighbour
+    masks: bit b-1 of masks[a-1] is set iff a ~ b."""
 
-    v: int
-    edges: frozenset[tuple[int, int]]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        norm = set()
-        for a, b in self.edges:
-            if a == b:
-                raise ValidationError(f"loop at vertex {a}")
-            if not (1 <= a <= self.v and 1 <= b <= self.v):
-                raise ValidationError(f"edge ({a},{b}) outside 1..{self.v}")
-            norm.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        masks = tuple(self.masks)
+        object.__setattr__(self, "masks", masks)
+        v = len(masks)
+        for a, m in enumerate(masks):
+            if m >> a & 1:
+                raise ValidationError(f"loop at vertex {a + 1}")
+            if m >> v:
+                raise ValidationError(f"vertex {a + 1} has a neighbour outside 1..{v}")
+            rest = m
+            while rest:
+                b = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if not masks[b] >> a & 1:
+                    raise ValidationError(f"{a + 1} ~ {b + 1} but not {b + 1} ~ {a + 1}")
+
+    @property
+    def v(self) -> int:
+        return len(self.masks)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (a, b), a < b, in increasing order."""
+        return tuple(
+            (a + 1, b + 1)
+            for a, m in enumerate(self.masks)
+            for b in range(a + 1, len(self.masks))
+            if m >> b & 1
+        )
 
     @classmethod
     def from_edges(cls, v: int, edges) -> "SimpleGraph":
-        return cls(v=v, edges=frozenset(tuple(e) for e in edges))
+        masks = [0] * v
+        for a, b in edges:
+            if a == b:
+                raise ValidationError(f"loop at vertex {a}")
+            if not (1 <= a <= v and 1 <= b <= v):
+                raise ValidationError(f"edge ({a},{b}) outside 1..{v}")
+            masks[a - 1] |= 1 << (b - 1)
+            masks[b - 1] |= 1 << (a - 1)
+        return cls(tuple(masks))
 
     @classmethod
     def complete(cls, v: int) -> "SimpleGraph":
-        return cls(v=v, edges=frozenset(combinations(range(1, v + 1), 2)))
-
-    def adjacency_masks(self) -> list[int]:
-        """Bit v-1 of masks[u-1] set iff u ~ v."""
-        masks = [0] * self.v
-        for a, b in self.edges:
-            masks[a - 1] |= 1 << (b - 1)
-            masks[b - 1] |= 1 << (a - 1)
-        return masks
+        full = (1 << v) - 1
+        return cls(tuple(full ^ 1 << a for a in range(v)))
 
     def is_connected(self) -> bool:
-        return mask_connected(self.adjacency_masks(), (1 << self.v) - 1)
+        return mask_connected(self.masks, (1 << self.v) - 1)
 
 
 def _drop_bit(mask: int, i: int) -> int:
@@ -64,12 +93,14 @@ def _drop_bit(mask: int, i: int) -> int:
     return mask & ((1 << i) - 1) | (mask >> (i + 1)) << i
 
 
-# Memoised on the labelled minor's neighbour masks, with no canonical form,
-# for the exhaustive suites; the expansion needs one Ursell weight per
-# admissible partition of each copy-graph type (75 in `expand 6 3 --k 5`)
-# and the polymer-model form one per conflict-connected support (958 at
-# n = 5, r = 3).  Chromatic polynomials are integral, so the recursion
-# stays in ints: entry k of the tuple is the coefficient of lambda^k.
+# Memoised on the labelled minor's neighbour masks (at the top, a graph's
+# own `masks`), with no canonical form, for the exhaustive suites; the
+# expansion needs one Ursell weight per admissible partition of each
+# copy-graph type (75 in `expand 6 3 --k 5`, 17 distinct minors) and the
+# polymer-model form one per conflict-connected support (958 at n = 5,
+# r = 3; 4,083 at n = 12, r = 11, all complete graphs).  Chromatic
+# polynomials are integral, so the recursion stays in ints: entry k of the
+# tuple is the coefficient of lambda^k.
 @cache
 def _chromatic(masks: tuple[int, ...]) -> tuple[int, ...]:
     """Deletion and contraction of the edge from a maximum-degree vertex
@@ -97,10 +128,10 @@ def chromatic_polynomial(g: SimpleGraph) -> Polynomial:
     labelled minors."""
     if g.v < 1:
         raise ValidationError("graph needs at least one vertex")
-    return Polynomial(dict(enumerate(_chromatic(tuple(g.adjacency_masks())))))
+    return Polynomial(dict(enumerate(_chromatic(g.masks))))
 
 
-def _signed_component_counts(v: int, edges: list[tuple[int, int]]) -> dict[int, int]:
+def _signed_component_counts(v: int, edges: Sequence[tuple[int, int]]) -> dict[int, int]:
     """{k: sum of (-1)^|S| over the edge subsets S whose spanning subgraph
     has k components}.
 
@@ -148,10 +179,10 @@ def chromatic_via_whitney(g: SimpleGraph) -> Polynomial:
 
     Oracle implementation; exponential in the edge count, capped at 20.
     """
-    e = len(g.edges)
-    if e > 20:
-        raise ValidationError(f"edge budget exceeded: {e} > 20")
-    return Polynomial(_signed_component_counts(g.v, sorted(g.edges)))
+    edges = g.edges
+    if len(edges) > 20:
+        raise ValidationError(f"edge budget exceeded: {len(edges)} > 20")
+    return Polynomial(_signed_component_counts(g.v, edges))
 
 
 @cache
@@ -169,7 +200,7 @@ def _independent_partition_counts(g: SimpleGraph) -> dict[int, int]:
     (`independent_set_table`), and a partition counts when all of its
     blocks are.
     """
-    independent = independent_set_table(g.adjacency_masks())
+    independent = independent_set_table(g.masks)
     counts: dict[int, int] = {}
     for blocks in set_partitions(g.v):
         for b in blocks:
@@ -197,10 +228,9 @@ def ursell(g: SimpleGraph) -> Fraction:
     Disconnected input is an upstream bug and rejected rather than mapped
     to zero.
     """
-    masks = tuple(g.adjacency_masks())
-    if not masks or not mask_connected(masks, (1 << g.v) - 1):
+    if not g.masks or not g.is_connected():
         raise ValidationError("Ursell weight is only used on connected graphs")
-    return Fraction(_chromatic(masks)[1])
+    return Fraction(_chromatic(g.masks)[1])
 
 
 def ursell_direct(g: SimpleGraph) -> Fraction:
@@ -212,7 +242,7 @@ def ursell_direct(g: SimpleGraph) -> Fraction:
     e = len(g.edges)
     if e > 24:
         raise ValidationError(f"edge budget exceeded: {e} > 24")
-    return Fraction(_signed_component_counts(g.v, sorted(g.edges)).get(1, 0))
+    return Fraction(_signed_component_counts(g.v, g.edges).get(1, 0))
 
 
 def complete_graph_ursell(m: int) -> Fraction:

@@ -10,6 +10,7 @@ forbidden copies inside the complete r-graph on [n].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -56,11 +57,16 @@ def check_host(n: int, r: int) -> None:
 
 def count_text(count: int) -> str:
     """str(count), or its size as a power of ten when it has more digits
-    than the interpreter's int-to-str limit allows."""
-    try:
-        return str(count)
-    except ValueError:
-        return f"about 10^{math.log10(count):.1f}"
+    than the interpreter's default int-to-str limit allows.  The default,
+    not the current limit, decides, since `cli.main` lifts the limit while
+    a command runs, and an error's exact count belongs in its context;
+    a limit set lower than the default still holds."""
+    if count < 10 ** sys.int_info.default_max_str_digits:
+        try:
+            return str(count)
+        except ValueError:
+            pass
+    return f"about 10^{math.log10(count):.1f}"
 
 
 def log10_edges_at_least(n: int, r: int) -> int:

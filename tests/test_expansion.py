@@ -183,6 +183,21 @@ class TestCumulantClusterIdentity:
         d = dependency_graph_for(5, 3)
         assert cumulant_sum(d, 1) == Polynomial({2: -30})
 
+    def test_weights_build_no_edge_list(self, monkeypatch):
+        # the closeness graphs of the cluster weights and the induced
+        # conflict graphs of the polymer weights reach ursell as neighbour
+        # masks: with the edge-list constructor broken, both still check
+        def broken(*args, **kwargs):
+            raise AssertionError("a weight path built an edge list")
+
+        monkeypatch.setattr(SimpleGraph, "from_edges", broken)
+        expansion._type_weight.cache_clear()
+        d5 = dependency_graph_for(5, 3)
+        for k in range(1, 5):
+            assert truncated_expansion(d5, k + 1) == cumulant_sum(d5, k)
+        for n in (4, 5):
+            assert hard_core_polynomial(n, 3) == exact_linearity_polynomial(n, 3)
+
 
 #: connected graphs with k = 1..6 edges (OEIS A002905)
 CONNECTED_GRAPHS_BY_EDGES = [1, 1, 3, 5, 12, 30]
@@ -359,6 +374,7 @@ class TestCumulantSum:
             "_cluster_sums",
             "_type_weight",
             "_partition_contributions",
+            "_meeting_masks",
             "_phi_of_blocks",
             "_orbit_tally",
             "ursell",

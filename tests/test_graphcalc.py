@@ -35,6 +35,41 @@ def poly(d):
     return Polynomial(d)
 
 
+class TestSimpleGraph:
+    def test_edges_are_read_back_sorted(self):
+        edges = [(3, 4), (1, 3), (2, 4), (1, 2)]
+        assert SimpleGraph.from_edges(4, edges).edges == tuple(sorted(edges))
+
+    def test_masks_are_the_neighbour_masks(self):
+        g = SimpleGraph.from_edges(3, [(2, 1), (2, 3)])
+        assert g.masks == (0b010, 0b101, 0b010)
+        assert g.v == 3
+        assert SimpleGraph.complete(3).masks == (0b110, 0b101, 0b011)
+
+    def test_from_edges_rejects_a_loop(self):
+        with pytest.raises(ValidationError, match="loop"):
+            SimpleGraph.from_edges(3, [(1, 2), (2, 2)])
+
+    @pytest.mark.parametrize("edge", [(1, 4), (0, 2), (-1, 3)])
+    def test_from_edges_rejects_a_vertex_outside(self, edge):
+        with pytest.raises(ValidationError, match="outside"):
+            SimpleGraph.from_edges(3, [edge])
+
+    def test_masks_reject_a_self_bit(self):
+        with pytest.raises(ValidationError, match="loop"):
+            SimpleGraph((0b010, 0b011))
+
+    def test_masks_reject_a_bit_at_or_above_v(self):
+        with pytest.raises(ValidationError, match="outside"):
+            SimpleGraph((0b100, 0b000))
+        with pytest.raises(ValidationError, match="outside"):
+            SimpleGraph((0b1010, 0b001))
+
+    def test_masks_reject_an_asymmetric_pair(self):
+        with pytest.raises(ValidationError, match="not"):
+            SimpleGraph((0b010, 0b000))
+
+
 class TestChromatic:
     def test_triangle(self):
         g = SimpleGraph.complete(3)
@@ -45,13 +80,13 @@ class TestChromatic:
         assert chromatic_polynomial(g) == poly({3: 1, 2: -2, 1: 1})
 
     def test_single_vertex(self):
-        assert chromatic_polynomial(SimpleGraph(v=1, edges=frozenset())) == poly({1: 1})
+        assert chromatic_polynomial(SimpleGraph.from_edges(1, [])) == poly({1: 1})
 
     def test_whitney_examples(self):
         assert chromatic_via_whitney(SimpleGraph.complete(3)) == poly({3: 1, 2: -3, 1: 2})
-        assert chromatic_via_whitney(SimpleGraph(v=4, edges=frozenset())) == poly({4: 1})
+        assert chromatic_via_whitney(SimpleGraph.from_edges(4, [])) == poly({4: 1})
         assert chromatic_via_whitney(SimpleGraph.complete(2)) == poly({2: 1, 1: -1})
-        assert chromatic_via_whitney(SimpleGraph(v=1, edges=frozenset())) == poly({1: 1})
+        assert chromatic_via_whitney(SimpleGraph.from_edges(1, [])) == poly({1: 1})
         # isolated vertices add one component to every edge subset
         assert chromatic_via_whitney(SimpleGraph.from_edges(5, [(2, 4)])) == poly(
             {5: 1, 4: -1}
@@ -61,7 +96,7 @@ class TestChromatic:
         assert chromatic_via_partitions(SimpleGraph.complete(3)) == poly(
             {3: 1, 2: -3, 1: 2}
         )
-        assert chromatic_via_partitions(SimpleGraph(v=2, edges=frozenset())) == poly({2: 1})
+        assert chromatic_via_partitions(SimpleGraph.from_edges(2, [])) == poly({2: 1})
         # path on 3 vertices: [x]_3 + [x]_2
         assert chromatic_via_partitions(
             SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
@@ -118,7 +153,7 @@ class TestChromatic:
 
     def test_partitions_vertex_cap(self):
         with pytest.raises(ValidationError):
-            chromatic_via_partitions(SimpleGraph(v=11, edges=frozenset()))
+            chromatic_via_partitions(SimpleGraph.from_edges(11, []))
 
 
 class TestUrsell:
@@ -148,7 +183,7 @@ class TestUrsell:
             ursell_direct(SimpleGraph.complete(8))
 
     def test_rejects_disconnected(self):
-        g = SimpleGraph(v=3, edges=frozenset({(1, 2)}))
+        g = SimpleGraph.from_edges(3, [(1, 2)])
         with pytest.raises(ValidationError):
             ursell(g)
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """Hypergraphs, forbidden copies, linearity, densities, fixture parsing."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -72,6 +73,18 @@ class TestEnumerateCopies:
             enumerate_forbidden_copies(5, 2)
         with pytest.raises(ValidationError):
             enumerate_forbidden_copies(2, 3)
+
+    def test_count_text_shortens_past_the_default_digit_limit(self):
+        # `cli.main` lifts the int-to-str limit while a command runs; a cap
+        # message still gives a count past the default limit as a power of 10
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = sys.int_info.default_max_str_digits
+            assert hypergraph.count_text(10**digits + 1) == f"about 10^{digits}.0"
+            assert hypergraph.count_text(10**digits - 1) == "9" * digits
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_copy_constructor_rejects_bad_overlap(self):
         with pytest.raises(ValidationError):
