@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .hypergraph import EXACT_COUNT_DIGITS, check_host, log10_edges_at_least
+from .hypergraph import binomial_up_to, check_host
 from .polynomial import falling_factorial, log_fraction
 
 REGIME_R3 = "refined_r3"
 REGIME_SMALL = "general_small"
 REGIME_MID = "general_mid"
-
-LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -138,20 +136,13 @@ def log_linearity_general(n: int, r: int, p: Fraction) -> AsymptoticEstimate:
         return AsymptoticEstimate(
             log_prob=0.0, regime=REGIME_SMALL, valid=True, diagnostics={}
         )
-    # C(n,r) >= (n/k)^k, k = min(r, n-r).  Below n = 2^600 the thresholds are
-    # floats, so when this bound (less a margin for rounding) puts p C(n,r)
-    # past the float range, its error is due and is raised before C(n,r)
-    k = min(r, n - r)
-    if k and n.bit_length() < 600:
-        log_binom, log_p = k * math.log(n / k), log_fraction(p)
-        if log_binom + log_p > LOG_FLOAT_MAX + 1 + 1e-12 * (log_binom - log_p):
-            raise _outside_float_range(f"{REGIME_MID} p_times_binom")
-    elif log10_edges_at_least(n, r) >= EXACT_COUNT_DIGITS:
-        # C(n,r) is too large to count (`hypergraph.edge_count`), so it is
-        # not built: for every p above 10^-49000 and n below 10^49000, p C(n,r)
-        # is then past the float range and above n, so in the mid regime
+    # p C(n,r) is a diagnostic, so it must be a float: C(n,r) is not formed
+    # past the largest float over p.  A larger p C(n,r) is above n / r^2 and
+    # so in the mid regime, unless n / r^2 is past the float range too.
+    count = binomial_up_to(n, r, int(sys.float_info.max) * p.denominator // p.numerator)
+    if count is None:
         raise _outside_float_range(f"{REGIME_MID} p_times_binom")
-    big_n = Fraction(math.comb(n, r))
+    big_n = Fraction(count)
     r2 = falling_factorial(r, 2)
     pn = p * big_n
     small_threshold = Fraction(n) / r**2

@@ -71,31 +71,51 @@ def _exact_p(text: str) -> Fraction:
 
 
 def _parse_decimal(text: str) -> Fraction:
-    """Decimal string; used on the Monte Carlo / asymptotic paths.  Its text
-    and exponent are held to the int-parse limit, as a rational's digits
-    are, before any Fraction is built, so no exact sum runs on a longer
-    denominator."""
+    """Decimal probability in [0,1); used on the Monte Carlo / asymptotic
+    paths.  Its text and exponent are held to the int-parse limit
+    (`hypergraph.MAX_DIGITS`), as a rational's digits are, before any
+    Fraction is built, so no exact sum runs on a longer denominator.  A
+    value outside [0,1) is refused here by its text: the engines' range
+    errors print the value, whose numerator or denominator may have more
+    digits than an int prints."""
     from fractions import Fraction
+
+    from .hypergraph import MAX_DIGITS
 
     if "/" in text:
         raise ValidationError(
             f"expected a decimal like 0.001, got {text!r} "
             "(rationals are reserved for the exact paths)"
         )
-    limit = sys.int_info.default_max_str_digits
-    if len(text) > limit:
-        raise ValidationError(f"decimal of {len(text)} characters exceeds the limit of {limit}")
+    if len(text) > MAX_DIGITS:
+        raise ValidationError(
+            f"decimal of {len(text)} characters exceeds the limit of {MAX_DIGITS}"
+        )
     _mantissa, e, exponent = text.lower().partition("e")
     try:
         scale = abs(int(exponent)) if e else 0
     except ValueError:
         scale = 0  # malformed: Fraction says why
-    if scale > limit:
-        raise ValidationError(f"decimal exponent of {text!r} exceeds {limit} in magnitude")
+    if scale > MAX_DIGITS:
+        raise ValidationError(f"decimal exponent of {text!r} exceeds {MAX_DIGITS} in magnitude")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad decimal {text!r}: {exc}") from None
+    if not 0 <= value < 1:
+        raise ValidationError(f"decimal {text!r} is not in [0,1)")
+    return value
+
+
+def _printable(name: str, value: Fraction) -> Fraction:
+    """`value`, a number in [0,1] that a payload prints exactly; a
+    denominator of more than `hypergraph.MAX_DIGITS` digits, which no int
+    prints under the interpreter's default limit, is a ValidationError."""
+    from .hypergraph import COUNT_LIMIT, MAX_DIGITS
+
+    if value.denominator > COUNT_LIMIT:
+        raise ValidationError(f"{name} has a denominator of more than {MAX_DIGITS} digits")
+    return value
 
 
 #: The most points a `--sweep` may ask for.  Every point is a row, with its
@@ -312,7 +332,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
     payload: dict = {"polynomial": poly.to_json()}
     if args.p is not None:
         p = _exact_p(args.p)
-        value = poly(p)
+        value = _printable(f"the exact value at p = {args.p}", poly(p))
         payload["p"] = {"num": p.numerator, "den": p.denominator}
         payload["value"] = {"num": value.numerator, "den": value.denominator}
         payload["value_float"] = float(value)
@@ -322,7 +342,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
 def _cmd_montecarlo(args) -> tuple[dict, int]:
     from .oracle import monte_carlo
 
-    p = _parse_decimal(args.p)
+    p = _printable("p", _parse_decimal(args.p))
     report = monte_carlo(args.n, args.r, p, trials=args.trials, seed=args.seed)
     return {"report": report.to_json()}, EXIT_OK
 
@@ -572,15 +592,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    limit = sys.get_int_max_str_digits()
     try:
         args = parser.parse_args(argv)
         for option in OUTPUT_PATH_OPTIONS:
             path = getattr(args, option, None)
             if path:
                 _check_writable(path)
-        # argv is parsed under the digit limit; a count reported may be any size
-        sys.set_int_max_str_digits(0)
         started = time.monotonic()
         payload, code = args.func(args)
         _emit(payload, args, time.monotonic() - started)
@@ -591,8 +608,6 @@ def main(argv=None) -> int:
         return _emit_error("cap_exceeded", str(exc), EXIT_CAP, exc.context)
     except LinhypError as exc:
         return _emit_error("internal_consistency", str(exc), EXIT_IDENTITY)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

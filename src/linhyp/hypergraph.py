@@ -10,16 +10,19 @@ forbidden copies inside the complete r-graph on [n].
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapExceededError, ValidationError
 
-#: The most digits of an edge count C(n, r) that is computed exactly; every
-#: cap is far below a larger one (math.comb(10^6, 5 * 10^5), 301,027
-#: digits, alone takes over 10 s), so `edge_count` refuses it at once.
-EXACT_COUNT_DIGITS = 100_000
+#: CPython's default limit on the digits of an int printed as text (3.10.7
+#: on).  No count of more digits is formed, so every count an error
+#: reports prints under the default; `cli` reads decimals to it as well.
+MAX_DIGITS = 4300
+
+#: The largest count that is formed, the largest of MAX_DIGITS digits.
+#: Every cap is far below it, so a count past it is over every cap.
+COUNT_LIMIT = 10**MAX_DIGITS - 1
 
 #: Ceiling on the forbidden copies of one host (r = 3 passes it at n = 25).
 #: It bounds time, not memory: a DependencyGraph holds one hyperedge mask
@@ -55,66 +58,34 @@ def check_host(n: int, r: int) -> None:
         raise ValidationError(f"need n >= r, got n={n}, r={r}")
 
 
-def count_text(count: int) -> str:
-    """str(count), or its size as a power of ten when it has more digits
-    than the interpreter's default int-to-str limit allows.  The default,
-    not the current limit, decides, since `cli.main` lifts the limit while
-    a command runs, and an error's exact count belongs in its context;
-    a limit set lower than the default still holds."""
-    if count < 10 ** sys.int_info.default_max_str_digits:
-        try:
-            return str(count)
-        except ValueError:
-            pass
-    return f"about 10^{math.log10(count):.1f}"
+def binomial_up_to(n: int, r: int, limit: int) -> int | None:
+    """C(n, r) for 0 <= r <= n, or None when it exceeds `limit`.
 
-
-def log10_edges_at_least(n: int, r: int) -> int:
-    """A lower bound on log10 C(n, r) from bit lengths alone, for any
-    n >= r >= 0: with k = min(r, n - r), C(n, r) >= (n/k)^k, and n/k is at
-    least 2 and at least 2^(len(n) - 1 - len(k)); 0.301 < log10 2."""
-    k = min(r, n - r)
-    return k * max(1, n.bit_length() - 1 - k.bit_length()) * 301 // 1000
-
-
-def edge_count(n: int, r: int, cap: int, /, **context) -> int:
-    """C(n, r) for a check against `cap`, computed only when it has at most
-    EXACT_COUNT_DIGITS digits.  The judge is the larger of log10 C(n, r)
-    from math.lgamma and `log10_edges_at_least`: past lgamma's float range
-    there is no estimate, and near it lgamma(n + 1) and lgamma(n - r + 1)
-    can round to the same float, so the estimate reads 0 for a count of
-    any size (n = 10^300, r = 10^10).  A larger count raises
-    CapExceededError at once, with context {edges_log10} when the estimate
-    decides, {edges_log10_at_least} when the bound does, and `context`."""
-    try:
-        log10 = (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)) / math.log(10)
-        size, bound = f"about 10^{log10:.1f}", {"edges_log10": round(log10, 1)}
-    except OverflowError:  # n is past lgamma's float range
-        log10 = -math.inf
-    at_least = log10_edges_at_least(n, r)
-    if at_least > log10:
-        log10 = at_least
-        size, bound = f"at least 10^{count_text(log10)}", {"edges_log10_at_least": log10}
-    if log10 >= EXACT_COUNT_DIGITS:
-        raise CapExceededError(
-            f"C({n},{r}) is {size}, too large to count, and over the cap of {cap}",
-            **bound,
-            **context,
-        )
-    return math.comb(n, r)
+    The running product C(n, i), i = 1 .. min(r, n - r), never decreases,
+    so it stops at the first value past `limit` and never forms a larger
+    binomial.  C(n, i) >= (n/i)^i >= 2^i there, so that takes at most
+    log2(limit) + 1 steps, however large n is."""
+    count = 1
+    for i in range(min(r, n - r)):
+        if count > limit:
+            return None
+        count = count * (n - i) // (i + 1)
+    return count if count <= limit else None
 
 
 def check_edge_cap(n: int, r: int, cap: int) -> int:
     """C(n, r), the edges of a host that `check_host` accepts; a count
-    over `cap` raises CapExceededError with context {edges} (or
-    {edges_log10} or {edges_log10_at_least}, see `edge_count`), before any
-    edge is listed."""
+    over `cap` raises CapExceededError with context {edges}, or {cap} when
+    the count is past COUNT_LIMIT, before any edge is listed."""
     check_host(n, r)
-    edges = edge_count(n, r, cap)
+    edges = binomial_up_to(n, r, COUNT_LIMIT)
+    if edges is None:
+        raise CapExceededError(
+            f"C({n},{r}) has more than {MAX_DIGITS} digits, over the {cap}-edge cap", cap=cap
+        )
     if edges > cap:
         raise CapExceededError(
-            f"C({n},{r}) = {count_text(edges)} edges exceeds the {cap}-edge cap",
-            edges=edges,
+            f"C({n},{r}) = {edges} edges exceeds the {cap}-edge cap", edges=edges
         )
     return edges
 
@@ -136,16 +107,19 @@ def enumerate_forbidden_copies(n: int, r: int) -> list[ForbiddenCopy]:
     lexicographically listed edges come out sorted.  For r=3 the count is
     [n]_4 / 4.  A host with more than COPY_CAP copies (`_copy_count`)
     raises CapExceededError with context {copies, cap} before any is
-    listed; past EXACT_COUNT_DIGITS edge digits the context is
-    {edges_log10, cap} or {edges_log10_at_least, cap} (`edge_count`).
+    listed, or {cap} when C(n, r) or the copy count is past COUNT_LIMIT.
     """
     check_host(n, r)
-    edge_count(n, r, COPY_CAP, cap=COPY_CAP)
-    count = _copy_count(n, r)
+    count = None if binomial_up_to(n, r, COUNT_LIMIT) is None else _copy_count(n, r)
+    if count is None or count > COUNT_LIMIT:
+        raise CapExceededError(
+            f"({n}, {r}) has a forbidden-copy count of more than {MAX_DIGITS} digits, "
+            f"over the cap of {COPY_CAP}",
+            cap=COPY_CAP,
+        )
     if count > COPY_CAP:
         raise CapExceededError(
-            f"({n}, {r}) has {count_text(count)} forbidden copies, "
-            f"over the cap of {COPY_CAP}",
+            f"({n}, {r}) has {count} forbidden copies, over the cap of {COPY_CAP}",
             copies=count,
             cap=COPY_CAP,
         )

@@ -33,8 +33,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: n = 10^400 and r = n / 2: C(n, r) has more than 10^399 digits.
 HUGE = f"{10**400} {5 * 10**399}"
-#: n = 10^300 and r = 10^10: inside lgamma's float range, where its estimate
-#: of log10 C(n, r) reads 0, so only the bit-length bound caps the host.
+#: n = 10^300 and r = 10^10: the running product C(n, i) passes 10^4300
+#: at i = 15, far short of r, so the refusal stops there.
 NEAR = f"{10**300} {10**10}"
 #: n = r = 10^10: one edge that is never listed, no copies and P = 1.
 ONE_EDGE = f"{10**10} {10**10}"
@@ -129,8 +129,9 @@ ROWS = [
         ("cap-oracle-2049-3", "oracle 2049 3", 3, 10),
         ("cap-copies-2049-3", "copies 2049 3", 3, 10),
         ("cap-montecarlo-2049-3", "montecarlo 2049 3 --p 0.001 --trials 1 --seed 0", 3, 10),
-        ("cap-copies-100000-50000", "copies 100000 50000", 3, 20),
-        # hosts too large to count: log10 C(n, r), or a lower bound on it
+        ("cap-copies-100000-50000", "copies 100000 50000", 3, 2),
+        # hosts too large to count: C(n, r) is past 10^4300, so only the cap
+        # is reported
         ("too-large-oracle", "oracle 1000000 500000", 3, 2),
         ("too-large-montecarlo", "montecarlo 1000000 500000 --p 0.1 --trials 1 --seed 0", 3, 2),
         ("too-large-copies", "copies 100000000 50000000", 3, 2),

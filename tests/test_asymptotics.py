@@ -157,14 +157,14 @@ class TestGeneralR:
             (3000, 1500, Fraction(1, 2)),
             (5000, 2500, Fraction(1, 10**100)),
             (10**150, 3, Fraction(1, 2)),
-            # p C(n, r) overflows, but the bound (n/r)^r does not reach it
+            # p C(n, r) is past the float range, though the lower bound (n/r)^r is not
             (100000, 100, Fraction(1, 2)),
         ],
     )
     def test_early_float_range_error_is_the_exact_paths(self, monkeypatch, n, r, p):
         with pytest.raises(ValidationError) as early:
             log_linearity_general(n, r, p)
-        monkeypatch.setattr(asymptotics, "LOG_FLOAT_MAX", math.inf)
+        monkeypatch.setattr(asymptotics, "binomial_up_to", lambda n, r, _limit: math.comb(n, r))
         with pytest.raises(ValidationError) as exact:
             log_linearity_general(n, r, p)
         assert str(early.value) == str(exact.value)

@@ -16,10 +16,10 @@ from linhyp import cli, hypergraph
 from linhyp.cli import main
 from linhyp.errors import ValidationError
 from linhyp.hypergraph import COPY_CAP
-from linhyp.oracle import exact_linearity_polynomial
+from linhyp.oracle import EXACT_EDGE_CAP, MC_PAIR_TABLE_CAP, exact_linearity_polynomial
 from linhyp.polynomial import log_fraction
 
-from argv_contract import ROWS, sections
+from argv_contract import ROWS, run_in_process, sections
 
 
 def payload(row_id):
@@ -260,15 +260,14 @@ class TestErrors:
         assert err["type"] == "cap_exceeded" and err["context"] == {"edges": 120}
 
     def test_copy_cap_of_a_huge_host(self, capsys):
-        # C(100000, 50000)^2 / 2 copies: counted from four binomials, and
-        # reported with more digits than the interpreter's default limit
-        limit = sys.get_int_max_str_digits()
+        # C(100000, 50000) has 30,101 digits, past hypergraph.COUNT_LIMIT:
+        # the copy count is not formed, and the error prints under the
+        # interpreter's default digit limit
         assert main(["expand", "100000", "50000", "--k", "2"]) == 3
-        assert sys.get_int_max_str_digits() == limit
-        err = json.loads(capsys.readouterr().err, parse_int=str)["error"]
+        err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "cap_exceeded"
-        assert err["context"]["cap"] == str(COPY_CAP)
-        assert len(err["context"]["copies"]) > limit
+        assert err["context"] == {"cap": COPY_CAP}
+        assert f"more than {hypergraph.MAX_DIGITS} digits" in err["message"]
 
     @pytest.mark.parametrize(
         "row_id",
@@ -277,14 +276,51 @@ class TestErrors:
     )
     def test_cap_of_a_host_too_large_to_count(self, row_id):
         # C(n, r) has 301,027, 30,102,996, more than 10^399 and more than
-        # 2.8 * 10^12 digits here: past EXACT_COUNT_DIGITS the cap error
-        # gives log10 C(n, r), or, past lgamma's float range or where its
-        # estimate reads 0, a lower bound on it from bit lengths
-        context = golden_error(row_id)["context"]
-        (key,) = set(context) - {"cap"}
-        assert key in ("edges_log10", "edges_log10_at_least")
-        assert context[key] > hypergraph.EXACT_COUNT_DIGITS
-        assert ("cap" in context) == ("oracle" not in row_id)
+        # 2.8 * 10^12 digits here: it is counted only up to COUNT_LIMIT, so
+        # the cap error's context gives the cap alone
+        err = golden_error(row_id)
+        caps = {"oracle": EXACT_EDGE_CAP, "montecarlo": MC_PAIR_TABLE_CAP}
+        cap = caps.get(row_id.split("-")[2], COPY_CAP)
+        assert err["context"] == {"cap": cap}
+        assert f"more than {hypergraph.MAX_DIGITS} digits" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # p = 10^-4300 is read, but its denominator does not print
+            "montecarlo 5 3 --p 1e-4300 --trials 1 --seed 0",
+            # decimals outside [0,1), whose numerator or denominator does
+            # not print either
+            "asymptotic 5 3 --p 1e4300",
+            "montecarlo 5 3 --p=-1e-4300 --trials 1 --seed 0",
+            # P(p) has a denominator of 5,000 digits
+            "oracle 5 3 --p 1/1" + "0" * 500,
+        ],
+        ids=["mc-p-den", "p-above-1", "p-negative", "oracle-value"],
+    )
+    def test_a_value_past_the_digit_limit_is_refused(self, argv):
+        # the CLI runs under the interpreter's default digit limit, so a
+        # rational it would print exactly past that limit is a JSON
+        # validation error instead of a traceback
+        code, stdout, stderr = run_in_process(argv.split())
+        assert code == 2 and stdout == ""
+        assert json.loads(stderr)["error"]["type"] == "validation"
+
+    @pytest.mark.parametrize(
+        "row_id", ["asymptotic-50-3", "cap-copies-2049-3"], ids=["exit-0", "exit-3"]
+    )
+    def test_runs_without_the_int_digit_limit_api(self, monkeypatch, row_id):
+        # Python 3.10.0-3.10.6 have neither sys.get_int_max_str_digits nor
+        # sys.set_int_max_str_digits, and no sys.int_info.default_max_str_digits
+        # (all came with the CVE-2020-10735 fix in 3.10.7); this simulates
+        # such an interpreter, since none is installed to test on
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        info = sys.int_info
+        monkeypatch.setattr(sys, "int_info", (info.bits_per_digit, info.sizeof_digit))
+        (row,) = [row for row in ROWS if row.id == row_id]
+        code, _stdout, stderr = run_in_process(row.argv)
+        assert code == row.code and "Traceback" not in stderr
 
     @pytest.mark.parametrize(
         "row_id",

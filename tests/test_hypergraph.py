@@ -1,14 +1,18 @@
 """Hypergraphs, forbidden copies, linearity, densities, fixture parsing."""
 
-import sys
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linhyp import hypergraph
 from linhyp.errors import CapExceededError, ValidationError
+from linhyp.expansion import HARD_CORE_EDGE_CAP, INCLUSION_EXCLUSION_EDGE_CAP
 from linhyp.hypergraph import enumerate_forbidden_copies
+from linhyp.oracle import EXACT_EDGE_CAP, MC_PAIR_TABLE_CAP
 
 from hypergraph_text import format_hypergraph, parse_hypergraph
 from reference import Hypergraph, family_densities, forbidden_copy, is_linear
@@ -74,23 +78,32 @@ class TestEnumerateCopies:
         with pytest.raises(ValidationError):
             enumerate_forbidden_copies(2, 3)
 
-    def test_count_text_shortens_past_the_default_digit_limit(self):
-        # `cli.main` lifts the int-to-str limit while a command runs; a cap
-        # message still gives a count past the default limit as a power of 10
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            digits = sys.int_info.default_max_str_digits
-            assert hypergraph.count_text(10**digits + 1) == f"about 10^{digits}.0"
-            assert hypergraph.count_text(10**digits - 1) == "9" * digits
-        finally:
-            sys.set_int_max_str_digits(limit)
-
     def test_copy_constructor_rejects_bad_overlap(self):
         with pytest.raises(ValidationError):
             forbidden_copy((1, 2, 3), (4, 5, 6))
         with pytest.raises(ValidationError):
             forbidden_copy((1, 2, 3), (1, 2, 3))
+
+
+class TestCountLimit:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def test_binomial_up_to_stops_past_the_limit(self, n_r):
+        n, r = n_r
+        count = math.comb(n, r)
+        assert hypergraph.binomial_up_to(n, r, count) == count
+        assert hypergraph.binomial_up_to(n, r, count - 1) is None
+
+    def test_every_cap_is_below_the_count_limit(self):
+        # so a count not formed (past COUNT_LIMIT) is over every cap
+        caps = [
+            hypergraph.COPY_CAP,
+            EXACT_EDGE_CAP,
+            INCLUSION_EXCLUSION_EDGE_CAP,
+            HARD_CORE_EDGE_CAP,
+            MC_PAIR_TABLE_CAP,
+        ]
+        assert max(caps) < hypergraph.COUNT_LIMIT == 10**hypergraph.MAX_DIGITS - 1
 
 
 class TestIsLinear:

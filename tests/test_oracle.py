@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -11,9 +10,10 @@ import pytest
 
 from linhyp import oracle
 from linhyp.errors import CapExceededError, ValidationError
-from linhyp.hypergraph import COPY_CAP, _copy_count, enumerate_forbidden_copies
+from linhyp.hypergraph import COPY_CAP, MAX_DIGITS, _copy_count, enumerate_forbidden_copies
 from linhyp.oracle import (
     BLOCK,
+    EXACT_EDGE_CAP,
     MC_PAIR_TABLE_CAP,
     _pair_table,
     exact_linearity_polynomial,
@@ -110,36 +110,36 @@ class TestExactOracle:
 
 
 def test_cap_errors_past_the_int_digit_limit():
-    # C(100000, 50000) has 30,101 digits, past the interpreter's default
-    # limit of 4,300 on int-to-str conversion: each library cap must still
-    # raise its own error, with the exact count in its context
-    edges = math.comb(100000, 50000)
+    # C(100000, 50000) has 30,101 digits, and C(10^1100, 3) has 3,300 but
+    # its copy count 4,400: past COUNT_LIMIT each library cap still raises
+    # its own error, with the cap alone in its context and no count past
+    # the interpreter's default int-to-str limit in its message
     calls = [
-        (
-            lambda: enumerate_forbidden_copies(100000, 50000),
-            {"copies": _copy_count(100000, 50000), "cap": COPY_CAP},
-        ),
-        (lambda: exact_linearity_polynomial(100000, 50000), {"edges": edges}),
-        (
-            lambda: monte_carlo(100000, 50000, Fraction(1, 2), trials=1, seed=0),
-            {"edges": edges, "cap": MC_PAIR_TABLE_CAP},
-        ),
+        (lambda: enumerate_forbidden_copies(100000, 50000), COPY_CAP),
+        (lambda: enumerate_forbidden_copies(10**1100, 3), COPY_CAP),
+        (lambda: exact_linearity_polynomial(100000, 50000), EXACT_EDGE_CAP),
+        (lambda: monte_carlo(100000, 50000, Fraction(1, 2), trials=1, seed=0), MC_PAIR_TABLE_CAP),
     ]
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        for call, context in calls:
-            with pytest.raises(CapExceededError) as info:
-                call()
-            assert info.value.context == context
-            assert "about 10^" in str(info.value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    for call, cap in calls:
+        with pytest.raises(CapExceededError) as info:
+            call()
+        assert info.value.context == {"cap": cap}
+        assert f"more than {MAX_DIGITS} digits" in str(info.value)
+
+
+@pytest.mark.parametrize("n, counted", [(10**1433, True), (10**1434, False)])
+def test_edge_count_at_the_limit(n, counted):
+    # C(10^1433, 3) has 4,298 digits and is reported in full; C(10^1434, 3)
+    # has 4,301, so it is not formed
+    with pytest.raises(CapExceededError) as info:
+        exact_linearity_polynomial(n, 3)
+    expect = {"edges": math.comb(n, 3)} if counted else {"cap": EXACT_EDGE_CAP}
+    assert info.value.context == expect
+    assert str(info.value)
 
 
 def test_cap_errors_past_the_float_range():
-    # lgamma cannot take n = 10^400, so C(n, 3), of 1,200 digits, is
-    # counted exactly and reported in full
+    # C(10^400, 3), of 1,200 digits, is counted exactly and reported in full
     n = 10**400
     with pytest.raises(CapExceededError) as info:
         exact_linearity_polynomial(n, 3)
