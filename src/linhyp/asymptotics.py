@@ -4,7 +4,8 @@ Two evaluators: the refined four-term closed form for 3-uniform
 hypergraphs, and the general-r first/second-order closed forms written in
 terms of C(n,r).  Both are evaluated in exact rational arithmetic with a
 single rounding at the end, so near-cancelling terms cost no precision.
-Out-of-regime inputs are evaluated anyway and flagged, never clamped; a
+Out-of-regime inputs and positive values are evaluated anyway and flagged
+invalid, never clamped; a
 reported value that rounds outside the float range is a ValidationError.
 """
 
@@ -67,12 +68,12 @@ def log_linearity_r3(n: int, p: Fraction) -> AsymptoticEstimate:
     -(1/4) n^4 p^2 + (2/3) n^5 p^3 - (55/24) n^6 p^4 + (3/2) n^3 p^2.
 
     Stated for p decaying faster than n^(-7/5); the validity flag reports
-    that hypothesis and its margin (in the exponent of n), nothing is
-    clamped.  The unmodelled remainder is o(1) with unspecified constants,
-    so it is reported as a diagnostic only.
+    that hypothesis and its margin (in the exponent of n), and it is false
+    whenever the value is positive, as at 3 <= n <= 7 for small p; nothing
+    is clamped.  The unmodelled remainder is o(1) with unspecified
+    constants, so it is reported as a diagnostic only.
     """
-    if n < 3:
-        raise ValidationError(f"need n >= 3, got {n}")
+    check_host(n, 3)
     p = _check_p(p)
     if p == 0:
         return AsymptoticEstimate(
@@ -95,7 +96,7 @@ def log_linearity_r3(n: int, p: Fraction) -> AsymptoticEstimate:
     return AsymptoticEstimate(
         log_prob=_float(f"{REGIME_R3} log_prob", value),
         regime=REGIME_R3,
-        valid=margin > 0,
+        valid=margin > 0 and value <= 0,
         diagnostics={
             "p_exponent": alpha,
             "exponent_margin": margin,
@@ -125,10 +126,11 @@ def log_linearity_general(n: int, r: int, p: Fraction) -> AsymptoticEstimate:
         -( [r]_2^2 / (4 n^2) ) N^2 p^2
     Mid regime (up to p N of order n^(3/2) / r^3) adds:
         +( (3r^2 - 3r - 2) [r]_2^3 / (24 n^4) ) N^3 p^3
-    (`mid_regime_p3_factor`).  The paper compares these forms with McKay
-    and Tian (Random Structures Algorithms 57, 2020).  The known
-    error-term magnitudes are reported as diagnostics, never added to the
-    estimate.
+    (`mid_regime_p3_factor`); the mid regime is flagged invalid past its
+    bound and whenever its value is positive.  The paper compares these
+    forms with McKay and Tian (Random Structures Algorithms 57, 2020).  The
+    known error-term magnitudes are reported as diagnostics, never added to
+    the estimate.
     """
     check_host(n, r)
     p = _check_p(p)
@@ -158,7 +160,7 @@ def log_linearity_general(n: int, r: int, p: Fraction) -> AsymptoticEstimate:
         regime = REGIME_MID
         term3 = mid_regime_p3_factor(r) * r2**3 / Fraction(n) ** 4 * big_n**3 * p**3
         value = term2 + term3
-        valid = pn < mid_threshold
+        valid = pn < mid_threshold and value <= 0
         exact = {"mid_regime_threshold": mid_threshold}
     exact.update(p_times_binom=pn, unmodelled_error_r6_scale=err2)
     diagnostics = {key: _float(f"{regime} {key}", x) for key, x in exact.items()}

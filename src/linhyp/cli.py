@@ -365,8 +365,9 @@ def _compare_columns(
     exact oracle (within its edge cap), the truncations T2, T3 and T4 as
     running sums of one pass over orders 1-3, and cumulant k3, the
     all-roots cumulant sum, which equals T4 by the cumulant-cluster
-    identity and is kept out of the CSV.  The enumeration cap applies to
-    both cluster passes.  One Monte Carlo report per p serves both of its
+    identity and is kept out of the CSV.  A closed-form cell is empty
+    where its form is not valid.  The enumeration cap applies to both
+    cluster passes.  One Monte Carlo report per p serves both of its
     cells."""
     from functools import cache
     from itertools import accumulate
@@ -391,6 +392,9 @@ def _compare_columns(
     def as_float(poly):
         return lambda p: float(poly(p))
 
+    def closed(estimate):
+        return estimate.log_prob if estimate.valid else None
+
     @cache
     def sample(p):
         return monte_carlo(n, r, p, trials=trials, seed=seed)
@@ -402,8 +406,8 @@ def _compare_columns(
         ("log_T3", True, as_float(t3)),
         ("log_T4", True, as_float(t4)),
         ("cumulant_k3", False, as_float(k3)),
-        ("log_closed_r3", True, lambda p: log_linearity_r3(n, p).log_prob if r == 3 else None),
-        ("log_closed_general", True, lambda p: log_linearity_general(n, r, p).log_prob),
+        ("log_closed_r3", True, lambda p: closed(log_linearity_r3(n, p)) if r == 3 else None),
+        ("log_closed_general", True, lambda p: closed(log_linearity_general(n, r, p))),
         ("mc_estimate", True, lambda p: sample(p).estimate if trials else None),
         ("mc_stderr", True, lambda p: sample(p).std_error if trials else None),
     ]

@@ -10,13 +10,14 @@ class ValidationError(LinhypError, ValueError):
 
 
 class CapExceededError(LinhypError):
-    """An enumeration or state-space cap was hit before the work finished.
+    """An enumeration or size cap was hit before the work finished.
 
-    `context` carries whatever partial-progress information the caller had
-    (e.g. the expansion order reached), so the CLI can report it.
+    `context` holds the `cap` that was passed, which every raise must give,
+    and whatever else the caller had: the count the cap bounds, in the
+    cap's unit (`hypergraph.check_count`), or the partial progress of a
+    walk (e.g. the expansion order reached), so the CLI can report it.
     """
 
-    def __init__(self, message: str, **context):
+    def __init__(self, message: str, *, cap: int, **context):
         super().__init__(message)
-        self.context = dict(context)
-
+        self.context = {"cap": cap, **context}

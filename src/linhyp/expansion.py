@@ -75,7 +75,7 @@ from .dependency import (
 )
 from .errors import CapExceededError, LinhypError, ValidationError
 from .graphcalc import SimpleGraph, ursell
-from .hypergraph import check_edge_cap
+from .hypergraph import check_count, check_edge_cap
 from .polynomial import Polynomial, SeriesTerm
 
 #: Hyperedge-count cap for the alternating-sum and polymer-model forms.
@@ -351,7 +351,9 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
     subset-union table gives the popcount of each member subset's
     hyperedge union, so a partition's p-power is the sum of its blocks'
     entries.  Coefficients are tallied as integers and turned into
-    Fractions once, at the end.  The cap counts polymers.
+    Fractions once, at the end.  The cap counts polymers.  A polymer of
+    more than MAX_PARTITION_ITEMS copies is refused before its size's
+    partition row is built (`hypergraph.check_count`, context {size, cap}).
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -369,13 +371,8 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
             )
         rows = signed.get(size)
         if rows is None:
-            if size > MAX_PARTITION_ITEMS:
-                raise CapExceededError(
-                    f"cumulant sum reached polymers of size {size}, past the "
-                    f"{MAX_PARTITION_ITEMS} members whose set partitions it lists",
-                    size=size,
-                    max_partition_items=MAX_PARTITION_ITEMS,
-                )
+            what = "the size of a polymer whose set partitions cumulant_sum lists"
+            check_count(size, MAX_PARTITION_ITEMS, "size", what)
             sign = -1 if size & 1 else 1
             rows = signed[size] = [
                 (blocks, sign * (-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1))

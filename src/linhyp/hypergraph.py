@@ -51,7 +51,10 @@ class ForbiddenCopy:
 
 def check_host(n: int, r: int) -> None:
     """Raise ValidationError unless r >= 3 and n >= r, the complete hosts
-    every engine accepts."""
+    every engine accepts.  An n or r of more than MAX_DIGITS digits is
+    refused first, without printing it, so every later message prints."""
+    if max(abs(n), abs(r)) > COUNT_LIMIT:
+        raise ValidationError(f"n and r must have at most {MAX_DIGITS} digits")
     if r < 3:
         raise ValidationError(f"uniformity must be >= 3, got {r}")
     if n < r:
@@ -73,21 +76,28 @@ def binomial_up_to(n: int, r: int, limit: int) -> int | None:
     return count if count <= limit else None
 
 
+def check_count(count: int | None, cap: int, name: str, what: str) -> int:
+    """`count` when it is at most `cap`, the one size refusal of every
+    engine.  Over the cap it raises CapExceededError with context
+    {name: count, cap}, where `name` counts the cap's unit and `what`
+    names the count in the message; a count that is None or past
+    COUNT_LIMIT (not formed, or too long to print) gives {cap} alone."""
+    if count is not None and count <= cap:
+        return count
+    if count is None or count > COUNT_LIMIT:
+        raise CapExceededError(
+            f"{what} has more than {MAX_DIGITS} digits, over the cap of {cap}", cap=cap
+        )
+    raise CapExceededError(f"{what} is {count}, over the cap of {cap}", cap=cap, **{name: count})
+
+
 def check_edge_cap(n: int, r: int, cap: int) -> int:
-    """C(n, r), the edges of a host that `check_host` accepts; a count
-    over `cap` raises CapExceededError with context {edges}, or {cap} when
-    the count is past COUNT_LIMIT, before any edge is listed."""
+    """C(n, r), the edges of a host that `check_host` accepts, checked
+    against `cap` edges (`check_count`, context {edges, cap}) before any
+    edge is listed."""
     check_host(n, r)
     edges = binomial_up_to(n, r, COUNT_LIMIT)
-    if edges is None:
-        raise CapExceededError(
-            f"C({n},{r}) has more than {MAX_DIGITS} digits, over the {cap}-edge cap", cap=cap
-        )
-    if edges > cap:
-        raise CapExceededError(
-            f"C({n},{r}) = {edges} edges exceeds the {cap}-edge cap", edges=edges
-        )
-    return edges
+    return check_count(edges, cap, "edges", f"the edge count C({n},{r})")
 
 
 def _copy_count(n: int, r: int) -> int:
@@ -105,24 +115,13 @@ def enumerate_forbidden_copies(n: int, r: int) -> list[ForbiddenCopy]:
 
     Canonical (sorted) output order: the pairs i < j of the
     lexicographically listed edges come out sorted.  For r=3 the count is
-    [n]_4 / 4.  A host with more than COPY_CAP copies (`_copy_count`)
-    raises CapExceededError with context {copies, cap} before any is
-    listed, or {cap} when C(n, r) or the copy count is past COUNT_LIMIT.
+    [n]_4 / 4.  The copy count (`_copy_count`) is checked against
+    COPY_CAP copies (`check_count`, context {copies, cap}) before any copy
+    is listed; it is not formed when C(n, r) is past COUNT_LIMIT.
     """
     check_host(n, r)
     count = None if binomial_up_to(n, r, COUNT_LIMIT) is None else _copy_count(n, r)
-    if count is None or count > COUNT_LIMIT:
-        raise CapExceededError(
-            f"({n}, {r}) has a forbidden-copy count of more than {MAX_DIGITS} digits, "
-            f"over the cap of {COPY_CAP}",
-            cap=COPY_CAP,
-        )
-    if count > COPY_CAP:
-        raise CapExceededError(
-            f"({n}, {r}) has {count} forbidden copies, over the cap of {COPY_CAP}",
-            copies=count,
-            cap=COPY_CAP,
-        )
+    check_count(count, COPY_CAP, "copies", f"the forbidden-copy count of ({n}, {r})")
     if not count:  # n = r: one edge, of r vertices however large r is
         return []
     copies = []

@@ -22,8 +22,8 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import TYPE_CHECKING
 
-from .errors import CapExceededError, ValidationError
-from .hypergraph import COUNT_LIMIT, MAX_DIGITS, binomial_up_to, check_edge_cap, check_host
+from .errors import ValidationError
+from .hypergraph import COUNT_LIMIT, binomial_up_to, check_count, check_edge_cap, check_host
 from .polynomial import Polynomial
 
 if TYPE_CHECKING:
@@ -258,10 +258,10 @@ def monte_carlo(
     * The pair keys trial * n^2 + pair id are built with np.take and
       sorted in place as int32 (`_nonlinear` shows why they fit); the
       repeated-edge keys trial * N + edge index are one int64 array, built
-      and sorted in place, since BLOCK * N can pass 2^31.  A host whose
-      pair table would exceed MC_PAIR_TABLE_CAP entries raises
-      CapExceededError with context {edges, cap}, or {cap} when C(n, r) is
-      past `hypergraph.COUNT_LIMIT`, before any table is built.
+      and sorted in place, since BLOCK * N can pass 2^31.  The table's
+      C(n, r) C(r, 2) entries are checked against MC_PAIR_TABLE_CAP
+      entries (`hypergraph.check_count`, context {entries, cap}) before
+      any table is built.
     * A trial that drew some edge twice is redrawn in place with
       `choice(N, m, replace=False)` from the block's generator, in trial
       order, before the block's one pair-key check.  The sampler stays
@@ -286,19 +286,9 @@ def monte_carlo(
         hits = trials
     else:
         ne = binomial_up_to(n, r, COUNT_LIMIT)
-        if ne is None:
-            raise CapExceededError(
-                f"C({n},{r}) has more than {MAX_DIGITS} digits, over the sampler's "
-                f"pair-table cap of {MC_PAIR_TABLE_CAP}",
-                cap=MC_PAIR_TABLE_CAP,
-            )
-        if ne * math.comb(r, 2) > MC_PAIR_TABLE_CAP:
-            raise CapExceededError(
-                f"C({n},{r}) = {ne} edges need C({r},2) pair-table entries each, "
-                f"over the sampler's cap of {MC_PAIR_TABLE_CAP}",
-                edges=ne,
-                cap=MC_PAIR_TABLE_CAP,
-            )
+        entries = None if ne is None else ne * math.comb(r, 2)
+        what = f"the pair-table size C({n},{r}) C({r},2)"
+        check_count(entries, MC_PAIR_TABLE_CAP, "entries", what)
         hits = _run_trials(_pair_table(n, r), n, float(p), seed, trials)
     estimate = hits / trials
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)

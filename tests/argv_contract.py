@@ -4,7 +4,9 @@ A row is (id, argv, exit code, time bound in seconds).  It runs in a fresh
 temporary directory and must exit with its code, finish inside its bound
 and reproduce `tests/golden/<id>` byte for byte: stdout, stderr and each
 file written into the directory, every non-empty one under a
-`==> name <==` header, without the `duration_seconds` line.
+`==> name <==` header, without the `duration_seconds` line.  A row that
+exits 2 must print a `validation` error object on stderr, and one that
+exits 3 a `cap_exceeded` error whose context holds the `cap` it passed.
 
 `tests/test_argv_contract.py` runs the rows in-process through
 `linhyp.cli.main`; it writes a missing golden and fails naming it, so a
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import difflib
 import io
+import json
 import os
 import re
 import subprocess
@@ -182,6 +185,15 @@ def run_installed(argv: list[str], bound: float) -> tuple[int, str, str]:
     return done.returncode, done.stdout, done.stderr
 
 
+def _error(stderr: str) -> dict:
+    """The JSON error object that `stderr` holds, or {} when it holds none."""
+    try:
+        error = json.loads(stderr)["error"]
+    except (ValueError, TypeError, KeyError):
+        return {}
+    return error if isinstance(error, dict) else {}
+
+
 def check(row: Row, run, write_missing: bool) -> list[str]:
     """Runs `row` with `run` in a fresh temporary directory and returns
     what is wrong with it, each problem naming the row."""
@@ -200,6 +212,12 @@ def check(row: Row, run, write_missing: bool) -> list[str]:
     problems = []
     if code != row.code:
         problems.append(f"{row.id}: exit {code}, not {row.code}")
+    error = _error(stderr)
+    if row.code == 2 and error.get("type") != "validation":
+        problems.append(f"{row.id}: exit 2 without a validation error on stderr")
+    cap_error = error.get("type") == "cap_exceeded" and "cap" in error.get("context", {})
+    if row.code == 3 and not cap_error:
+        problems.append(f"{row.id}: exit 3 without a cap_exceeded error whose context holds cap")
     if seconds > row.bound:
         problems.append(f"{row.id}: took {seconds:.2f} s, over its bound of {row.bound} s")
     golden = GOLDEN / row.id

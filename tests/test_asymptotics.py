@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linhyp import asymptotics
 from linhyp.asymptotics import (
@@ -68,6 +70,24 @@ class TestRefinedR3:
             log_linearity_r3(2, Fraction(1, 10))
         with pytest.raises(ValidationError):
             log_linearity_r3(10, Fraction(2))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(3, 60),
+    st.sampled_from([3, 4, 5]),
+    st.floats(1, 4, exclude_min=True, exclude_max=True),
+)
+def test_a_valid_closed_form_is_never_positive(n, r, alpha):
+    # no log-probability is positive, yet at 3 <= n <= 7 the r = 3 form is
+    # at small p: at n = 6 its p^2 terms cancel and +2/3 n^5 p^3 leads
+    assume(n >= r)
+    p = Fraction(n**-alpha)
+    estimates = [log_linearity_general(n, r, p)]
+    if r == 3:
+        estimates.append(log_linearity_r3(n, p))
+    for estimate in estimates:
+        assert not estimate.valid or estimate.log_prob <= 0, (estimate.regime, n, p)
 
 
 class TestGeneralR:

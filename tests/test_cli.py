@@ -144,6 +144,20 @@ class TestSubcommands:
         # Monte Carlo columns were not requested: empty, never zero
         assert lines[1].endswith(",,")
 
+    def test_compare_closed_form_cells_are_never_positive(self):
+        # an invalid closed form leaves its cell empty: at n = 6 the r = 3
+        # form is positive at every point of the sweep, and the general
+        # form at the one-edge host is 1.56e38
+        rows = [row for row in ROWS if row.argv[0] == "compare" and row.code == 0]
+        assert len(rows) == 4
+        closed = ["log_closed_r3", "log_closed_general"]
+        for row in rows:
+            for cells in payload(row.id)["rows"]:
+                assert all(cells[name] is None or cells[name] <= 0 for name in closed)
+        assert payload("compare-6-3")["rows"][0]["log_closed_r3"] is None
+        assert payload("one-edge-compare")["rows"][0]["log_closed_general"] is None
+        assert payload("compare-8-3")["rows"][0]["log_closed_r3"] < 0
+
     @pytest.mark.parametrize("n, r", [(5, 3), (6, 3), (6, 4)])
     def test_compare_sweep_columns(self, tmp_path, n, r):
         # every row carries the column table's names, the CSV its in_csv
@@ -257,7 +271,8 @@ class TestErrors:
 
     def test_cap_exit_code(self):
         err = golden_error("cap-oracle-10-3")
-        assert err["type"] == "cap_exceeded" and err["context"] == {"edges": 120}
+        assert err["type"] == "cap_exceeded"
+        assert err["context"] == {"edges": 120, "cap": EXACT_EDGE_CAP}
 
     def test_copy_cap_of_a_huge_host(self, capsys):
         # C(100000, 50000) has 30,101 digits, past hypergraph.COUNT_LIMIT:
@@ -351,8 +366,8 @@ class TestErrors:
         # the walk reaches polymers of 9 copies at once, one past the
         # largest whose set partitions cumulant_sum lists
         err = golden_error("cap-cumulants-partition-rows")
-        assert err["context"] == {"size": 9, "max_partition_items": 8}
-        assert "size 9" in err["message"]
+        assert err["context"] == {"size": 9, "cap": 8}
+        assert "is 9, over the cap of 8" in err["message"]
 
     def test_compare_cap_is_the_expand_cap_error(self):
         assert golden_error("cap-compare-10") == golden_error("cap-expand-10")
@@ -433,7 +448,8 @@ class TestErrors:
     def test_oversized_montecarlo_host_is_a_cap_error(self):
         err = golden_error("cap-montecarlo-2049-3")
         assert err["type"] == "cap_exceeded"
-        assert err["context"] == {"edges": 1431655424, "cap": 2**26}
+        # C(2049, 3) edges of C(3, 2) pair-table entries each
+        assert err["context"] == {"entries": 1431655424 * 3, "cap": 2**26}
 
     @pytest.mark.parametrize(
         "argv",

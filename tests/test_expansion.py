@@ -23,6 +23,8 @@ from linhyp.dependency import (
 from linhyp import expansion
 from linhyp.errors import CapExceededError, LinhypError, ValidationError
 from linhyp.expansion import (
+    HARD_CORE_EDGE_CAP,
+    INCLUSION_EXCLUSION_EDGE_CAP,
     _sample_power_sums,
     _solve_falling_basis,
     cumulant_sum,
@@ -40,7 +42,7 @@ from linhyp.expansion import (
 )
 from linhyp.graphcalc import SimpleGraph, ursell
 from linhyp.hypergraph import enumerate_forbidden_copies
-from linhyp.oracle import exact_linearity_polynomial
+from linhyp.oracle import EXACT_EDGE_CAP, exact_linearity_polynomial
 from linhyp.polynomial import Polynomial, SeriesTerm, falling_factorial
 from moment_oracle import joint_cumulant, joint_moment
 from reference import (
@@ -356,7 +358,7 @@ class TestCumulantSum:
         assert cumulant_sum(d, 10**400) == cumulant_sum(d, k) == cumulant_oracle(d, k)
         with pytest.raises(CapExceededError) as err:
             cumulant_sum(self.copy_path(k + 1), 10**400)
-        assert err.value.context == {"size": k + 1, "max_partition_items": k}
+        assert err.value.context == {"size": k + 1, "cap": k}
 
     def test_reads_no_orbit_shape_or_ursell_helper(self, monkeypatch):
         # the cross-check must not share the kernel it checks: with every
@@ -737,9 +739,14 @@ class TestUntruncatedForms:
 
         for module in ("linhyp.hypergraph", "linhyp.oracle"):
             monkeypatch.setattr(f"{module}.combinations", unreachable)
+        caps = {
+            hard_core_polynomial: HARD_CORE_EDGE_CAP,
+            inclusion_exclusion_polynomial: INCLUSION_EXCLUSION_EDGE_CAP,
+            exact_linearity_polynomial: EXACT_EDGE_CAP,
+        }
         with pytest.raises(CapExceededError) as info:
             form(300, 3)
-        assert info.value.context == {"edges": 4455100}
+        assert info.value.context == {"edges": 4455100, "cap": caps[form]}
 
     @pytest.mark.parametrize(
         "form", [hard_core_polynomial, inclusion_exclusion_polynomial, exact_linearity_polynomial]

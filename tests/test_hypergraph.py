@@ -9,10 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linhyp import hypergraph
+from linhyp.asymptotics import log_linearity_general, log_linearity_r3
+from linhyp.dependency import dependency_graph_for
 from linhyp.errors import CapExceededError, ValidationError
-from linhyp.expansion import HARD_CORE_EDGE_CAP, INCLUSION_EXCLUSION_EDGE_CAP
-from linhyp.hypergraph import enumerate_forbidden_copies
-from linhyp.oracle import EXACT_EDGE_CAP, MC_PAIR_TABLE_CAP
+from linhyp.expansion import (
+    HARD_CORE_EDGE_CAP,
+    INCLUSION_EXCLUSION_EDGE_CAP,
+    hard_core_polynomial,
+    inclusion_exclusion_polynomial,
+)
+from linhyp.hypergraph import COUNT_LIMIT, check_count, enumerate_forbidden_copies
+from linhyp.oracle import EXACT_EDGE_CAP, MC_PAIR_TABLE_CAP, exact_linearity_polynomial, monte_carlo
 
 from hypergraph_text import format_hypergraph, parse_hypergraph
 from reference import Hypergraph, family_densities, forbidden_copy, is_linear
@@ -104,6 +111,65 @@ class TestCountLimit:
             MC_PAIR_TABLE_CAP,
         ]
         assert max(caps) < hypergraph.COUNT_LIMIT == 10**hypergraph.MAX_DIGITS - 1
+
+
+class TestCheckCount:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(st.integers(0, 2**20), st.integers(COUNT_LIMIT - 2, COUNT_LIMIT)),
+        st.one_of(
+            st.none(),
+            st.integers(0, 2**21),
+            st.integers(COUNT_LIMIT - 3, COUNT_LIMIT + 3),
+            st.integers(COUNT_LIMIT, 10 * COUNT_LIMIT),
+        ),
+    )
+    def test_refuses_exactly_the_counts_over_the_cap(self, cap, count):
+        if count is not None and count <= cap:
+            assert check_count(count, cap, "items", "the item count") == count
+            return
+        with pytest.raises(CapExceededError) as info:
+            check_count(count, cap, "items", "the item count")
+        # a count past COUNT_LIMIT is too long to print, so only the cap is given
+        if count is not None and count <= COUNT_LIMIT:
+            assert info.value.context == {"items": count, "cap": cap}
+        else:
+            assert info.value.context == {"cap": cap}
+        assert str(info.value).startswith("the item count ")
+
+    def test_a_cap_error_needs_its_cap(self):
+        with pytest.raises(TypeError):
+            CapExceededError("x")
+        assert CapExceededError("x", cap=3, size=4).context == {"cap": 3, "size": 4}
+
+    @pytest.mark.parametrize("n", [10**5000, -(10**5000)], ids=["positive", "negative"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            exact_linearity_polynomial,
+            inclusion_exclusion_polynomial,
+            hard_core_polynomial,
+            enumerate_forbidden_copies,
+            dependency_graph_for,
+            lambda n, r: monte_carlo(n, r, Fraction(1, 2), trials=1, seed=0),
+            lambda n, r: log_linearity_general(n, r, Fraction(1, 2)),
+            lambda n, _r: log_linearity_r3(n, Fraction(1, 2)),
+        ],
+        ids=[
+            "oracle",
+            "inclusion-exclusion",
+            "hard-core",
+            "copies",
+            "dependency-graph",
+            "monte-carlo",
+            "general-r",
+            "refined-r3",
+        ],
+    )
+    def test_a_host_too_long_to_print_is_a_validation_error(self, call, n):
+        # not int-to-str's ValueError from a message that prints n
+        with pytest.raises(ValidationError, match="at most 4300 digits"):
+            call(n, 3)
 
 
 class TestIsLinear:

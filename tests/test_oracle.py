@@ -102,7 +102,7 @@ class TestExactOracle:
     def test_state_cap(self):
         with pytest.raises(CapExceededError) as info:
             exact_linearity_polynomial(10, 3)  # C(10,3) = 120 edges
-        assert info.value.context == {"edges": 120}
+        assert info.value.context == {"edges": 120, "cap": EXACT_EDGE_CAP}
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -133,8 +133,8 @@ def test_edge_count_at_the_limit(n, counted):
     # has 4,301, so it is not formed
     with pytest.raises(CapExceededError) as info:
         exact_linearity_polynomial(n, 3)
-    expect = {"edges": math.comb(n, 3)} if counted else {"cap": EXACT_EDGE_CAP}
-    assert info.value.context == expect
+    expect = {"edges": math.comb(n, 3)} if counted else {}
+    assert info.value.context == {**expect, "cap": EXACT_EDGE_CAP}
     assert str(info.value)
 
 
@@ -143,7 +143,7 @@ def test_cap_errors_past_the_float_range():
     n = 10**400
     with pytest.raises(CapExceededError) as info:
         exact_linearity_polynomial(n, 3)
-    assert info.value.context == {"edges": math.comb(n, 3)}
+    assert info.value.context == {"edges": math.comb(n, 3), "cap": EXACT_EDGE_CAP}
 
 
 @pytest.fixture
@@ -291,7 +291,9 @@ class TestMonteCarlo:
     def test_host_cap_fires_before_the_table(self, no_pair_table, n, r):
         with pytest.raises(CapExceededError) as info:
             monte_carlo(n, r, Fraction(1, 1000), trials=1, seed=0)
-        assert info.value.context == {"edges": math.comb(n, r), "cap": MC_PAIR_TABLE_CAP}
+        # the context counts the cap's unit, pair-table entries, not edges
+        entries = math.comb(n, r) * math.comb(r, 2)
+        assert info.value.context == {"entries": entries, "cap": MC_PAIR_TABLE_CAP}
 
     @pytest.mark.parametrize("n", [2049, 10**4, 10**6])
     @pytest.mark.parametrize(
