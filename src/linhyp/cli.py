@@ -42,7 +42,9 @@ EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_IDENTITY = 4
 
-#: The options that name a file to write; each is checked before any work.
+#: The options that name a file to write.  Before any work, each must be
+#: writable, and no two may name the same file: only the output written
+#: last would be kept.
 OUTPUT_PATH_OPTIONS = ("output", "csv", "dump_adjacency")
 
 
@@ -282,8 +284,6 @@ def _cmd_expand(args) -> tuple[dict, int]:
     from .polynomial import Polynomial
 
     d = dependency_graph_for(args.n, args.r)
-    if args.dump_adjacency:
-        _write_text(args.dump_adjacency, d.dump_adjacency())
     terms = {}
     try:
         for order, term in expansion_terms(d, args.k, cap=args.cap):
@@ -297,6 +297,9 @@ def _cmd_expand(args) -> tuple[dict, int]:
         payload = {"truncated_sum": sum(terms.values(), Polynomial.zero()).to_json()}
         code = EXIT_OK
     payload["orders"] = {str(i): poly.to_json() for i, poly in terms.items()}
+    # written with the payload, so a cap hit without --allow-partial leaves none
+    if args.dump_adjacency:
+        _write_text(args.dump_adjacency, d.dump_adjacency())
     return payload, code
 
 
@@ -598,9 +601,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        seen: dict[str, str] = {}
         for option in OUTPUT_PATH_OPTIONS:
             path = getattr(args, option, None)
             if path:
+                flag = "--" + option.replace("_", "-")
+                first = seen.setdefault(os.path.realpath(path), flag)
+                if first != flag:
+                    raise ValidationError(f"{first} and {flag} name the same file: {path}")
                 _check_writable(path)
         started = time.monotonic()
         payload, code = args.func(args)

@@ -1,11 +1,13 @@
-"""The set-partition table, the independent-set table of the
-independent-partition chromatic form, and the bitmask connectivity test
-shared across the package."""
+"""Set operations on bitmasks shared across the package: the set bits of
+a mask, the unions over all subsets, the meeting graph (two items meet
+when their masks intersect: copies that share a hyperedge, blocks whose
+unions meet, host edges that one copy holds), the set-partition table and
+the connectivity test."""
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 #: The most items whose set-partition row `expansion.cumulant_sum` builds:
@@ -36,14 +38,32 @@ def set_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(grown)
 
 
-def independent_set_table(adj: Sequence[int]) -> list[bool]:
-    """independent[S] for every vertex mask S below 2^len(adj): whether no
-    two vertices of S are adjacent, built up over the low bit of S."""
-    independent = [True] * (1 << len(adj))
-    for s in range(1, len(independent)):
-        low = s & -s
-        independent[s] = independent[s ^ low] and not adj[low.bit_length() - 1] & s
-    return independent
+def members(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def subset_unions(masks: Iterable[int]) -> list[int]:
+    """unions[S] = the union of the masks whose positions are the bits of S."""
+    unions = [0]
+    for m in masks:
+        unions += [u | m for u in unions]
+    return unions
+
+
+def meeting_masks(masks: Sequence[int]) -> tuple[int, ...]:
+    """Neighbour masks of the graph on the items of `masks` in which two
+    items are adjacent when their masks intersect.  Quadratic in the
+    number of items, so it serves short lists."""
+    return tuple(
+        sum(1 << j for j, other in enumerate(masks) if j != i and m & other)
+        for i, m in enumerate(masks)
+    )
 
 
 def mask_connected(adj: Sequence[int], mask: int) -> bool:
@@ -51,10 +71,7 @@ def mask_connected(adj: Sequence[int], mask: int) -> bool:
     reach = mask & -mask
     while True:
         frontier = 0
-        m = reach
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
+        for v in members(reach):
             frontier |= adj[v]
         new = (reach | frontier) & mask
         if new == reach:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from .combinat import members
 from .hypergraph import ForbiddenCopy
 
 
@@ -100,7 +101,7 @@ def _connected_set_masks(
     alone is a function of the key.
     """
     holders: dict[int, int] = {}
-    ends = [_mask_to_members(em) for em in edge_masks]
+    ends = [members(em) for em in edge_masks]
     for i, es in enumerate(ends):
         for e in es:
             holders[e] = holders.get(e, 0) | 1 << i
@@ -135,15 +136,6 @@ def _connected_set_masks(
                         nbrs |= holders[e]
                     fresh = nbrs & allowed & ~closed
                     stack.append((*item, ext | fresh, closed | nbrs, grown))
-
-
-def _mask_to_members(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
 
 
 def dependency_graph_for(n: int, r: int) -> DependencyGraph:

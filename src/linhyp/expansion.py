@@ -66,13 +66,15 @@ from functools import cache
 from itertools import chain, permutations, product
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .combinat import MAX_PARTITION_ITEMS, mask_connected, set_partitions
-from .dependency import (
-    DependencyGraph,
-    _connected_set_masks,
-    _mask_to_members,
-    dependency_graph_for,
+from .combinat import (
+    MAX_PARTITION_ITEMS,
+    mask_connected,
+    meeting_masks,
+    members,
+    set_partitions,
+    subset_unions,
 )
+from .dependency import DependencyGraph, _connected_set_masks, dependency_graph_for
 from .errors import CapExceededError, LinhypError, ValidationError
 from .graphcalc import SimpleGraph, ursell
 from .hypergraph import check_count, check_edge_cap
@@ -94,46 +96,25 @@ HARD_CORE_EDGE_CAP = 12
 MAX_SYMBOLIC_P_POWER = 4
 
 
-def _subset_unions(masks: Iterable[int]) -> list[int]:
-    """unions[S] = the union of the masks whose positions are the bits of S."""
-    unions = [0]
-    for m in masks:
-        unions += [u | m for u in unions]
-    return unions
-
-
-def _meeting_masks(masks: Sequence[int]) -> tuple[int, ...]:
-    """Neighbour masks of the graph on the items of `masks` in which two
-    items are adjacent when their masks intersect."""
-    return tuple(
-        sum(1 << j for j, other in enumerate(masks) if j != i and m & other)
-        for i, m in enumerate(masks)
-    )
-
-
-def _phi_of_blocks(unions: Sequence[int]) -> Fraction:
-    """Ursell weight of the closeness graph of disjoint connected blocks,
-    given each block's hyperedge union: two blocks are close exactly when
-    some copy of one shares a hyperedge with some copy of the other, i.e.
-    when their unions intersect."""
-    return ursell(SimpleGraph(_meeting_masks(unions)))
-
-
 def _partition_contributions(masks: Sequence[int]) -> Iterable[tuple[int, Fraction]]:
     """(p-power, phi) for every admissible partition of one polymer, given
     the hyperedge masks of its copies.
 
     Two copies are adjacent exactly when their masks intersect, so the
     masks alone decide which blocks are connected, and each block's
-    hyperedge union is read off the subset-union table.  The trivial
-    partition always qualifies, with phi 1.
+    hyperedge union is read off the subset-union table.  Two blocks are
+    close exactly when some copy of one shares a hyperedge with some copy
+    of the other, i.e. when their unions intersect, and phi is the Ursell
+    weight of that closeness graph.  The trivial partition always
+    qualifies, with phi 1.
     """
-    adj = _meeting_masks(masks)
-    unions = _subset_unions(masks)
+    adj = meeting_masks(masks)
+    unions = subset_unions(masks)
     for blocks in set_partitions(len(masks)):
         if all(mask_connected(adj, b) for b in blocks):
             block_unions = [unions[b] for b in blocks]
-            yield (sum(u.bit_count() for u in block_unions), _phi_of_blocks(block_unions))
+            power = sum(u.bit_count() for u in block_unions)
+            yield power, ursell(SimpleGraph(meeting_masks(block_unions)))
 
 
 def _copy_graph_type(key: Sequence[int]) -> tuple[int, ...]:
@@ -378,7 +359,7 @@ def cumulant_sum(d: DependencyGraph, k: int, cap: int | None = None) -> Polynomi
                 (blocks, sign * (-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1))
                 for blocks in set_partitions(size)
             ]
-        unions = _subset_unions(edge_masks[i] for i in _mask_to_members(mask))
+        unions = subset_unions(edge_masks[i] for i in members(mask))
         pops = [u.bit_count() for u in unions]
         for blocks, coeff in rows:
             power = 0
@@ -433,7 +414,7 @@ def structural_series_grouped(
     d = dependency_graph_for(span, r)
 
     def spanned(emask: int, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return len(set().union(*(d.edges[e] for e in _mask_to_members(emask)))), key
+        return len(set().union(*(d.edges[e] for e in members(emask)))), key
 
     top = max_p_power * (max_p_power - 1) // 2
     tally = _orbit_tally(d, range(1, top + 1), max_p_power=max_p_power, label=spanned)
@@ -602,35 +583,33 @@ def hard_core_polynomial(n: int, r: int) -> Polynomial:
     with pairwise-disjoint supports, of the product of their weights times
     p^(edges the supports cover).
 
-    Two host edges conflict when a copy holds both; the conflict masks are
-    read off the copy masks of `dependency_graph_for(n, r)`, whose bits are
-    the C(n, r) host edges (see `inclusion_exclusion_polynomial`).  A
-    polymer is a connected set of copies and its support the union of their
-    hyperedges.  The copy sets with union exactly E are the spanning edge
-    sets of the conflict graph induced on E, so the weight of E, the signed
-    count of the connected ones, is the Ursell weight of that graph when it
-    is connected and E holds at least two edges, and 0 otherwise (Scott &
-    Sokal, J. Stat. Phys. 118, 2005).  z[E], the weight of the families
-    covering exactly E, is filled bottom-up from z[{}] = 1 as the sum of
-    weight[S] * z[E - S] over the supports S holding E's lowest edge, and
-    Z is the sum of z[E] p^|E|.
+    Two host edges conflict when a copy holds both, i.e. when their holder
+    masks meet: held[e] is the mask of the copies of
+    `dependency_graph_for(n, r)` that hold host edge e (the copy masks'
+    bits are the C(n, r) host edges, see `inclusion_exclusion_polynomial`).
+    A polymer is a connected set of copies and its support the union of
+    their hyperedges.  The copy sets with union exactly E are the spanning
+    edge sets of the conflict graph induced on E, `meeting_masks` of E's
+    holder masks, so the weight of E, the signed count of the connected
+    ones, is the Ursell weight of that graph when it is connected and E
+    holds at least two edges, and 0 otherwise (Scott & Sokal, J. Stat.
+    Phys. 118, 2005).  z[E], the weight of the families covering exactly
+    E, is filled bottom-up from z[{}] = 1 as the sum of weight[S] * z[E - S]
+    over the supports S holding E's lowest edge, and Z is the sum of
+    z[E] p^|E|.
     """
     ne = check_edge_cap(n, r, HARD_CORE_EDGE_CAP)
-    conflict = [0] * ne
-    for mask in dependency_graph_for(n, r).copy_edge_masks:
-        i, j = _mask_to_members(mask)
-        conflict[i] |= 1 << j
-        conflict[j] |= 1 << i
+    held = [0] * ne
+    for c, mask in enumerate(dependency_graph_for(n, r).copy_edge_masks):
+        for e in members(mask):
+            held[e] |= 1 << c
     size = 1 << ne
     weight = [0] * size
     for support in range(size):
-        if support & (support - 1) and mask_connected(conflict, support):
-            edges = _mask_to_members(support)
-            induced = tuple(
-                sum(1 << b for b, f in enumerate(edges) if conflict[e] >> f & 1)
-                for e in edges
-            )
-            weight[support] = int(ursell(SimpleGraph(induced)))
+        if support & (support - 1):
+            conflict = SimpleGraph(meeting_masks([held[e] for e in members(support)]))
+            if conflict.is_connected():
+                weight[support] = int(ursell(conflict))
     z = [1] + [0] * (size - 1)
     coeffs = [1] + [0] * ne
     for covered in range(1, size):

@@ -10,10 +10,10 @@ every edge subset at once (`_signed_component_counts`).
 
 A `SimpleGraph` is its tuple of neighbour masks, bit b-1 of masks[a-1]
 set iff a ~ b; its vertex count and sorted edge list are read off them.
-Deletion-contraction, the independent-set table, the connectivity test
-and `ursell` all read the masks as they are, so a caller that holds a
-graph as bitmasks (the expansion's closeness and conflict graphs) builds
-no edge list.
+Deletion-contraction, the independent-partition count, the connectivity
+test and `ursell` all read the masks as they are, so a caller that holds a
+graph as bitmasks (the expansion's closeness and conflict graphs, from
+`combinat.meeting_masks`) builds no edge list.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cache
 from itertools import combinations
 from typing import Sequence
 
-from .combinat import independent_set_table, mask_connected, set_partitions
+from .combinat import mask_connected, members, set_partitions, subset_unions
 from .errors import ValidationError
 from .polynomial import Polynomial, falling_factorial_poly
 
@@ -46,10 +46,7 @@ class SimpleGraph:
                 raise ValidationError(f"loop at vertex {a + 1}")
             if m >> v:
                 raise ValidationError(f"vertex {a + 1} has a neighbour outside 1..{v}")
-            rest = m
-            while rest:
-                b = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
+            for b in members(m):
                 if not masks[b] >> a & 1:
                     raise ValidationError(f"{a + 1} ~ {b + 1} but not {b + 1} ~ {a + 1}")
 
@@ -195,16 +192,16 @@ def _independent_partition_counts(g: SimpleGraph) -> dict[int, int]:
     """{m: number of partitions of the vertices into m independent sets}.
 
     Each set partition of the vertices is a tuple of block bitmasks
-    (`set_partitions`, bit u - 1 for vertex u).  Per graph, a table over
-    the 2^v vertex masks says which sets are independent
-    (`independent_set_table`), and a partition counts when all of its
-    blocks are.
+    (`set_partitions`, bit u - 1 for vertex u).  A vertex set S is
+    independent exactly when the union of its members' neighbour masks
+    misses S, read off the subset-union table (`subset_unions`), and a
+    partition counts when all of its blocks are.
     """
-    independent = independent_set_table(g.masks)
+    neighbours = subset_unions(g.masks)
     counts: dict[int, int] = {}
     for blocks in set_partitions(g.v):
         for b in blocks:
-            if not independent[b]:
+            if neighbours[b] & b:
                 break
         else:
             counts[len(blocks)] = counts.get(len(blocks), 0) + 1

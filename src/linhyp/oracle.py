@@ -9,7 +9,7 @@ vectorised sorts, so a report is reproducible bit for bit from the seed
 and the parameters.  The sampler caps its pair table (MC_PAIR_TABLE_CAP)
 before it allocates anything, which also keeps the int32 vertex-pair keys
 from overflowing, and answers the one-edge host n = r without a table.
-It builds the table and the keys in place, with no copy of either.
+It builds the table in place, and each check's keys in one array.
 numpy loads on the first call of the sampler, not on import, so the
 subcommands that do not sample start without it.
 """
@@ -150,17 +150,17 @@ class McReport:
 
 def _pair_table(n: int, r: int) -> np.ndarray:
     """Pair ids a*n + b (a < b) of each host edge, one row per edge in
-    lexicographic order, shape (C(n,r), C(r,2)), as int32 (see _nonlinear
-    for why every pair key fits).  The table is preallocated and filled
-    one column at a time from strided views of the vertex array, so the
-    build peaks at the vertex array plus the table."""
+    lexicographic order, shape (C(n,r), C(r,2)), as int32 (see
+    _repeated_owners for why every pair key fits).  The table is
+    preallocated and filled one column at a time from strided views of the
+    vertex array, so the build peaks at the vertex array plus the table."""
     import numpy as np
 
     ne = math.comb(n, r)
     flat = chain.from_iterable(combinations(range(n), r))
     verts = np.fromiter(flat, dtype=np.int32, count=ne * r).reshape(ne, r)
-    # C order keeps the rows contiguous, which the row gathers of
-    # _nonlinear need to stay fast; the columns follow combinations(range(r), 2)
+    # C order keeps the rows contiguous, which the row gathers of the pair
+    # check need to stay fast; the columns follow combinations(range(r), 2)
     table = np.empty((ne, math.comb(r, 2)), dtype=np.int32)
     for col, (a, b) in enumerate(combinations(range(r), 2)):
         np.multiply(verts[:, a], n, out=table[:, col])
@@ -168,36 +168,31 @@ def _pair_table(n: int, r: int) -> np.ndarray:
     return table
 
 
-def _repeated_owners(keys: np.ndarray, stride: int, owners: int) -> np.ndarray:
-    """Mask of the owners whose keys (owner*stride + value) repeat a value.
-    Sorts `keys`, a C-contiguous array of any shape, in place."""
+def _repeated_owners(values: np.ndarray, sizes: np.ndarray, stride: int) -> np.ndarray:
+    """Mask of the owners some of whose values repeat.  The rows of
+    `values`, a C-contiguous array of values below `stride`, are laid out
+    owner by owner, sizes[t] rows for owner t.  Each value becomes the key
+    owner*stride + value, in the dtype of `values` and in place, and the
+    keys are sorted in place.
+
+    The sampler's two checks call it.  The edge check passes the edge
+    indices as int64, with stride C(n,r): BLOCK * C(n,r) can pass 2^31.
+    The pair check passes the trials' pair-table rows as int32, with
+    stride n^2.  Those keys stay below BLOCK * n^2 <= 2^31 as long as
+    n <= isqrt(2^31 // BLOCK) = 2048, and the pair-table cap keeps n
+    there.  For 3 <= r < n the table has C(n,r) * C(r,2) =
+    C(n,2) * C(n-2,r-2) >= C(n,2) * (n-2) = 3 C(n,3) entries, and at
+    n >= 2049 that is at least 3 C(2049,3), about 4.3e9, far over
+    MC_PAIR_TABLE_CAP = 2^26; the one-edge host n = r builds no table."""
     import numpy as np
 
-    keys = keys.reshape(-1)
+    offsets = np.arange(sizes.size, dtype=values.dtype) * values.dtype.type(stride)
+    values += np.repeat(offsets, sizes).reshape((-1,) + (1,) * (values.ndim - 1))
+    keys = values.reshape(-1)
     keys.sort()
-    bad = np.zeros(owners, dtype=bool)
+    bad = np.zeros(sizes.size, dtype=bool)
     bad[keys[1:][keys[1:] == keys[:-1]] // stride] = True
     return bad
-
-
-def _nonlinear(pair_ids: np.ndarray, n: int, idx: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Mask of the non-linear trials, i.e. those in which some vertex pair
-    repeats, among trials whose edges idx are laid out trial by trial,
-    sizes[t] edges for trial t.
-
-    The keys owner*n^2 + pair id are int32.  They stay below
-    BLOCK * n^2 <= 2^31 as long as n <= isqrt(2^31 // BLOCK) = 2048, and
-    the pair-table cap keeps n there.  For 3 <= r < n the table has
-    C(n,r) * C(r,2) = C(n,2) * C(n-2,r-2) >= C(n,2) * (n-2) = 3 C(n,3)
-    entries, and at n >= 2049 that is at least 3 C(2049,3), about 4.3e9,
-    far over MC_PAIR_TABLE_CAP = 2^26; the one-edge host n = r builds no
-    table."""
-    import numpy as np
-
-    keys = np.take(pair_ids, idx, axis=0)
-    offsets = np.arange(sizes.size, dtype=np.int32) * np.int32(n * n)
-    keys += np.repeat(offsets, sizes)[:, None]
-    return _repeated_owners(keys, n * n, sizes.size)
 
 
 def _run_trials(pair_ids: np.ndarray, n: int, p: float, seed: int, trials: int) -> int:
@@ -216,16 +211,13 @@ def _run_trials(pair_ids: np.ndarray, n: int, p: float, seed: int, trials: int) 
         if drawn.size == 0:
             continue
         idx = rng.integers(0, ne, size=int(drawn.sum()))
-        keys = np.repeat(np.arange(drawn.size, dtype=np.int64), drawn)
-        keys *= ne
-        keys += idx
-        repeated = _repeated_owners(keys, ne, drawn.size)
-        del keys  # free before the pair check builds its own keys
+        repeated = _repeated_owners(idx.astype(np.int64), drawn, ne)
         if repeated.any():
             idx[np.repeat(repeated, drawn)] = np.concatenate(
                 [rng.choice(ne, size=k, replace=False, shuffle=False) for k in drawn[repeated]]
             )
-        hits += int(np.count_nonzero(~_nonlinear(pair_ids, n, idx, drawn)))
+        nonlinear = _repeated_owners(np.take(pair_ids, idx, axis=0), drawn, n * n)
+        hits += int(np.count_nonzero(~nonlinear))
     return hits
 
 
@@ -255,13 +247,14 @@ def monte_carlo(
       key array holds at most BLOCK * C(n,2) entries at any p.
     * The one-edge host n = r is always linear: it gives hits = trials at
       once, however large n is, and draws nothing.
-    * The pair keys trial * n^2 + pair id are built with np.take and
-      sorted in place as int32 (`_nonlinear` shows why they fit); the
-      repeated-edge keys trial * N + edge index are one int64 array, built
-      and sorted in place, since BLOCK * N can pass 2^31.  The table's
-      C(n, r) C(r, 2) entries are checked against MC_PAIR_TABLE_CAP
-      entries (`hypergraph.check_count`, context {entries, cap}) before
-      any table is built.
+    * Both checks build and sort their keys in place with
+      `_repeated_owners`: the repeated-edge keys trial * N + edge index
+      as int64 from a copy of the edge indices, since BLOCK * N can pass
+      2^31, and the pair keys trial * n^2 + pair id as int32 from np.take
+      of the trials' table rows (its docstring shows why they fit).  The
+      table's C(n, r) C(r, 2) entries are checked against
+      MC_PAIR_TABLE_CAP entries (`hypergraph.check_count`, context
+      {entries, cap}) before any table is built.
     * A trial that drew some edge twice is redrawn in place with
       `choice(N, m, replace=False)` from the block's generator, in trial
       order, before the block's one pair-key check.  The sampler stays

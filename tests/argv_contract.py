@@ -111,6 +111,9 @@ ROWS = [
         ("invalid-compare-seed", "compare 6 3 --p 1/100 --trials 10 --seed -1", 2, 10),
         ("invalid-delta-i0", "delta 30 3 --i 0", 2, 10),
         ("invalid-sweep-points", "compare 6 3 --sweep 0.0001,0.5,100000000", 2, 2),
+        # two output options that name one file: refused, nothing written
+        ("invalid-expand-same-output", "expand 5 3 --k 3 --output same.json --dump-adjacency same.json", 2, 10),
+        ("invalid-compare-same-output", "compare 5 3 --p 1/2 --csv c.csv --output c.csv", 2, 10),
         # estimates past the float range, refused before C(n, r) is built
         ("invalid-asymptotic-400-200", "asymptotic 400 200 --p 0.5", 2, 10),
         ("invalid-asymptotic-1e100", f"asymptotic {10**100} 3 --p 0.5", 2, 10),
@@ -124,6 +127,9 @@ ROWS = [
         ("cap-partial", "expand 6 3 --k 4 --cap 6000 --allow-partial --output partial.json", 3, 10),
         ("cap-no-partial", "expand 6 3 --k 4 --cap 100 --output partial.json", 3, 10),
         ("cap-no-partial-workers-2", "expand 6 3 --k 4 --cap 100 --workers 2", 3, 10),
+        # the adjacency dump is written with the payload, and only then
+        ("cap-no-partial-dump", "expand 6 3 --k 4 --cap 100 --dump-adjacency d.txt --output o.json", 3, 10),
+        ("cap-partial-dump", "expand 6 3 --k 4 --cap 6000 --allow-partial --dump-adjacency d.txt --output partial.json", 3, 10),
         ("cap-expand-10", "expand 6 3 --k 4 --cap 10", 3, 10),
         ("cap-compare-10", "compare 6 3 --p 1/100 --cap 10", 3, 10),
         ("cap-delta-5-3-i30", "delta 5 3 --i 30 --cap 1", 3, 10),

@@ -523,6 +523,30 @@ class TestOutputPathsCheckedFirst:
         assert err["message"] == f"cannot write {bad}: No such file or directory"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["expand", "5", "3", "--k", "3", "--output", "{same}", "--dump-adjacency",
+              "{same}"], "--output and --dump-adjacency"),
+            (["compare", "5", "3", "--p", "1/2", "--csv", "{same}", "--output", "{alias}"],
+             "--output and --csv"),
+        ],
+    )
+    def test_two_options_naming_one_file_exit_before_any_work(
+        self, tmp_path, capsys, no_engines, argv, flags
+    ):
+        (tmp_path / "sub").mkdir()
+        same, alias = tmp_path / "same.txt", tmp_path / "sub" / ".." / "same.txt"
+        argv = [a.format(same=same, alias=alias) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"].startswith(f"{flags} name the same file: ")
+        assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
     def test_check_keeps_an_existing_file(self, tmp_path, capsys, no_engines):
         kept = tmp_path / "kept.json"
         kept.write_text("earlier run\n")

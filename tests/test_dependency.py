@@ -12,12 +12,8 @@ from typing import Iterator, Sequence
 
 import pytest
 
-from linhyp.dependency import (
-    DependencyGraph,
-    _connected_set_masks,
-    _mask_to_members,
-    dependency_graph_for,
-)
+from linhyp.combinat import members
+from linhyp.dependency import DependencyGraph, _connected_set_masks, dependency_graph_for
 from linhyp.errors import CapExceededError, ValidationError
 from linhyp.hypergraph import enumerate_forbidden_copies
 from reference import adjacency, adjacent, forbidden_copy, is_connected, set_partitions
@@ -187,7 +183,7 @@ class TestPolymers:
             expect = set()
             for m, s in ref:
                 union = 0
-                for i in _mask_to_members(m):
+                for i in members(m):
                     union |= em[i]
                 if m >> root & 1 and union.bit_count() <= 4:
                     expect.add((m, s, union))
@@ -207,16 +203,16 @@ class TestPolymers:
         for root in roots or [None]:
             pinned = None if root is None else [root]
             for m, s, u, key in _connected_set_masks(em, 4, edge_budget=budget, roots=pinned):
-                members = [em[i] for i in _mask_to_members(m)]
+                masks = [em[i] for i in members(m)]
                 # the walk starts from its root, or from the lowest member
-                first = em[root] if root is not None else members[0]
+                first = em[root] if root is not None else masks[0]
                 assert key[0] == (1 << first.bit_count()) - 1
-                rest = [x for x in members if x != first]
-                found = walk_order(key, rest, (first,), _mask_to_members(first))
+                rest = [x for x in masks if x != first]
+                found = walk_order(key, rest, (first,), members(first))
                 assert found is not None, (m, key)
                 order, met = found
-                decoded = [sum(1 << met[i] for i in _mask_to_members(k)) for k in key]
-                assert decoded == order and sorted(decoded) == sorted(members)
+                decoded = [sum(1 << met[i] for i in members(k)) for k in key]
+                assert decoded == order and sorted(decoded) == sorted(masks)
                 assert len(key) == s and sum(1 << e for e in met) == u
                 walked += 1
         assert walked > 0
@@ -346,7 +342,7 @@ def polymers_up_to(
             raise CapExceededError(
                 f"polymer enumeration exceeded cap {cap}", cap=cap, max_size=k
             )
-        yield Polymer(members=_mask_to_members(mask))
+        yield Polymer(members=members(mask))
 
 
 def walk_order(key, candidates, order, met):
@@ -360,7 +356,7 @@ def walk_order(key, candidates, order, met):
     for c in candidates:
         new_met = list(met)
         label = 0
-        for e in _mask_to_members(c):
+        for e in members(c):
             if e not in new_met:
                 new_met.append(e)
             label |= 1 << new_met.index(e)
@@ -471,7 +467,7 @@ def clusters_disjoint(
         raise ValidationError(f"max cluster size must be >= 1, got {k}")
     count = 0
     for mask, _size, _em, _key in _connected_set_masks(d.copy_edge_masks, k):
-        for part in connected_partitions(d, _mask_to_members(mask)):
+        for part in connected_partitions(d, members(mask)):
             count += 1
             if cap is not None and count > cap:
                 raise CapExceededError(

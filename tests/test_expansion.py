@@ -13,13 +13,8 @@ from itertools import combinations
 
 import pytest
 
-from linhyp.combinat import MAX_PARTITION_ITEMS, mask_connected
-from linhyp.dependency import (
-    DependencyGraph,
-    _connected_set_masks,
-    _mask_to_members,
-    dependency_graph_for,
-)
+from linhyp.combinat import MAX_PARTITION_ITEMS, mask_connected, members
+from linhyp.dependency import DependencyGraph, _connected_set_masks, dependency_graph_for
 from linhyp import expansion
 from linhyp.errors import CapExceededError, LinhypError, ValidationError
 from linhyp.expansion import (
@@ -376,8 +371,7 @@ class TestCumulantSum:
             "_cluster_sums",
             "_type_weight",
             "_partition_contributions",
-            "_meeting_masks",
-            "_phi_of_blocks",
+            "meeting_masks",
             "_orbit_tally",
             "ursell",
         ):
@@ -702,11 +696,11 @@ class TestUntruncatedForms:
         # host edges adjacent when a copy holds both
         conflict = [0] * math.comb(n, r)
         for mask in d.copy_edge_masks:
-            i, j = _mask_to_members(mask)
+            i, j = members(mask)
             conflict[i] |= 1 << j
             conflict[j] |= 1 << i
         for support in range(1 << len(conflict)):
-            edges = _mask_to_members(support)
+            edges = members(support)
             weight = 0
             if len(edges) >= 2 and mask_connected(conflict, support):
                 induced = [

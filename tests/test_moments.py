@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from linhyp.dependency import _connected_set_masks, _mask_to_members, dependency_graph_for
+from linhyp.combinat import members
+from linhyp.dependency import _connected_set_masks, dependency_graph_for
 from linhyp.errors import ValidationError
 from linhyp.hypergraph import enumerate_forbidden_copies
 from linhyp.polynomial import Polynomial
@@ -37,7 +38,7 @@ class TestJointMoment:
     def test_exponent_bounds_over_polymers(self):
         d = dependency_graph_for(5, 3)
         for mask, size, _em, _key in _connected_set_masks(d.copy_edge_masks, 3):
-            m = joint_moment(_mask_to_members(mask), d.copies).degree()
+            m = joint_moment(members(mask), d.copies).degree()
             assert 2 <= m <= 2 * size
             if size >= 2:
                 assert m < 2 * size
@@ -73,14 +74,14 @@ class TestJointCumulant:
         for mask, size, _em, _key in _connected_set_masks(d.copy_edge_masks, 4):
             if size < 2:
                 continue
-            members = _mask_to_members(mask)
+            copies = members(mask)
             total = Polynomial.zero()
-            for part in set_partitions(members):
+            for part in set_partitions(copies):
                 prod = Polynomial.one()
                 for block in part:
                     prod = prod * joint_cumulant(block, d.copies)
                 total = total + prod
-            assert total == joint_moment(members, d.copies)
+            assert total == joint_moment(copies, d.copies)
             checked += 1
             if checked >= 40:
                 break

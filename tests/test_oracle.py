@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linhyp import oracle
 from linhyp.errors import CapExceededError, ValidationError
@@ -154,6 +156,21 @@ def no_pair_table(monkeypatch):
         raise AssertionError("the pair table was built")
 
     monkeypatch.setattr(oracle, "_pair_table", unreachable)
+
+
+@st.composite
+def owner_layouts(draw):
+    """(dtype, stride, sizes, rows) for `_repeated_owners`: sizes[t] rows
+    for owner t, at least one row in all, each a value below the stride
+    or, in two dimensions, a list of `width` of them."""
+    dtype = draw(st.sampled_from(["int32", "int64"]))
+    stride = draw(st.integers(1, 40))
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=12).filter(any))
+    width = draw(st.integers(0, 3))
+    value = st.integers(0, stride - 1)
+    row = value if width == 0 else st.lists(value, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=sum(sizes), max_size=sum(sizes)))
+    return dtype, stride, sizes, rows
 
 
 class TestMonteCarlo:
@@ -326,8 +343,30 @@ class TestMonteCarlo:
         pair_ids = np.array([[top, 0, 1], [top, 2, 3], [4, 5, 6]], dtype=np.int32)
         sizes = np.array([1] * (BLOCK - 1) + [2])
         idx = np.array([2] * (BLOCK - 1) + [0, 1])
-        bad = oracle._nonlinear(pair_ids, n, idx, sizes)
+        bad = oracle._repeated_owners(np.take(pair_ids, idx, axis=0), sizes, n * n)
         assert np.flatnonzero(bad).tolist() == [BLOCK - 1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(layout=owner_layouts())
+    # the top int32 key (BLOCK - 1) n^2 + n^2 - 1 = 2^31 - 1 at n = 2048,
+    # repeated by the last owner of a full block
+    @example(
+        layout=("int32", 2048**2, [1] * (BLOCK - 1) + [2], [0] * (BLOCK - 1) + [2048**2 - 1] * 2)
+    )
+    def test_repeated_owners_flags_each_owner_with_a_repeat(self, layout):
+        import numpy as np
+
+        dtype, stride, sizes, rows = layout
+        values = np.array(rows, dtype=dtype)
+        bad = oracle._repeated_owners(values, np.array(sizes, dtype=np.int64), stride)
+        expect, start = [], 0
+        for size in sizes:
+            owned = []
+            for row in rows[start : start + size]:
+                owned += row if isinstance(row, list) else [row]
+            expect.append(len(set(owned)) < len(owned))
+            start += size
+        assert bad.tolist() == expect
 
     def test_report_fields(self):
         rep = monte_carlo(4, 3, Fraction(1, 4), trials=100, seed=3)
