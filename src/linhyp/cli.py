@@ -19,7 +19,9 @@ parser reports its errors as ValidationError, so a bad argument exits 2
 with a JSON error object instead of a usage message.
 
 Exit codes: 0 success, 2 validation error, 3 cap exceeded, 4 identity
-suite failure.
+suite failure or internal consistency failure: `series`' two strategies
+disagree, or strategy B's check sample contradicts its fit, reported as an
+`internal_consistency` JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ def _parse_rational(text: str) -> Fraction:
     num, _, den = text.partition("/")
     try:
         return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"bad rational {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValidationError(f"bad rational {text!r}: zero denominator") from None
 
 
 def _exact_p(text: str) -> Fraction:

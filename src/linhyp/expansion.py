@@ -64,7 +64,7 @@ from fractions import Fraction
 from collections import Counter
 from functools import cache
 from itertools import chain, permutations, product
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .combinat import (
     MAX_PARTITION_ITEMS,
@@ -96,27 +96,6 @@ HARD_CORE_EDGE_CAP = 12
 MAX_SYMBOLIC_P_POWER = 4
 
 
-def _partition_contributions(masks: Sequence[int]) -> Iterable[tuple[int, Fraction]]:
-    """(p-power, phi) for every admissible partition of one polymer, given
-    the hyperedge masks of its copies.
-
-    Two copies are adjacent exactly when their masks intersect, so the
-    masks alone decide which blocks are connected, and each block's
-    hyperedge union is read off the subset-union table.  Two blocks are
-    close exactly when some copy of one shares a hyperedge with some copy
-    of the other, i.e. when their unions intersect, and phi is the Ursell
-    weight of that closeness graph.  The trivial partition always
-    qualifies, with phi 1.
-    """
-    adj = meeting_masks(masks)
-    unions = subset_unions(masks)
-    for blocks in set_partitions(len(masks)):
-        if all(mask_connected(adj, b) for b in blocks):
-            block_unions = [unions[b] for b in blocks]
-            power = sum(u.bit_count() for u in block_unions)
-            yield power, ursell(SimpleGraph(meeting_masks(block_unions)))
-
-
 def _copy_graph_type(key: Sequence[int]) -> tuple[int, ...]:
     """Canonical form of the copy graph a walk key describes: the key's
     labels are its vertices and its members, each a two-bit mask, its edges.
@@ -127,7 +106,7 @@ def _copy_graph_type(key: Sequence[int]) -> tuple[int, ...]:
     have the same candidates and the same least one, and the form is a
     graph isomorphic to the key's.
     """
-    ends = [((m & -m).bit_length() - 1, (m & m - 1).bit_length() - 1) for m in key]
+    ends = [members(m) for m in key]
     degree = Counter(chain.from_iterable(ends))
     classes = [[v for v in degree if degree[v] == d] for d in sorted(set(degree.values()))]
     orders = product(*(permutations(c) for c in classes))
@@ -138,10 +117,26 @@ def _copy_graph_type(key: Sequence[int]) -> tuple[int, ...]:
 @cache
 def _type_weight(form: tuple[int, ...]) -> dict[int, Fraction]:
     """{p-power: sum of phi} over the admissible partitions of one polymer
-    of the given copy-graph type, evaluated once per type per process."""
+    of the given copy-graph type, evaluated once per type per process.
+
+    The form's members are the hyperedge masks of the polymer's copies.
+    Two copies are adjacent exactly when their masks intersect, so the
+    masks alone decide which blocks are connected, and each block's
+    hyperedge union is read off the subset-union table.  Two blocks are
+    close exactly when some copy of one shares a hyperedge with some copy
+    of the other, i.e. when their unions intersect, and phi is the Ursell
+    weight of that closeness graph.  The trivial partition always
+    qualifies, with phi 1.
+    """
+    adj = meeting_masks(form)
+    unions = subset_unions(form)
     weight: dict[int, Fraction] = {}
-    for power, phi in _partition_contributions(form):
-        weight[power] = weight.get(power, 0) + phi
+    for blocks in set_partitions(len(form)):
+        if all(mask_connected(adj, b) for b in blocks):
+            block_unions = [unions[b] for b in blocks]
+            power = sum(u.bit_count() for u in block_unions)
+            phi = ursell(SimpleGraph(meeting_masks(block_unions)))
+            weight[power] = weight.get(power, 0) + phi
     return weight
 
 
@@ -453,19 +448,17 @@ def per_n_power_sums(n: int, max_p_power: int, r: int = 3) -> dict[tuple[int, in
     return {key: c for key, c in _cluster_sums(keys, max_p_power).items() if c}
 
 
-def _solve_falling_basis(samples: list[tuple[int, Fraction]], degree: int) -> list[Fraction]:
-    """Coefficients c_a, a <= degree, of f(n) = sum_a c_a [n]_a from exact
-    samples of f at n = 0, 1, 2, ...
+def _solve_falling_basis(values: list[Fraction], degree: int) -> list[Fraction]:
+    """Coefficients c_a, a <= degree, of f(n) = sum_a c_a [n]_a from the
+    exact values f(0), f(1), f(2), ...
 
     The forward difference of [n]_a is a [n]_(a-1), so c_a = Delta^a f(0) / a!:
-    the leading column of the difference table, scaled.  Every sample past
+    the leading column of the difference table, scaled.  Every value past
     the first degree + 1 must leave its difference of order > degree at 0.
     """
-    if [n for n, _ in samples] != list(range(len(samples))):
-        raise ValidationError("interpolation samples must be at n = 0, 1, 2, ...")
-    if len(samples) < degree + 1:
+    if len(values) < degree + 1:
         raise ValidationError("not enough interpolation points")
-    row = [Fraction(value) for _, value in samples]
+    row = [Fraction(value) for value in values]
     leading = []
     while row:
         leading.append(row[0])
@@ -498,8 +491,8 @@ def interpolated_series_grouped(
     keys = sorted({k for s in sampled.values() for k in s})
     out: dict[tuple[int, int, int], Fraction] = {}
     for power, size in keys:
-        samples = [(n, sampled[n].get((power, size), Fraction(0))) for n in ns]
-        coeffs = _solve_falling_basis(samples, degree)
+        values = [sampled[n].get((power, size), Fraction(0)) for n in ns]
+        coeffs = _solve_falling_basis(values, degree)
         for a, c in enumerate(coeffs):
             if c != 0:
                 out[(a, power, size)] = c

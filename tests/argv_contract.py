@@ -123,6 +123,13 @@ ROWS = [
         ("invalid-p-exponent", "asymptotic 10 3 --p 1e-100000", 2, 2),
         ("invalid-montecarlo-p-exponent", "montecarlo 50 3 --p 1e-100000 --trials 1 --seed 0", 2, 2),
         ("invalid-p-4301-chars", "asymptotic 10 3 --p 0." + "1" * 4300, 2, 2),
+        # malformed numbers and an output path in a missing directory
+        ("invalid-oracle-p-den-0", "oracle 4 3 --p 1/0", 2, 10),
+        ("invalid-oracle-p-num", "oracle 4 3 --p x/2", 2, 10),
+        ("invalid-montecarlo-p-text", "montecarlo 5 3 --p 0.1ex --trials 2 --seed 1", 2, 10),
+        ("invalid-expand-k-text", "expand 5 3 --k x", 2, 10),
+        ("invalid-montecarlo-seed-text", "montecarlo 5 3 --p 0.1 --trials 2 --seed x", 2, 10),
+        ("invalid-copies-output-dir", "copies 4 3 --output missing/out.json", 2, 10),
         # caps exit 3 with a JSON cap error; a partial expand is still written
         ("cap-partial", "expand 6 3 --k 4 --cap 6000 --allow-partial --output partial.json", 3, 10),
         ("cap-no-partial", "expand 6 3 --k 4 --cap 100 --output partial.json", 3, 10),

@@ -4,10 +4,10 @@ the brute-force density measures of the forbidden family, two readouts of
 a symbolic series, strategy A's series by its two-level walk over the
 triple sets of each vertex span, the pairwise adjacency of a dependency
 graph, the connectivity of a copy set in it, the signed count of its
-connected copy sets by hyperedge union, a forbidden copy built from its
-two edges, the vertex span of a copy and the list-form set partitions of
-any items.  No engine or CLI path calls these, so they live here,
-outside the package.
+connected copy sets by hyperedge union, the joint cumulant of a copy set
+by its subset recurrence, a forbidden copy built from its two edges, the
+vertex span of a copy and the list-form set partitions of any items.  No
+engine or CLI path calls these, so they live here, outside the package.
 """
 
 from __future__ import annotations
@@ -191,6 +191,42 @@ def structural_series_by_triple_sets(max_p_power: int) -> dict[tuple[int, int, i
             if c:
                 out[(v, power, size)] = c / math.factorial(v)
     return out
+
+
+def subset_cumulant(form: Sequence[int], budget: int | None = None) -> dict[int, int]:
+    """{p-power: coefficient} of the joint cumulant kappa of the copies
+    `form`, each a mask of hyperedges, whose moments are m(S) = p^|union
+    of S|, cut at p^budget.
+
+    kappa is solved from the subset recurrence
+    m(S) = sum over T subset of S with min S in T of kappa(T) m(S - T),
+    m({}) = 1, smallest subsets first: 3^(k-1) steps for k copies, with no
+    set partition and no Ursell weight.  Every term of kappa(T) pays at
+    least the union of T, so with a budget a subset whose union holds more
+    than `budget` hyperedges contributes 0.
+    """
+    unions = [0]
+    for m in form:
+        unions += [u | m for u in unions]
+    pops = [u.bit_count() for u in unions]
+    kappa: list[dict[int, int]] = [{}]
+    for s in range(1, len(unions)):
+        if budget is not None and pops[s] > budget:
+            kappa.append({})
+            continue
+        low = s & -s
+        rest = s ^ low
+        acc = {pops[s]: 1}
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            t = low | sub
+            for power, c in kappa[t].items():
+                power += pops[s ^ t]
+                if budget is None or power <= budget:
+                    acc[power] = acc.get(power, 0) - c
+        kappa.append({power: c for power, c in acc.items() if c})
+    return kappa[-1]
 
 
 def adjacent(d: DependencyGraph, i: int, j: int) -> bool:

@@ -132,7 +132,7 @@ class TestGeneralR:
             sum((c for (b, _k), c in per_n_power_sums(n, 3, r).items() if b == 3), Fraction(0))
             for n in range(11)
         ]
-        lead = _solve_falling_basis(list(enumerate(sums)), 8)[8]
+        lead = _solve_falling_basis(sums, 8)[8]
         assert lead == Fraction(17, 96)
         assert mid_regime_p3_factor(r) / math.factorial(r - 2) ** 3 == lead
         assert mid_regime_p3_factor(3) == Fraction(2, 3)

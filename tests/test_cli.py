@@ -369,6 +369,45 @@ class TestErrors:
         assert err["context"] == {"size": 9, "cap": 8}
         assert "is 9, over the cap of 8" in err["message"]
 
+    @staticmethod
+    def internal_error(argv):
+        """The message of the one internal_consistency error `argv` exits 4
+        with, printing nothing on stdout."""
+        code, stdout, stderr = run_in_process(argv)
+        assert code == 4 and stdout == ""
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "internal_consistency" and error["context"] == {}
+        return error["message"]
+
+    def test_series_exits_4_when_the_strategies_disagree(self, monkeypatch):
+        from linhyp import expansion
+
+        interpolated = expansion.interpolated_series_grouped
+
+        def shifted(max_p_power, r):
+            grouped = interpolated(max_p_power, r)
+            grouped[next(iter(grouped))] += 1
+            return grouped
+
+        monkeypatch.setattr(expansion, "interpolated_series_grouped", shifted)
+        message = self.internal_error(["series", "--max-p-power", "2"])
+        assert message.startswith("symbolic series strategies disagree: structural={")
+
+    def test_series_exits_4_when_the_check_sample_contradicts_the_fit(self, monkeypatch):
+        from linhyp import expansion
+
+        sample = expansion._sample_power_sums
+
+        def corrupt_last(ns, max_p_power, r):
+            sampled = sample(ns, max_p_power, r)
+            last = sampled[ns[-1]]
+            last[next(iter(last))] += 1
+            return sampled
+
+        monkeypatch.setattr(expansion, "_sample_power_sums", corrupt_last)
+        message = self.internal_error(["series", "--max-p-power", "2"])
+        assert message == "interpolation inconsistent with extra sample"
+
     def test_compare_cap_is_the_expand_cap_error(self):
         assert golden_error("cap-compare-10") == golden_error("cap-expand-10")
 
@@ -409,6 +448,10 @@ class TestErrors:
         assert "decimals are reserved" in golden_error("invalid-oracle-decimal-p")["message"]
         message = golden_error("invalid-rational-p")["message"]
         assert "rationals are reserved" in message
+
+    def test_zero_denominator_is_named(self):
+        message = golden_error("invalid-oracle-p-den-0")["message"]
+        assert message == "argument --p: bad rational '1/0': zero denominator"
 
     def test_compare_needs_p_or_sweep(self):
         message = golden_error("invalid-compare-no-p")["message"]

@@ -48,6 +48,7 @@ from reference import (
     is_connected,
     set_partitions,
     structural_series_by_triple_sets,
+    subset_cumulant,
 )
 from test_dependency import polymers_up_to
 
@@ -292,23 +293,35 @@ class TestCopyGraphTypes:
                     kappa = kappa + Polynomial({power: (-1) ** (m - 1) * math.factorial(m - 1)})
                 assert Polynomial(expansion._type_weight(form)) == kappa, form
 
-    def test_each_type_is_evaluated_once(self, monkeypatch):
+    def test_each_type_is_evaluated_once(self):
         # the 22 walk keys of the order-4 sets at n = 6 fall into 5 types,
         # and a second term reads the table
-        calls = []
-        evaluate = expansion._partition_contributions
-
-        def counted(form):
-            calls.append(form)
-            return evaluate(form)
-
         expansion._type_weight.cache_clear()
-        monkeypatch.setattr(expansion, "_partition_contributions", counted)
         d = dependency_graph_for(6, 3)
         keys = expansion._orbit_tally(d, range(4, 5))
         assert len(keys) == 22
         term = expansion_term(d, 4)
-        assert expansion_term(d, 4) == term and len(calls) == len(set(calls)) == 5
+        assert expansion_term(d, 4) == term
+        info = expansion._type_weight.cache_info()
+        assert (info.misses, info.hits) == (5, 5)
+
+    def test_weight_is_the_subset_recurrence(self, copy_graph_types):
+        # the table's phi sum against the joint cumulant from its subset
+        # recurrence, with and without budgets: on every type with 1-6
+        # copies, and on the types of the b = 5 walk on K_7 with at most 8
+        # copies (28 of its 30), the only check of a 7- or 8-copy weight
+        d = dependency_graph_for(7, 3)
+        walked = expansion._orbit_tally(
+            d, range(1, 11), max_p_power=5, label=lambda _e, key: expansion._copy_graph_type(key)
+        )
+        deep = [form for form in walked if len(form) <= 8]
+        assert len(walked) == 30 and len(deep) == 28
+        forms = set(deep).union(*copy_graph_types.values())
+        for form in forms:
+            weight = expansion._type_weight(form)
+            for budget in (None, 2, 3, 4, 5):
+                cut = {e: c for e, c in weight.items() if c and (budget is None or e <= budget)}
+                assert subset_cumulant(form, budget) == cut, (form, budget)
 
 
 def cumulant_oracle(d, k):
@@ -370,7 +383,6 @@ class TestCumulantSum:
             "_copy_graph_type",
             "_cluster_sums",
             "_type_weight",
-            "_partition_contributions",
             "meeting_masks",
             "_orbit_tally",
             "ursell",
@@ -492,6 +504,17 @@ class TestOrbitWalk:
         assert walks == [(rep,) for rep, _size in dependency_graph_for(6, 3).orbits] == [(0,)]
 
 
+def log_p_taylor(n, order):
+    """{k: b_k} for k = 1..order, log P's Taylor coefficients at p = 0 on
+    K_n, r = 3, from the exact oracle's a_k: k b_k = k a_k - sum_{j<k} j b_j
+    a_{k-j}, as a_0 = 1."""
+    a = exact_linearity_polynomial(n, 3).coeff
+    log_p = {}
+    for k in range(1, order + 1):
+        log_p[k] = a(k) - sum(j * log_p[j] * a(k - j) for j in range(1, k)) / k
+    return log_p
+
+
 class TestSymbolicSeries:
     def test_p2_only(self):
         terms = symbolic_series(max_p_power=2)
@@ -525,7 +548,9 @@ class TestSymbolicSeries:
     def test_strategies_agree_at_p5(self, monkeypatch):
         # past today's budget: both strategies give the disjoint-cluster
         # series' p^5 coefficient, 3/2 [n]_4 + 563/20 [n]_5 + 197/5 [n]_6
-        # + 91/10 [n]_7 (4-6 s with a cold type table)
+        # + 91/10 [n]_7 (4-6 s with a cold type table), and log P's p^5
+        # coefficient lies above it by 1/2 [n]_4 + 5/4 [n]_5, the clusters
+        # that repeat a copy
         monkeypatch.setattr(expansion, "MAX_SYMBOLIC_P_POWER", 5)
         grouped = structural_series_grouped(5)
         assert grouped == interpolated_series_grouped(5)
@@ -539,6 +564,10 @@ class TestSymbolicSeries:
             6: Fraction(197, 5),
             7: Fraction(91, 10),
         }
+        for n in range(4, 10):
+            series = sum(c * falling_factorial(n, a) for a, c in p5.items())
+            gap = falling_factorial(n, 4) / 2 + falling_factorial(n, 5) * Fraction(5, 4)
+            assert log_p_taylor(n, 5)[5] - series == gap, n
 
     def test_span_bins_match_triple_set_reference(self):
         # strategy A's per-span bins on K_D, against the two-level walk over
@@ -579,10 +608,7 @@ class TestSymbolicSeries:
         terms = symbolic_series(4)
         p4 = {}
         for n in range(4, 9):
-            a = exact_linearity_polynomial(n, 3).coeff
-            log_p = {}  # k b_k = k a_k - sum_{j<k} j b_j a_{k-j}, as a_0 = 1
-            for k in range(1, 5):
-                log_p[k] = a(k) - sum(j * log_p[j] * a(k - j) for j in range(1, k)) / k
+            log_p = log_p_taylor(n, 4)
             series = [sum(t.coeff * falling_factorial(n, t.n_falling) for t in terms
                           if t.p_power == k) for k in range(5)]
             gap = [log_p[k] - series[k] for k in range(1, 5)]
@@ -613,9 +639,9 @@ class TestSymbolicSeries:
         keys = sorted({k for s in sampled.values() for k in s})
         caught = []
         for key in keys:
-            samples = [(n, sampled[n].get(key, Fraction(0))) for n in ns]
+            values = [sampled[n].get(key, Fraction(0)) for n in ns]
             try:
-                _solve_falling_basis(samples, 4)
+                _solve_falling_basis(values, 4)
             except LinhypError as exc:
                 assert "inconsistent with extra sample" in str(exc)
                 caught.append(key)
@@ -642,24 +668,18 @@ class TestSymbolicSeries:
 
     def test_falling_basis_recovers_known_coefficients(self):
         # f = 3[n]_5 - 2[n]_4 + 7: degree 5 on n = 0..5, n = 6 checked
-        samples = [
-            (n, 3 * falling_factorial(n, 5) - 2 * falling_factorial(n, 4) + 7)
-            for n in range(7)
-        ]
-        assert _solve_falling_basis(samples, 5) == [7, 0, 0, 0, -2, 3]
-        # a larger degree fits the same samples with zero leading terms
-        assert _solve_falling_basis(samples, 6) == [7, 0, 0, 0, -2, 3, 0]
+        values = [3 * falling_factorial(n, 5) - 2 * falling_factorial(n, 4) + 7 for n in range(7)]
+        assert _solve_falling_basis(values, 5) == [7, 0, 0, 0, -2, 3]
+        # a larger degree fits the same values with zero leading terms
+        assert _solve_falling_basis(values, 6) == [7, 0, 0, 0, -2, 3, 0]
         with pytest.raises(LinhypError, match="inconsistent with extra sample"):
-            _solve_falling_basis(samples, 4)
+            _solve_falling_basis(values, 4)
 
-    def test_falling_basis_needs_samples_from_zero_without_gaps(self):
-        value = [Fraction(n * n) for n in range(8)]
-        with pytest.raises(ValidationError):
-            _solve_falling_basis([(n, value[n]) for n in range(3, 8)], 2)
-        with pytest.raises(ValidationError):
-            _solve_falling_basis([(n, value[n]) for n in (0, 1, 2, 4, 5)], 2)
+    def test_falling_basis_needs_degree_plus_one_values(self):
+        values = [Fraction(n * n) for n in range(3)]
+        assert _solve_falling_basis(values, 2) == [0, 1, 1]
         with pytest.raises(ValidationError, match="not enough interpolation points"):
-            _solve_falling_basis([(n, value[n]) for n in range(3)], 3)
+            _solve_falling_basis(values, 3)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
